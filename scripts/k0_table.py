@@ -9,7 +9,7 @@ factors of K0, and whether the localization sequence checks out exactly.
 import argparse
 import sys
 
-from qknorm.knorm import bass_sequence_report, k0_context, k0_group
+from qknorm.knorm import bass_sequence_report
 from qknorm.quadfield import is_fundamental, make_discriminant
 
 
@@ -26,9 +26,8 @@ def main():
         if not is_fundamental(delta):
             continue
         disc = make_discriminant(delta)
-        ctx = k0_context(disc)
         rep = bass_sequence_report(disc)
-        grp = k0_group(ctx)
+        ctx, grp = rep.group.ctx, rep.group
         ne = str(ctx.units.eps_norm) if delta > 0 else "-"
         divs = "x".join(str(d) for d in grp.divisors) or "1"
         print(f"{delta:>8} {ctx.cg.h:>4} {ne:>6} {rep.order:>5} "

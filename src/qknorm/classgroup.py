@@ -1,9 +1,15 @@
 """Class groups of quadratic fields via binary quadratic forms.
 
 The narrow group is computed first from proper equivalence classes of
-primitive forms (unique reduced form for negative discriminants, reduction
-cycles for positive ones).  The wide group is the quotient by the narrow
-class of the principal ideal generated by sqrt(delta).
+primitive forms: the unique reduced form for negative discriminants, the
+rho-cycle of reduced forms for positive ones.  The wide group is the quotient
+by the narrow class of the principal ideal generated by sqrt(delta).  One
+engine serves every caller: one enumerator per sign of the discriminant, one
+reduction loop per kind of form, and one narrow-class builder for real fields
+(``_NarrowClasses``), which both ``class_group`` and the scan's
+``scan_counts`` read.  Only the imaginary half of ``scan_counts`` differs: it
+counts reduced forms without building them, which keeps it an independent
+second path for negative discriminants.
 
 Composition is realized as a Z-module product of the corresponding ideals
 followed by primitivization, which is Gauss composition at class level.
@@ -82,28 +88,13 @@ def _apply(f: Form, m: Mat, D: int) -> Form:
 
 
 def reduce_definite(f: Form) -> Form:
+    return reduce_definite_t(f)[0]
+
+
+def reduce_definite_t(f: Form) -> tuple[Form, Mat]:
     a, b, c = f
     assert a > 0
-    while True:
-        if a > c:
-            a, b, c = c, -b, a
-            continue
-        if b > a or b <= -a:
-            r = b % (2 * a)
-            if r > a:
-                r -= 2 * a
-            c = c + ((r - b) // (2 * a)) * ((r + b) // 2)
-            b = r
-            continue
-        if (b == -a) or (a == c and b < 0):
-            b = -b
-            continue
-        return (a, b, c)
-
-
-def reduce_definite_t(f: Form, D: int) -> tuple[Form, Mat]:
     m = _ID
-    a, b, c = f
     while True:
         if a > c:
             m = _mat_mul(m, (0, -1, 1, 0))
@@ -126,7 +117,7 @@ def reduce_definite_t(f: Form, D: int) -> tuple[Form, Mat]:
             m = _mat_mul(m, (0, -1, 1, 0))
             b = -b
             continue
-        assert _apply(f, m, D) == (a, b, c)
+        assert _apply(f, m, b * b - 4 * a * c) == (a, b, c)
         return (a, b, c), m
 
 
@@ -228,16 +219,23 @@ def enumerate_reduced_definite(D: int) -> list[Form]:
 
 
 def enumerate_reduced_indefinite(D: int) -> list[Form]:
-    """All reduced primitive forms of discriminant D > 0 (both signs of a)."""
+    """All reduced primitive forms of discriminant D > 0 (both signs of a),
+    in order of b, then |a|.
+
+    For non-square D, (a, b, c) is reduced exactly when (c, b, a) is, so for
+    one b the values of |a| pair up as divisors of (D - b^2)/4.  Only the
+    smaller one of each pair is searched for, upwards from the reduction
+    bound 2|a| > sqrt(D) - b.
+    """
     assert D > 0
     s = isqrt(D)
+    assert s * s != D, "square D: not the discriminant of a real field"
     out = []
     for b in range(2 - D % 2, s + 1, 2):
         m = (D - b * b) // 4
-        lo = max(1, (s + 2 - b) // 2)
-        hi = (s + b) // 2
-        for ap in range(lo, hi + 1):
-            if m % ap == 0:
+        small = [a for a in range((s + 2 - b) // 2, isqrt(m) + 1) if not m % a]
+        if small:
+            for ap in small + [m // a for a in reversed(small) if a * a != m]:
                 cp = m // ap
                 out.append((ap, b, -cp))
                 out.append((-ap, b, cp))
@@ -264,6 +262,43 @@ def _partition_cycles(forms: list[Form], D: int) -> dict[Form, Form]:
     return anchor
 
 
+class _NarrowClasses:
+    """Narrow class group of a real field.
+
+    Each class is keyed by the lexicographic minimum of its rho-cycle of
+    reduced forms.  The wide group is the quotient by the class c0 of the
+    ideal (sqrt(delta)); ``wide_of`` sends a narrow key to the smaller key of
+    its coset {k, k*c0}, which keys the wide class.
+    """
+
+    def __init__(self, disc: Discriminant):
+        D = disc.delta
+        self.D, self.s = D, isqrt(D)
+        self.anchors = _partition_cycles(enumerate_reduced_indefinite(D), D)
+        self.keys = sorted(set(self.anchors.values()))
+        self.identity = self.anchor_of(principal_form(D))
+        sqrt_delta = QuadNum(0, 2, 1, disc)
+        c0 = self.anchor_of(form_of_ideal(principal_ideal(sqrt_delta)).tup())
+        if c0 == self.identity:
+            self.wide_of = {k: k for k in self.keys}
+        else:
+            self.wide_of = {k: min(k, self.mul(k, c0)) for k in self.keys}
+
+    def anchor_of(self, f: Form) -> Form:
+        return self.anchors[reduce_indef_t(f, self.D)[0]]
+
+    def pos_rep(self, k: Form) -> Form:
+        """The first form with a > 0 on the cycle from k."""
+        g = k
+        while g[0] < 0:
+            g, _ = rho_t(g, self.s)
+        return g
+
+    def mul(self, k1: Form, k2: Form) -> Form:
+        return self.anchor_of(
+            compose_forms(self.pos_rep(k1), self.pos_rep(k2), self.D))
+
+
 # ---------------------------------------------------------------------------
 # principality with explicit generator
 
@@ -282,27 +317,26 @@ def principal_generator(i: FracIdeal) -> QuadNum | None:
     D = i.disc.delta
     f = form_of_ideal(i).tup()
     if D < 0:
-        rf, m = reduce_definite_t(f, D)
+        rf, m = reduce_definite_t(f)
         if rf != reduce_definite(principal_form(D)):
             return None
         z = _generator_from_transform(i, (m[0], m[2]), 1)
     else:
         rf, m0 = reduce_indef_t(f, D)
+        s = isqrt(D)
         z = None
         for sign in (1, -1):
             p0 = principal_form(D) if sign == 1 else _negative_unit_form(D)
-            g, n = reduce_indef_t(p0, D)
-            s = isqrt(D)
+            start, n = reduce_indef_t(p0, D)
+            g = start
             while True:
                 if g == rf:
-                    ninv = _mat_inv(n)
-                    m = _mat_mul(m0, ninv)
+                    m = _mat_mul(m0, _mat_inv(n))
                     z = _generator_from_transform(i, (m[0], m[2]), sign)
                     break
-                g2, step = rho_t(g, s)
+                g, step = rho_t(g, s)
                 n = _mat_mul(n, step)
-                g = g2
-                if g == reduce_indef_t(p0, D)[0]:
+                if g == start:
                     break
             if z is not None:
                 break
@@ -422,49 +456,20 @@ def class_group(disc: Discriminant) -> ClassGroupData:
         narrow_keys = list(reduced)
         h_narrow = len(narrow_keys)
         wide_keys = narrow_keys
-        wide_of_narrow = {k: k for k in narrow_keys}
         wide_mul = mul
         wide_identity = identity
     else:
-        forms = enumerate_reduced_indefinite(D)
-        anchors = _partition_cycles(forms, D)
-        narrow_keys = sorted(set(anchors.values()))
-        h_narrow = len(narrow_keys)
-        s = isqrt(D)
-
-        def anchor_of(f: Form):
-            g, _ = reduce_indef_t(f, D)
-            return anchors[g]
-
-        def pos_rep(k: Form) -> Form:
-            g = k
-            while g[0] < 0:
-                g, _ = rho_t(g, s)
-            return g
-
-        def narrow_mul(k1, k2):
-            return anchor_of(compose_forms(pos_rep(k1), pos_rep(k2), D))
-
-        identity = anchor_of(principal_form(D))
-        sqrt_delta = QuadNum(0, 2, 1, disc)
-        c0 = anchor_of(form_of_ideal(principal_ideal(sqrt_delta)).tup())
-        if c0 == identity:
-            wide_of_narrow = {k: k for k in narrow_keys}
-        else:
-            wide_of_narrow = {k: min(k, narrow_mul(k, c0))
-                              for k in narrow_keys}
-        wide_keys = sorted(set(wide_of_narrow.values()))
+        nc = _NarrowClasses(disc)
+        h_narrow = len(nc.keys)
+        wide_keys = sorted(set(nc.wide_of.values()))
+        wide_identity = nc.wide_of[nc.identity]
+        rep_form = nc.pos_rep
 
         def key_of_form(f: Form):
-            return wide_of_narrow[anchor_of(f)]
-
-        def rep_form(k: Form) -> Form:
-            return pos_rep(k)
+            return nc.wide_of[nc.anchor_of(f)]
 
         def wide_mul(k1, k2):
-            return wide_of_narrow[narrow_mul(k1, k2)]
-
-        wide_identity = wide_of_narrow[identity]
+            return nc.wide_of[nc.mul(k1, k2)]
 
     divisors, gen_keys = _abelian_structure(wide_keys, wide_mul, wide_identity)
     data = ClassGroupData(
@@ -502,11 +507,16 @@ def coinvariants(cg: ClassGroupData) -> Coinvariants:
 # fast counting path for the large discriminant scan
 
 def scan_counts(disc: Discriminant) -> tuple[int, int, int]:
-    """(h, h_narrow, rank2 of the wide group), vectorized with numpy."""
-    import numpy as np
+    """(h, h_narrow, rank2 of the wide group).
 
+    Imaginary fields are counted with numpy from the reduced forms on and off
+    the boundary of the fundamental domain; real fields read the narrow-class
+    builder.
+    """
     D = disc.delta
     if D < 0:
+        import numpy as np
+
         n = -D
         amax = isqrt(n // 3)
         b0 = n % 2
@@ -533,61 +543,11 @@ def scan_counts(disc: Discriminant) -> tuple[int, int, int]:
         rank2 = n_boundary.bit_length() - 1
         return h, h, rank2
 
-    s = isqrt(D)
-    b0 = 2 - D % 2
-    b_vals = np.arange(b0, s + 1, 2, dtype=np.int64)
-    lo = np.maximum(1, (s + 2 - b_vals) // 2)
-    hi = (s + b_vals) // 2
-    lens = np.maximum(0, hi - lo + 1)
-    total = int(lens.sum())
-    b_flat = np.repeat(b_vals, lens)
-    m_flat = (D - b_flat * b_flat) // 4
-    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    a_flat = (np.arange(total, dtype=np.int64)
-              - np.repeat(starts, lens)) + np.repeat(lo, lens)
-    mask = m_flat % a_flat == 0
-    aps = a_flat[mask]
-    bs = b_flat[mask]
-    cs = m_flat[mask] // aps
-    forms: list[Form] = []
-    for ap, b, cp in zip(aps.tolist(), bs.tolist(), cs.tolist()):
-        forms.append((ap, b, -cp))
-        forms.append((-ap, b, cp))
-    anchors = _partition_cycles(forms, D)
-    narrow_keys = sorted(set(anchors.values()))
-    h_narrow = len(narrow_keys)
-
-    def anchor_of(f: Form):
-        g, _ = reduce_indef_t(f, D)
-        return anchors[g]
-
-    def pos_rep(k: Form) -> Form:
-        g = k
-        while g[0] < 0:
-            g, _ = rho_t(g, s)
-        return g
-
-    identity = anchor_of(principal_form(D))
-    sqrt_delta = QuadNum(0, 2, 1, disc)
-    c0 = anchor_of(form_of_ideal(principal_ideal(sqrt_delta)).tup())
-
-    inv = {k: anchor_of((k[2], k[1], k[0])) for k in narrow_keys}
-    if c0 == identity:
-        h = h_narrow
-        torsion = sum(1 for k in narrow_keys if inv[k] == k)
-    else:
-        partner = {k: anchor_of(compose_forms(pos_rep(k), pos_rep(c0), D))
-                   for k in narrow_keys}
-        seen = set()
-        h = 0
-        torsion = 0
-        for k in narrow_keys:
-            if k in seen:
-                continue
-            seen.add(k)
-            seen.add(partner[k])
-            h += 1
-            if inv[k] in (k, partner[k]):
-                torsion += 1
+    nc = _NarrowClasses(disc)
+    wide_keys = set(nc.wide_of.values())
+    # a wide class is self-inverse when its inverse, keyed by the reversed
+    # form (c, b, a), lands in the same coset of c0
+    torsion = sum(1 for k in wide_keys
+                  if nc.wide_of[nc.anchor_of((k[2], k[1], k[0]))] == k)
     assert torsion & (torsion - 1) == 0
-    return h, h_narrow, torsion.bit_length() - 1
+    return len(wide_keys), len(nc.keys), torsion.bit_length() - 1

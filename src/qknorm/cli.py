@@ -18,7 +18,7 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from .classgroup import class_group
-from .knorm import bass_sequence_report, k0_context, k0_group
+from .knorm import bass_sequence_report, k0_context, k0_group, k0_rep
 from .mv import boundary_preimage, genus_engine, i_is_trivial, map_i, \
     sampled_exactness
 from .quadfield import NotFundamental, make_discriminant
@@ -103,13 +103,13 @@ def cmd_k0(args) -> int:
     if disc is None:
         return EXIT_USAGE
     report = bass_sequence_report(disc)
-    ctx = k0_context(disc)
+    ctx = report.group.ctx
     doc = {
         "delta": _s(disc.delta),
         "h0_units_order": _s(ctx.units.h0_units_order),
         "h": _s(ctx.cg.h),
         "k0_order": _s(report.order),
-        "k0_divisors": [_s(d) for d in k0_group(ctx).divisors],
+        "k0_divisors": [_s(d) for d in report.group.divisors],
         "sigma_injective": _s(report.sigma_injective),
         "kernel_rho_is_image_sigma": _s(report.kernel_rho_is_image_sigma),
         "rho_surjective": _s(report.rho_surjective),
@@ -117,6 +117,14 @@ def cmd_k0(args) -> int:
     }
     _emit(doc, args.fmt, args.out)
     return EXIT_OK if report.exact else EXIT_VERDICT
+
+
+class ScanConfigError(ValueError, AssertionError):
+    """A scan range with min > max, or a job count below one.
+
+    Also an AssertionError, the type these checks raised when they were
+    asserts, so that existing handlers still catch it.
+    """
 
 
 @dataclass(frozen=True)
@@ -128,8 +136,11 @@ class ScanConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
-        assert self.min <= self.max
-        assert self.jobs >= 1
+        if self.min > self.max:
+            raise ScanConfigError(
+                f"empty scan range: min {self.min} > max {self.max}")
+        if self.jobs < 1:
+            raise ScanConfigError(f"job count {self.jobs} is below 1")
 
 
 def fundamental_range(lo: int, hi: int) -> list[int]:
@@ -185,8 +196,8 @@ def cmd_scan(args) -> int:
     try:
         cfg = ScanConfig(min=args.min, max=args.max, jobs=args.jobs,
                          out=args.out, fmt=args.fmt)
-    except AssertionError:
-        print("error: bad scan range or job count", file=sys.stderr)
+    except ScanConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows, summary = run_scan(cfg)
     if cfg.fmt == "json":
@@ -197,6 +208,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 0:
+        print(f"error: --samples {args.samples} is negative", file=sys.stderr)
+        return EXIT_USAGE
     disc = _parse_disc(args.disc)
     if disc is None:
         return EXIT_USAGE
@@ -205,8 +219,6 @@ def cmd_verify(args) -> int:
     kernel_ok = True
     grp = k0_group(ctx)
     for key in grp.keys:
-        from .knorm import k0_rep
-
         e = k0_rep(ctx, key)
         if i_is_trivial(disc, map_i(e)):
             if boundary_preimage(ctx, e) is None:

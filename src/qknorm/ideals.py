@@ -147,22 +147,6 @@ class FracIdeal:
         return (principal_ideal(z) * self.inverse()).is_integral()
 
 
-def ideal_mul(i: FracIdeal, j: FracIdeal) -> FracIdeal:
-    return i * j
-
-
-def ideal_inverse(i: FracIdeal) -> FracIdeal:
-    return i.inverse()
-
-
-def ideal_conjugate(i: FracIdeal) -> FracIdeal:
-    return i.conjugate()
-
-
-def ideal_norm(i: FracIdeal) -> Fraction:
-    return i.norm()
-
-
 def principal_ideal(z: QuadNum) -> FracIdeal:
     """The fractional ideal z * O_F."""
     assert z, "zero generates no fractional ideal"
@@ -244,10 +228,3 @@ def factor_integral_ideal(i: FracIdeal) -> dict[FracIdeal, int]:
             if v:
                 out[prime] = v
     return out
-
-
-def is_principal_with_generator(i: FracIdeal) -> QuadNum | None:
-    """A generator z with z*O_F = i, or None (wide sense: N(z) of any sign)."""
-    from .classgroup import principal_generator
-
-    return principal_generator(i)

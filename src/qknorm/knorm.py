@@ -8,7 +8,7 @@ group of the field and its class group, verified here by explicit enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -41,10 +41,6 @@ class K0Elt:
     @property
     def disc(self) -> Discriminant:
         return self.ideal.disc
-
-
-def k0_make(t, ideal: FracIdeal) -> K0Elt:
-    return K0Elt(Fraction(t), ideal)
 
 
 def k0_identity(disc: Discriminant) -> K0Elt:
@@ -167,6 +163,8 @@ class BassReport:
     sigma_expected_injective: bool
     kernel_rho_is_image_sigma: bool
     rho_surjective: bool
+    # the group the report was read from, with its context
+    group: K0Group = field(repr=False, compare=False)
 
     @property
     def exact(self) -> bool:
@@ -189,7 +187,7 @@ def bass_sequence_report(disc: Discriminant) -> BassReport:
         sigma_injective=len(im_sigma) == 2,
         sigma_expected_injective=ctx.units.h0_units_order == 2,
         kernel_rho_is_image_sigma=ker_rho == im_sigma,
-        rho_surjective=len(classes_hit) == ctx.cg.h)
+        rho_surjective=len(classes_hit) == ctx.cg.h, group=grp)
 
 
 # ---------------------------------------------------------------------------

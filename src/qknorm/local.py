@@ -108,9 +108,6 @@ class TateVec:
     def get(self, v: Place) -> int:
         return 1 if v in self.coords else 0
 
-    def restrict(self, places, support_rule: str) -> "TateVec":
-        return TateVec(self.coords & frozenset(places), support_rule)
-
 
 def is_nonsplit(disc: Discriminant, p: int) -> bool:
     return kronecker(disc, p) != 1
@@ -142,29 +139,6 @@ def unit_class_at_ramified(u, disc: Discriminant, p: int) -> int:
     assert p in disc.ramified_primes
     assert _val_unit(u, p)[0] == 0
     return 0 if hilbert_symbol(u, disc.delta, p) == 1 else 1
-
-
-@dataclass(frozen=True)
-class SemiLocalUnits:
-    """Basis description of the units-mod-norms group over ramified primes."""
-    disc: Discriminant
-    basis_places: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_places)
-
-    def class_of_unit(self, u, p: int) -> int:
-        return unit_class_at_ramified(u, self.disc, p)
-
-    def vector_of_unit_family(self, units: dict[int, Fraction]) -> TateVec:
-        on = [p for p in self.basis_places
-              if self.class_of_unit(units.get(p, Fraction(1)), p)]
-        return TateVec.make(on, "ramified_only")
-
-
-def h0_semilocal(disc: Discriminant) -> SemiLocalUnits:
-    return SemiLocalUnits(disc=disc, basis_places=disc.ramified_primes)
 
 
 def h0_class_of_rational(q, disc: Discriminant) -> TateVec:

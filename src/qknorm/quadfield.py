@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from sympy import factorint
 
@@ -197,10 +197,6 @@ class QuadNum:
         return diff.sign_real()
 
 
-def norm_trace(a: QuadNum) -> tuple[Fraction, Fraction]:
-    return a.norm(), a.trace()
-
-
 def mult_matrix(u: QuadNum) -> tuple[tuple[int, int], tuple[int, int]]:
     """Matrix of multiplication by u on the basis {1, w}, w = (D+sqrt(D))/2.
 
@@ -312,7 +308,3 @@ def _sqrt_mod_prime_power(a: int, p: int, e: int) -> int | None:
         r = (r - (r * r - a) * pow(2 * r, -1, p ** (2 * k))) % (p ** (2 * k))
         k *= 2
     return (r % p ** (e - v)) * p ** (v // 2) % pe
-
-
-def isqrt_floor(n: int) -> int:
-    return isqrt(n)

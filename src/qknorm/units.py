@@ -66,17 +66,3 @@ def fundamental_unit(disc: Discriminant) -> UnitData:
     eps = next(e for e in candidates if e.compare_rational(1) > 0)
     return UnitData(eps=eps, eps_norm=int(eps.norm()), torsion_order=2,
                     h0_units_order=1 if eps.norm() == -1 else 2)
-
-
-@dataclass(frozen=True)
-class TateUnits:
-    """coker(N : units of O_F -> {+-1}), generated by the class of -1."""
-    order: int
-
-    @property
-    def trivial(self) -> bool:
-        return self.order == 1
-
-
-def tate_h0_units(disc: Discriminant) -> TateUnits:
-    return TateUnits(order=fundamental_unit(disc).h0_units_order)

@@ -1,5 +1,5 @@
 import random
-from math import prod
+from math import prod, sqrt
 
 import pytest
 
@@ -12,7 +12,7 @@ from qknorm.ideals import FracIdeal, primes_above, principal_ideal
 from qknorm.quadfield import QuadNum, is_fundamental, make_discriminant
 
 from oracle import (KNOWN_CLASS_NUMBERS, definite_reduced_count,
-                    imaginary_class_number)
+                    imaginary_class_number, real_class_number_analytic)
 
 
 @pytest.mark.parametrize("delta,h", sorted(KNOWN_CLASS_NUMBERS.items()))
@@ -127,6 +127,22 @@ def test_narrow_vs_wide():
     for delta in (-15, -23, -120):
         cg = class_group(make_discriminant(delta))
         assert cg.h_narrow == cg.h
+
+
+def test_real_h_matches_analytic_formula():
+    # scan_counts and class_group share the real-field engine, so real class
+    # numbers are checked against Dirichlet's formula instead
+    from qknorm.units import fundamental_unit
+
+    for D in range(1, 2001):
+        if not is_fundamental(D):
+            continue
+        disc = make_discriminant(D)
+        eps = fundamental_unit(disc).eps
+        eps_val = (eps.x + eps.y * sqrt(D)) / (2 * eps.d)
+        value = real_class_number_analytic(D, eps_val)
+        assert abs(value - round(value)) < 1e-6, D
+        assert class_group(disc).h == round(value), D
 
 
 def test_scan_counts_agree_with_class_group():

@@ -1,8 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qknorm
 
 from qknorm.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERDICT, ScanConfig,
                         fundamental_range, main, run_scan)
@@ -119,3 +125,27 @@ def test_scan_config_validation():
         ScanConfig(min=5, max=1)
     with pytest.raises(AssertionError):
         ScanConfig(min=0, max=1, jobs=0)
+
+
+def test_verify_negative_samples_usage_error(capsys):
+    code = main(["verify", "--disc", "60", "--samples", "-3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == "" and "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--min", "10", "--max", "5"],
+    ["verify", "--disc", "60", "--samples", "-3"],
+])
+def test_usage_errors_survive_optimize(argv):
+    # under -O every assert is stripped, so input checks must not be asserts
+    src = str(Path(qknorm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-m", "qknorm.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == "" and "error:" in proc.stderr

@@ -1,7 +1,7 @@
 import pytest
 
 from qknorm.quadfield import is_fundamental, make_discriminant
-from qknorm.units import fundamental_unit, tate_h0_units
+from qknorm.units import fundamental_unit
 
 from oracle import KNOWN_EPS_NORMS, pell_min
 
@@ -52,7 +52,8 @@ def test_unit_is_minimal_power():
 
 
 def test_tate_units_order():
-    assert tate_h0_units(make_discriminant(5)).order == 1  # N(eps) = -1
-    assert tate_h0_units(make_discriminant(12)).order == 2
-    assert tate_h0_units(make_discriminant(-15)).order == 2
-    assert tate_h0_units(make_discriminant(136)).order == 2
+    # N(eps) = -1 at delta = 5
+    assert fundamental_unit(make_discriminant(5)).h0_units_order == 1
+    assert fundamental_unit(make_discriminant(12)).h0_units_order == 2
+    assert fundamental_unit(make_discriminant(-15)).h0_units_order == 2
+    assert fundamental_unit(make_discriminant(136)).h0_units_order == 2
