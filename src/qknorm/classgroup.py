@@ -9,7 +9,9 @@ reduction loop per kind of form, and one narrow-class builder for real fields
 (``_NarrowClasses``), which both ``class_group`` and the scan's
 ``scan_counts`` read.  Only the imaginary half of ``scan_counts`` differs: it
 counts reduced forms without building them, which keeps it an independent
-second path for negative discriminants.
+second path for negative discriminants.  The abelian structure, of the wide
+group here and of K0 in ``knorm``, is read off one coset enumeration and the
+Smith form of its relation matrix (``abelian_closure``).
 
 Composition is realized as a Z-module product of the corresponding ideals
 followed by primitivization, which is Gauss composition at class level.
@@ -19,6 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
+
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_decomp
 
 from .ideals import FracIdeal, _hnf2, principal_ideal
 from .quadfield import Discriminant, QuadNum
@@ -137,9 +142,12 @@ def _normalize_indef_t(f: Form, s: int) -> tuple[Form, Mat]:
     return (a, b2, c2), (1, t, 0, 1)
 
 
+def rho(f: Form, s: int) -> Form:
+    return _normalize_indef_t((f[2], -f[1], f[0]), s)[0]
+
+
 def rho_t(f: Form, s: int) -> tuple[Form, Mat]:
-    a, b, c = f
-    g, m = _normalize_indef_t((c, -b, a), s)
+    g, m = _normalize_indef_t((f[2], -f[1], f[0]), s)
     return g, _mat_mul((0, -1, 1, 0), m)
 
 
@@ -156,12 +164,11 @@ def reduce_indef_t(f: Form, D: int) -> tuple[Form, Mat]:
 def cycle_of(f: Form, D: int) -> list[Form]:
     """The rho-cycle through the reduced form equivalent to f."""
     s = isqrt(D)
-    g, _ = reduce_indef_t(f, D)
-    out = [g]
-    h, _ = rho_t(g, s)
-    while h != g:
+    out = [reduce_indef_t(f, D)[0]]
+    h = rho(out[0], s)
+    while h != out[0]:
         out.append(h)
-        h, _ = rho_t(h, s)
+        h = rho(h, s)
     return out
 
 
@@ -244,18 +251,13 @@ def enumerate_reduced_indefinite(D: int) -> list[Form]:
 
 def _partition_cycles(forms: list[Form], D: int) -> dict[Form, Form]:
     """Map each reduced form to its cycle anchor (lexicographic minimum)."""
-    s = isqrt(D)
     form_set = set(forms)
     anchor: dict[Form, Form] = {}
     for f in forms:
         if f in anchor:
             continue
-        cyc = [f]
-        g, _ = rho_t(f, s)
-        while g != f:
-            assert g in form_set, f"cycle left the enumerated set at {g}"
-            cyc.append(g)
-            g, _ = rho_t(g, s)
+        cyc = cycle_of(f, D)
+        assert form_set.issuperset(cyc), f"cycle of {f} left the enumerated set"
         a0 = min(cyc)
         for h in cyc:
             anchor[h] = a0
@@ -291,7 +293,7 @@ class _NarrowClasses:
         """The first form with a > 0 on the cycle from k."""
         g = k
         while g[0] < 0:
-            g, _ = rho_t(g, self.s)
+            g = rho(g, self.s)
         return g
 
     def mul(self, k1: Form, k2: Form) -> Form:
@@ -385,57 +387,59 @@ class ClassGroupData:
         return ideal_of_form(QForm(*self._rep_form(key), self.disc))
 
 
-def _abelian_structure(elements, mul, identity):
-    """Invariant factors d1 | d2 | ... and matching generators."""
-    if len(elements) == 1:
-        return [], []
-    h = {identity}
-    divisors, gens = [], []
-    remaining = set(elements)
-    while len(h) < len(elements):
-        best, best_ord = None, 0
-        for x in remaining:
-            if x in h:
-                continue
-            k, y = 1, x
-            while y not in h:
-                y = mul(y, x)
-                k += 1
-            if k > best_ord:
-                best, best_ord = x, k
-        # correct best so that best^d lands on the identity, not just in h
-        target = best
-        for _ in range(best_ord - 1):
-            target = mul(target, best)  # best^best_ord, an element of h
-        root = None
-        for y in h:
-            z, zz = y, y
-            for _ in range(best_ord - 1):
-                zz = mul(zz, z)
-            if zz == target:
-                root = y
-                break
-        assert root is not None, "no d-th root in the accumulated subgroup"
-        inv_root = root
-        while mul(inv_root, root) != identity:
-            inv_root = mul(inv_root, root)
-        if mul(root, root) == root:  # root is the identity
-            gen = best
-        else:
-            gen = mul(best, inv_root)
-        divisors.append(best_ord)
-        gens.append(gen)
-        new_h = set()
-        for x in h:
-            y = x
-            for _ in range(best_ord):
-                new_h.add(y)
-                y = mul(y, gen)
-        h = new_h
-    assert len(h) == len(elements)
-    divisors.reverse()
-    gens.reverse()
-    return divisors, gens
+class ClosureBudgetExceeded(RuntimeError):
+    """Raised when group closure does not stabilize within the budget."""
+
+
+def abelian_closure(gens, mul, identity, budget=None):
+    """The finite abelian group generated by ``gens``: (elements, divisors,
+    basis), with invariant factors d1 | d2 | ... > 1 and basis[i] of order
+    divisors[i].
+
+    For each gen g outside the subgroup H found so far, the cosets H*g, ...,
+    H*g^(m-1) are added, where g^m is the first power back in H.  Every
+    element keeps its exponent vector over the gens used, and each step gives
+    the relation m*e_g = exps(g^m).  The relation matrix is lower-triangular
+    with determinant |G|; its Smith form U*R*V gives the invariant factors,
+    and row i of V^-1 the exponents of the i-th basis element (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4).
+    """
+    exps = {identity: ()}
+    rels = []  # (exps(g^m), m), one per gen used
+    for g in gens:
+        if g in exps:
+            continue
+        n = len(rels)
+        base = [(x, v + (0,) * (n - len(v))) for x, v in exps.items()]
+        coset, j = [x for x, _ in base], 1
+        while (y := mul(coset[0], g)) not in exps:
+            if budget is not None and len(exps) + len(base) > budget:
+                raise ClosureBudgetExceeded(
+                    f"more than {budget} classes generated")
+            coset = [y] + [mul(x, g) for x in coset[1:]]
+            for x, (_, v) in zip(coset, base):
+                exps[x] = v + (j,)
+            j += 1
+        rels.append((exps[y], j))
+    r = len(rels)
+    R = [[-c for c in v] + [0] * (r - len(v)) for v, _ in rels]
+    for i, (_, m) in enumerate(rels):
+        R[i][i] = m
+    S, _, V = smith_normal_decomp(Matrix(R), domain=ZZ)
+    at = {v + (0,) * (r - len(v)): x for x, v in exps.items()}
+    divisors, basis = [], []
+    for i, row in enumerate(V.inv().tolist()):
+        if abs(S[i, i]) == 1:
+            continue
+        x = [int(e) for e in row]
+        for k in reversed(range(r)):  # canonical exponents, last gen first
+            v, m = rels[k]
+            q, x[k] = divmod(x[k], m)
+            for t, c in enumerate(v):
+                x[t] += q * c
+        divisors.append(abs(int(S[i, i])))
+        basis.append(at[tuple(x)])
+    return list(exps), divisors, basis
 
 
 def class_group(disc: Discriminant) -> ClassGroupData:
@@ -471,7 +475,9 @@ def class_group(disc: Discriminant) -> ClassGroupData:
         def wide_mul(k1, k2):
             return nc.wide_of[nc.mul(k1, k2)]
 
-    divisors, gen_keys = _abelian_structure(wide_keys, wide_mul, wide_identity)
+    elements, divisors, gen_keys = abelian_closure(wide_keys, wide_mul,
+                                                   wide_identity)
+    assert len(elements) == len(wide_keys)
     data = ClassGroupData(
         h=len(wide_keys), h_narrow=h_narrow, divisors=divisors,
         generators=[], rank2=sum(1 for d in divisors if d % 2 == 0),

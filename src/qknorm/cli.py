@@ -18,7 +18,7 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from .classgroup import class_group
-from .knorm import bass_sequence_report, k0_context, k0_group, k0_rep
+from .knorm import bass_sequence_report, k0_group, k0_rep
 from .mv import boundary_preimage, genus_engine, i_is_trivial, map_i, \
     sampled_exactness
 from .quadfield import NotFundamental, make_discriminant
@@ -180,15 +180,17 @@ def run_scan(cfg: ScanConfig) -> tuple[list[dict], dict]:
         rows = [scan_row(d) for d in deltas]
     # deterministic order whatever the execution schedule did
     rows.sort(key=lambda r: int(r["delta"]))
-    violations = sum(1 for r in rows
-                     if "false" in (r["verdict_69"], r["verdict_67"],
-                                    r["verdict_68"]))
+    verdicts = ("verdict_67", "verdict_68", "verdict_69")
+    violations = sum(1 for r in rows if "false" in map(r.get, verdicts))
     summary = {
         "count": _s(len(rows)),
         "violations": _s(violations),
         "min": _s(cfg.min),
         "max": _s(cfg.max),
+        "exceptional": _s(sum(r["exceptional"] == "true" for r in rows)),
     }
+    for v in verdicts:  # rows that fail this verdict
+        summary[f"{v}_violations"] = _s(sum(r[v] == "false" for r in rows))
     return rows, summary
 
 
@@ -208,14 +210,14 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 0:
-        print(f"error: --samples {args.samples} is negative", file=sys.stderr)
+    if args.samples < 1:
+        print(f"error: --samples {args.samples} is below 1", file=sys.stderr)
         return EXIT_USAGE
     disc = _parse_disc(args.disc)
     if disc is None:
         return EXIT_USAGE
     rep = sampled_exactness(disc, args.samples, args.seed)
-    ctx = k0_context(disc)
+    ctx = rep.ctx
     kernel_ok = True
     grp = k0_group(ctx)
     for key in grp.keys:

@@ -14,7 +14,9 @@ from itertools import product
 
 from sympy import factorint
 
-from .classgroup import ClassGroupData, class_group, principal_generator
+# ClosureBudgetExceeded is raised by k0_group and importable from here
+from .classgroup import (ClassGroupData, ClosureBudgetExceeded,
+                         abelian_closure, class_group, principal_generator)
 from .ideals import FracIdeal, primes_above
 from .quadfield import Discriminant, QuadNum
 from .units import UnitData, fundamental_unit
@@ -22,10 +24,6 @@ from .units import UnitData, fundamental_unit
 
 class NormMismatch(ValueError):
     """Raised when |t| differs from the norm of the ideal component."""
-
-
-class ClosureBudgetExceeded(RuntimeError):
-    """Raised when group closure does not stabilize within the budget."""
 
 
 @dataclass(frozen=True)
@@ -124,33 +122,16 @@ class K0Group:
 
 
 def k0_group(ctx: K0Context, budget: int = 1_000_000) -> K0Group:
-    """All classes by closure from generators, with the abelian structure."""
-    from .classgroup import _abelian_structure
-
-    identity = k0_key(ctx, k0_identity(ctx.disc))
-
+    """All classes, enumerated from sigma(-1) and the class-group basis,
+    with the abelian structure; ClosureBudgetExceeded past ``budget``."""
     def mul(k1, k2):
         return k0_key(ctx, k0_mul(k0_rep(ctx, k1), k0_rep(ctx, k2)))
 
     gens = [k0_key(ctx, sigma(ctx, -1))]
-    for g in ctx.cg.generators:
-        gens.append(k0_key(ctx, K0Elt(g.norm(), g)))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for k in frontier:
-            for g in gens:
-                kg = mul(k, g)
-                if kg not in seen:
-                    if len(seen) >= budget:
-                        raise ClosureBudgetExceeded(
-                            f"more than {budget} classes generated")
-                    seen.add(kg)
-                    nxt.append(kg)
-        frontier = nxt
-    keys = sorted(seen)
-    divisors, _ = _abelian_structure(keys, mul, identity)
+    gens += [k0_key(ctx, K0Elt(g.norm(), g)) for g in ctx.cg.generators]
+    elements, divisors, _ = abelian_closure(
+        gens, mul, k0_key(ctx, k0_identity(ctx.disc)), budget)
+    keys = sorted(elements)
     return K0Group(order=len(keys), divisors=divisors, keys=keys, ctx=ctx)
 
 

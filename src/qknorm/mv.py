@@ -15,7 +15,7 @@ over fundamental discriminants certifies.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from sympy import factorint, primerange
@@ -314,6 +314,8 @@ class SampledExactness:
     mu_after_i_trivial: bool
     boundary_after_mu1_trivial: bool
     boundary_is_homomorphism: bool
+    # the K0 context the samples were checked in
+    ctx: K0Context = field(repr=False, compare=False)
 
     @property
     def all_pass(self) -> bool:
@@ -326,6 +328,8 @@ def sampled_exactness(disc: Discriminant, samples: int,
                       seed: int) -> SampledExactness:
     from .knorm import k0_context
 
+    if samples < 1:
+        raise ValueError(f"{samples} samples: nothing would be checked")
     rng = random.Random(seed)
     ctx = k0_context(disc)
     identity = k0_identity(disc)
@@ -351,7 +355,8 @@ def sampled_exactness(disc: Discriminant, samples: int,
                      K0Elt(e.t * boundary(z2).t,
                            e.ideal * boundary(z2).ideal)):
             ok_hom = False
-    return SampledExactness(disc, samples, seed, ok_ib, ok_mi, ok_bm, ok_hom)
+    return SampledExactness(disc, samples, seed, ok_ib, ok_mi, ok_bm, ok_hom,
+                            ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,47 @@ def real_class_number_analytic(D: int, eps_val: float) -> float:
     return s / (2 * log(eps_val))
 
 
+def invariant_factors_by_torsion(elements, mul) -> list[int]:
+    """Invariant factors d1 | d2 | ... (all > 1) of a finite abelian group,
+    read off the torsion counts #{x : x^n = e} for the prime powers n = p^k
+    dividing the order: G[p^k] / G[p^(k-1)] has order p^r, where r is the
+    number of cyclic factors whose order p^k divides."""
+    elements = list(elements)
+    e = next(x for x in elements if mul(x, x) == x)
+    n, p, primes = len(elements), 2, []
+    while n > 1:
+        if n % p == 0:
+            primes.append(p)
+            n //= p
+        else:
+            p += 1
+    factors: list[int] = []
+    for p in sorted(set(primes)):
+        powers = {x: x for x in elements}  # x^(p^k), for k = 0, 1, ...
+        counts = [1]
+        for _ in range(primes.count(p)):
+            for x, y in powers.items():
+                z = y
+                for _ in range(p - 1):
+                    z = mul(z, y)
+                powers[x] = z
+            counts.append(sum(1 for z in powers.values() if z == e))
+        # ranks[k-1] = number of cyclic p-factors of order >= p^k
+        ranks = []
+        for lo, hi in zip(counts, counts[1:]):
+            r = 0
+            while lo * p ** (r + 1) <= hi:
+                r += 1
+            assert lo * p ** r == hi
+            ranks.append(r)
+        exps = [sum(1 for r in ranks if r > j) for j in range(ranks[0])]
+        # exps is largest first; multiply into the factors, largest first
+        factors += [1] * (len(exps) - len(factors))
+        for j, a in enumerate(exps):
+            factors[j] *= p ** a
+    return sorted(factors)
+
+
 # wide class numbers of a few quadratic fields, from standard tables
 KNOWN_CLASS_NUMBERS = {
     -3: 1, -4: 1, -7: 1, -8: 1, -11: 1, -15: 2, -20: 2, -23: 3, -24: 2,

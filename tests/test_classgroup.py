@@ -12,7 +12,8 @@ from qknorm.ideals import FracIdeal, primes_above, principal_ideal
 from qknorm.quadfield import QuadNum, is_fundamental, make_discriminant
 
 from oracle import (KNOWN_CLASS_NUMBERS, definite_reduced_count,
-                    imaginary_class_number, real_class_number_analytic)
+                    imaginary_class_number, invariant_factors_by_torsion,
+                    real_class_number_analytic)
 
 
 @pytest.mark.parametrize("delta,h", sorted(KNOWN_CLASS_NUMBERS.items()))
@@ -52,6 +53,24 @@ def test_group_axioms_and_structure():
         for d1, d2 in zip(cg.divisors, cg.divisors[1:]):
             assert d2 % d1 == 0
         assert cg.rank2 == sum(1 for d in cg.divisors if d % 2 == 0)
+
+
+def test_structure_matches_torsion_oracle():
+    # every fundamental |delta| <= 2000, and five fields with h = 99
+    deltas = [d for d in range(-2000, 2001) if is_fundamental(d)]
+    for delta in deltas + [-12959, -28019, -13367, -8447, -5591]:
+        cg = class_group(make_discriminant(delta))
+        assert cg.divisors == invariant_factors_by_torsion(cg.elements(),
+                                                           cg.mul), delta
+        # the generators are a basis: each has the order of its factor
+        assert len(cg.generators) == len(cg.divisors)
+        for g, d in zip(cg.generators, cg.divisors):
+            k = x = cg.key_of_ideal(g)
+            order = 1
+            while x != cg.identity_key():
+                x = cg.mul(x, k)
+                order += 1
+            assert order == d, (delta, g)
 
 
 def test_generators_generate():

@@ -128,15 +128,17 @@ def test_scan_config_validation():
 
 
 def test_verify_negative_samples_usage_error(capsys):
-    code = main(["verify", "--disc", "60", "--samples", "-3"])
-    captured = capsys.readouterr()
-    assert code == EXIT_USAGE
-    assert captured.out == "" and "error:" in captured.err
+    for samples in ("-3", "0"):
+        code = main(["verify", "--disc", "60", "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == "" and "error:" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
     ["scan", "--min", "10", "--max", "5"],
     ["verify", "--disc", "60", "--samples", "-3"],
+    ["verify", "--disc", "60", "--samples", "0"],
 ])
 def test_usage_errors_survive_optimize(argv):
     # under -O every assert is stripped, so input checks must not be asserts

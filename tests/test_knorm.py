@@ -11,6 +11,8 @@ from qknorm.knorm import (K0Elt, NormMismatch, bass_sequence_report, k0_eq,
 from qknorm.local import is_global_norm
 from qknorm.quadfield import QuadNum, make_discriminant
 
+from oracle import invariant_factors_by_torsion
+
 
 def _random_elt(disc, rng):
     i = FracIdeal.unit(disc)
@@ -81,6 +83,19 @@ def test_structure_divisors():
         grp = k0_group(ctx)
         assert prod(grp.divisors, start=1) == grp.order
         assert grp.order == ctx.units.h0_units_order * ctx.cg.h
+
+
+def test_structure_matches_torsion_oracle():
+    # at 136, Cl = Z/2 and K0 = Z/4: the extension does not split
+    for delta in (136, 60, 316, -15, -84, -420, 12, 229):
+        ctx = k0_context(make_discriminant(delta))
+
+        def mul(k1, k2):
+            return k0_key(ctx, k0_mul(k0_rep(ctx, k1), k0_rep(ctx, k2)))
+
+        grp = k0_group(ctx)
+        assert grp.divisors == invariant_factors_by_torsion(grp.keys, mul), \
+            delta
 
 
 def test_canonical_rep_roundtrip():
