@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from sympy import factorint
+from sympy import factorint, nextprime
 
 from .quadfield import Discriminant, _legendre, kronecker
 
@@ -19,73 +20,78 @@ INFINITY = "oo"
 Place = int | str
 
 
-def _val_unit(q: Fraction, p: int) -> tuple[int, Fraction]:
-    """(v_p(q), unit part of q at p)."""
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(v_p(n), n with every factor p divided out) for an integer n != 0."""
     v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
+    return v, n
 
 
-def _unit_mod(u: Fraction, m: int) -> int:
-    """Residue of a p-unit rational mod m (m a power of the same p)."""
-    return u.numerator * pow(u.denominator, -1, m) % m
+def _valuation(q, p: int) -> int:
+    """v_p of a nonzero rational (int or Fraction)."""
+    return _strip(q.numerator, p)[0] - _strip(q.denominator, p)[0]
 
 
 def hilbert_symbol(a, b, v: Place) -> int:
-    """The classical Hilbert symbol (a, b)_v over the rationals."""
-    a, b = Fraction(a), Fraction(b)
-    assert a != 0 and b != 0
+    """The classical Hilbert symbol (a, b)_v over the rationals.
+
+    a and b are ints or Fractions.  n/d is n*d times a square, so each is
+    replaced by the integer n*d and the symbol is read off integers.
+    """
+    a = a.numerator * a.denominator
+    b = b.numerator * b.denominator
+    if not a or not b:
+        raise ValueError("the Hilbert symbol needs nonzero arguments")
     if v == INFINITY:
         return -1 if a < 0 and b < 0 else 1
+    if not isinstance(v, int) or v < 2:
+        raise ValueError(f"not a place: {v!r}")
     p = v
-    assert isinstance(p, int) and p >= 2
-    alpha, u = _val_unit(a, p)
-    beta, w = _val_unit(b, p)
+    alpha, u = _strip(a, p)
+    beta, w = _strip(b, p)
     if p == 2:
-        um, wm = _unit_mod(u, 8), _unit_mod(w, 8)
-        eps_u, eps_w = (um - 1) // 2 % 2, (wm - 1) // 2 % 2
-        om_u, om_w = (um * um - 1) // 8 % 2, (wm * wm - 1) // 8 % 2
-        e = eps_u * eps_w + alpha * om_w + beta * om_u
-        return -1 if e % 2 else 1
-    ls_u = _legendre(_unit_mod(u, p), p)
-    ls_w = _legendre(_unit_mod(w, p), p)
-    sign = 1
-    if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
-        sign = -sign
-    if beta % 2:
-        sign *= ls_u
-    if alpha % 2:
-        sign *= ls_w
+        # (-1)^(eps(u) eps(w) + alpha omega(w) + beta omega(u)), where
+        # eps(u) = 1 iff u = 3 mod 4 and omega(u) = 1 iff u = 3, 5 mod 8
+        e = (u & w & 2) >> 1
+        e ^= alpha & ((w & 7) in (3, 5))
+        e ^= beta & ((u & 7) in (3, 5))
+        return -1 if e else 1
+    sign = -1 if alpha & beta & 1 and p & 2 else 1
+    if beta & 1:
+        sign *= _legendre(u, p)
+    if alpha & 1:
+        sign *= _legendre(w, p)
     return sign
+
+
+def _primes_of(q) -> set[int]:
+    """The primes dividing the numerator or denominator of q."""
+    return {int(p) for n in (abs(q.numerator), q.denominator) if n > 1
+            for p in factorint(n)}
 
 
 def relevant_places(a, b) -> list[Place]:
     """Finite set of places where (a, b)_v can differ from +1."""
     a, b = Fraction(a), Fraction(b)
-    primes = {2}
-    for q in (a, b):
-        primes |= {int(p) for p in factorint(abs(q.numerator))}
-        primes |= {int(p) for p in factorint(q.denominator)}
-    return sorted(primes) + [INFINITY]
+    return sorted({2} | _primes_of(a) | _primes_of(b)) + [INFINITY]
+
+
+def _norm_test_primes(q, disc: Discriminant) -> set[int]:
+    """The primes where (q, Delta)_p can differ from +1: 2, the ramified
+    primes (those of Delta) and the primes of q."""
+    return {2, *disc.ramified_primes} | _primes_of(q)
 
 
 def is_global_norm(q, disc: Discriminant, places: str = "all") -> bool:
     """Hasse test: q is a norm from F iff it is a local norm everywhere."""
-    assert places in ("all", "finite_only")
-    q = Fraction(q)
-    assert q != 0
-    for v in relevant_places(q, disc.delta):
-        if v == INFINITY and places == "finite_only":
-            continue
-        if hilbert_symbol(q, disc.delta, v) == -1:
-            return False
-    return True
+    if places not in ("all", "finite_only"):
+        raise ValueError(f"places must be 'all' or 'finite_only': {places!r}")
+    if places == "all" and hilbert_symbol(q, disc.delta, INFINITY) == -1:
+        return False
+    return all(hilbert_symbol(q, disc.delta, p) == 1
+               for p in _norm_test_primes(q, disc))
 
 
 @dataclass(frozen=True)
@@ -121,11 +127,8 @@ def norm_uniformizer(disc: Discriminant, p: int) -> Fraction:
     presentation; always dividing by a norm removes that ambiguity.
     """
     for n in (1, -1, 3, 5, 7, -3, -5, -7, 11, -11):
-        q = Fraction(n * p)
-        if _val_unit(q, p)[0] != 1:
-            continue
-        if hilbert_symbol(q, disc.delta, p) == 1:
-            return q
+        if n % p and hilbert_symbol(n * p, disc.delta, p) == 1:
+            return Fraction(n * p)
     raise AssertionError(f"no small norm uniformizer at {p} for {disc}")
 
 
@@ -136,24 +139,18 @@ def unit_class_at_ramified(u, disc: Discriminant, p: int) -> int:
     (norms of non-units have odd valuation), so the Hilbert symbol decides.
     """
     u = Fraction(u)
-    assert p in disc.ramified_primes
-    assert _val_unit(u, p)[0] == 0
+    if p not in disc.ramified_primes:
+        raise ValueError(f"{p} is not ramified in {disc}")
+    if _valuation(u, p) != 0:
+        raise ValueError(f"{u} is not a unit at {p}")
     return 0 if hilbert_symbol(u, disc.delta, p) == 1 else 1
 
 
 def h0_class_of_rational(q, disc: Discriminant) -> TateVec:
     """Image of a rational in the sum of local norm-residue groups at
     nonsplit finite places (coordinate 1 where q fails to be a local norm)."""
-    q = Fraction(q)
-    assert q != 0
-    on = []
-    for v in relevant_places(q, disc.delta):
-        if v == INFINITY:
-            continue
-        if not is_nonsplit(disc, v):
-            continue
-        if hilbert_symbol(q, disc.delta, v) == -1:
-            on.append(v)
+    on = [p for p in _norm_test_primes(q, disc)
+          if is_nonsplit(disc, p) and hilbert_symbol(q, disc.delta, p) == -1]
     return TateVec.make(on, "nonsplit_finite")
 
 
@@ -163,8 +160,6 @@ class GenusCharSpace:
     dim: int
     basis: tuple[TateVec, ...]
     generating_rationals: tuple[Fraction, ...]
-    dim_t_fin_based: int
-    dim_t_all_based: int
 
 
 def _span_reduce(basis, vec, tag):
@@ -186,10 +181,19 @@ def _span_add(basis, vec, tag) -> bool:
     return True
 
 
-# coordinate label for the inert-2 membership constraint; sorts before primes
-_C2 = 0
-
 _SPLIT_PRIME_CAP = 25
+
+
+class SplitPrimeCapExceeded(RuntimeError):
+    """Raised when the split primes allowed run out before the genus
+    character space reaches its proven dimension."""
+
+
+def _primes():
+    p = 2
+    while True:
+        yield p
+        p = nextprime(p)
 
 
 def genus_char_space(disc: Discriminant) -> GenusCharSpace:
@@ -198,47 +202,32 @@ def genus_char_space(disc: Discriminant) -> GenusCharSpace:
 
     Mod squares such a rational is supported on -1, the ramified primes and
     the split primes (an odd inert prime power is never a local norm at its
-    own place); only an inert 2 adds a membership constraint, tracked as an
-    extra coordinate and eliminated at the end.  Split primes are adjoined
-    until the span stops growing.
+    own place, and an inert 2 adds no condition: every candidate is then a
+    2-adic unit and Delta = 1 mod 4).  By the product formula the vectors
+    lie in the even-weight hyperplane when Delta > 0, so the span has
+    dimension at most t_all - 1; split primes are adjoined until it gets
+    there.  Running out of them first raises SplitPrimeCapExceeded.
     """
-    from sympy import nextprime
-
     ram = disc.ramified_primes
-    check_two = 2 not in ram and kronecker(disc, 2) == -1
+    bound = len(ram) - disc.is_real  # = t_all - 1
 
-    def vector_of(q: Fraction) -> frozenset:
-        coords = {p for p in ram if hilbert_symbol(q, disc.delta, p) == -1}
-        if check_two and hilbert_symbol(q, disc.delta, 2) == -1:
-            coords.add(_C2)
-        return frozenset(coords)
+    def vector_of(q: int) -> frozenset:
+        return frozenset(p for p in ram
+                         if hilbert_symbol(q, disc.delta, p) == -1)
 
-    basis: list[tuple[frozenset, Fraction]] = []
-    for g in [Fraction(-1)] + [Fraction(p) for p in ram]:
+    basis: list[tuple[frozenset, int]] = []
+    for g in (-1, *ram):
         _span_add(basis, vector_of(g), g)
-    p, tried = 2, 0
-    while tried < _SPLIT_PRIME_CAP and len(basis) < disc.t_fin + 1:
-        if kronecker(disc, p) == 1:
-            tried += 1
-            _span_add(basis, vector_of(Fraction(p)), Fraction(p))
-        p = int(nextprime(p))
-    # eliminate the constraint coordinate: at most one basis vector keeps it
-    pivot = next((bv for bv, _ in basis if _C2 in bv), None)
-    if pivot is not None:
-        cleaned = []
-        ptag = next(t for bv, t in basis if bv == pivot)
-        for bv, t in basis:
-            if bv == pivot:
-                continue
-            if _C2 in bv:
-                bv, t = bv ^ pivot, t * ptag
-            if bv:
-                cleaned.append((bv, t))
-        basis = sorted(cleaned, key=lambda t: min(t[0]))
-    dim = len(basis)
+    split = islice((p for p in _primes() if kronecker(disc, p) == 1),
+                   _SPLIT_PRIME_CAP)
+    while len(basis) < bound:
+        p = next(split, None)
+        if p is None:
+            raise SplitPrimeCapExceeded(
+                f"genus character space of {disc}: span {len(basis)} after "
+                f"{_SPLIT_PRIME_CAP} split primes, below the bound {bound}")
+        _span_add(basis, vector_of(p), p)
     return GenusCharSpace(
-        disc=disc, dim=dim,
+        disc=disc, dim=len(basis),
         basis=tuple(TateVec(v, "ramified_only") for v, _ in basis),
-        generating_rationals=tuple(q for _, q in basis),
-        dim_t_fin_based=disc.t_fin - 1,
-        dim_t_all_based=disc.t_all - 1)
+        generating_rationals=tuple(Fraction(q) for _, q in basis))

@@ -23,7 +23,7 @@ from sympy import factorint, primerange
 from .classgroup import scan_counts
 from .ideals import FracIdeal, ideal_valuation, primes_above, principal_ideal
 from .knorm import K0Context, K0Elt, k0_eq, k0_identity, solve_norm_equation
-from .local import TateVec, _val_unit, genus_char_space, \
+from .local import TateVec, _valuation, genus_char_space, \
     h0_class_of_rational, hilbert_symbol, is_global_norm, norm_uniformizer
 from .quadfield import Discriminant, QuadNum, kronecker
 
@@ -185,7 +185,7 @@ def map_i(e: K0Elt) -> tuple[Fraction, TateVec]:
     t = e.t
     on = []
     for p in disc.ramified_primes:
-        v = _val_unit(t, p)[0]
+        v = _valuation(t, p)
         u = t / norm_uniformizer(disc, p) ** v
         if hilbert_symbol(u, disc.delta, p) == -1:
             on.append(p)

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qknorm
+from qknorm import local
 from qknorm.local import (INFINITY, hilbert_symbol, genus_char_space,
                           h0_class_of_rational, is_global_norm,
                           norm_uniformizer, relevant_places,
@@ -171,3 +177,105 @@ def test_genus_char_space_dimension_convention():
             assert got == vec.coords
             if 2 not in disc.ramified_primes and kronecker(disc, 2) == -1:
                 assert hilbert_symbol(q, delta, 2) == 1
+
+
+def test_int_and_fraction_arguments_agree():
+    rng = random.Random(24)
+    for v in (2, 3, 5, 7, INFINITY):
+        for _ in range(300):
+            a, b = rng.randint(-200, 200) or 1, rng.randint(-200, 200) or 1
+            assert hilbert_symbol(a, b, v) == \
+                hilbert_symbol(Fraction(a), Fraction(b), v), (a, b, v)
+    # denominators divisible by p, against the exhaustive oracles
+    for p in (2, 3, 5):
+        for _ in range(40):
+            a = Fraction(rng.randint(-60, 60) or 1,
+                         p ** rng.randint(1, 3) * rng.randint(1, 9))
+            b = rng.randint(-60, 60) or 1
+            want = (hilbert2_oracle(a, b) if p == 2
+                    else hilbert_odd_oracle(a, b, p))
+            assert hilbert_symbol(a, b, p) == want, (a, b, p)
+            assert hilbert_symbol(b, a, p) == want, (a, b, p)
+
+
+def test_bad_arguments_raise_under_optimize():
+    # under -O asserts vanish; zero or p = 1 must still raise, not loop
+    src = str(Path(qknorm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "from qknorm.local import hilbert_symbol\n"
+        "for args in ((0, 5, 3), (3, 0, 2), (3, 5, 1)):\n"
+        "    try:\n"
+        "        hilbert_symbol(*args)\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 3
+
+
+@pytest.mark.parametrize("delta", [-56, 136])
+def test_split_prime_cap_hit_raises(monkeypatch, delta):
+    # each of these needs one split prime to reach t_all - 1
+    monkeypatch.setattr(local, "_SPLIT_PRIME_CAP", 0)
+    with pytest.raises(local.SplitPrimeCapExceeded, match=str(delta)):
+        genus_char_space(make_discriminant(delta))
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def _f2_rank(vectors):
+    """Rank over F2 of integer bitmasks."""
+    pivots = {}
+    for x in vectors:
+        while x:
+            top = x.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = x
+                break
+            x ^= pivots[top]
+    return len(pivots)
+
+
+def test_reciprocity_stop_loses_nothing():
+    # the span of -1, the ramified primes and the first 25 split primes,
+    # with no early stop, has dimension t_all - 1
+    split_candidates = [p for p in range(2, 400) if _is_prime(p)]
+    for delta in range(-3000, 3001):
+        if not is_fundamental(delta):
+            continue
+        disc = make_discriminant(delta)
+        ram = disc.ramified_primes
+        split = [p for p in split_candidates if kronecker(disc, p) == 1]
+        assert len(split) >= 25, delta
+        inert_two = kronecker(disc, 2) == -1
+        vecs = []
+        for q in [-1, *ram, *split[:25]]:
+            vecs.append(sum(1 << i for i, p in enumerate(ram)
+                            if hilbert_symbol(q, delta, p) == -1))
+            if inert_two:
+                assert hilbert_symbol(q, delta, 2) == 1, (delta, q)
+        g = genus_char_space(disc)
+        assert _f2_rank(vecs) == g.dim == disc.t_all - 1, delta
+        if delta > 0:
+            assert all(len(v.coords) % 2 == 0 for v in g.basis), delta
+
+
+def test_norm_test_places_match_factored_delta():
+    # the Hasse test reads Delta's primes off the ramified primes
+    rng = random.Random(25)
+    for delta in (-15, 12, 60, -23, 40, 136, -420, 5, -4, 8):
+        disc = make_discriminant(delta)
+        for _ in range(40):
+            q = _random_nonzero(rng, 90)
+            places = relevant_places(q, delta)
+            assert is_global_norm(q, disc) == all(
+                hilbert_symbol(q, delta, v) == 1 for v in places)
+            assert h0_class_of_rational(q, disc).coords == frozenset(
+                v for v in places[:-1] if kronecker(disc, v) != 1
+                and hilbert_symbol(q, delta, v) == -1)
