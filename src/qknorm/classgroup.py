@@ -3,15 +3,18 @@
 The narrow group is computed first from proper equivalence classes of
 primitive forms: the unique reduced form for negative discriminants, the
 rho-cycle of reduced forms for positive ones.  The wide group is the quotient
-by the narrow class of the principal ideal generated by sqrt(delta).  One
-engine serves every caller: one enumerator per sign of the discriminant, one
+by the narrow class of the principal ideal generated by sqrt(delta).
+``class_group`` has one enumerator per sign of the discriminant, one
 reduction loop per kind of form, and one narrow-class builder for real fields
-(``_NarrowClasses``), which both ``class_group`` and the scan's
-``scan_counts`` read.  Only the imaginary half of ``scan_counts`` differs: it
-counts reduced forms without building them, which keeps it an independent
-second path for negative discriminants.  The abelian structure, of the wide
+(``_NarrowClasses``), all in plain Python.  The abelian structure, of the wide
 group here and of K0 in ``knorm``, is read off one coset enumeration and the
 Smith form of its relation matrix (``abelian_closure``).
+
+The scan's ``scan_counts`` shares no logic with ``class_group``, so for both
+signs it is an independent second path.  It counts with numpy, which only it
+imports: for D < 0 the reduced forms on and off the boundary of the
+fundamental domain; for D > 0 the rho-cycles of the reduced forms, labelled
+on index arrays by min-label pointer jumping.
 
 Composition is realized as a Z-module product of the corresponding ideals
 followed by primitivization, which is Gauss composition at class level.
@@ -510,14 +513,36 @@ def coinvariants(cg: ClassGroupData) -> Coinvariants:
 
 
 # ---------------------------------------------------------------------------
-# fast counting path for the large discriminant scan
+# fast counting path for the large discriminant scan (numpy, imported here
+# only, so that class_group and K0 runs never load it)
+
+def _ragged(lens, *cols):
+    """Flatten the ragged ranges 0..lens[i]-1: the offsets, then each of
+    ``cols`` with its i-th entry repeated lens[i] times."""
+    import numpy as np
+
+    starts = np.cumsum(lens) - lens
+    off = np.arange(int(lens.sum())) - np.repeat(starts, lens)
+    return (off, *(np.repeat(col, lens) for col in cols))
+
+
+class ScanCountError(ArithmeticError):
+    """A consistency check behind the scan's class counts failed."""
+
+
+def _exact_log2(count: int, D: int, what: str) -> int:
+    if count < 1 or count & (count - 1):
+        raise ScanCountError(f"D = {D}: {count} {what}, not a power of 2")
+    return count.bit_length() - 1
+
 
 def scan_counts(disc: Discriminant) -> tuple[int, int, int]:
-    """(h, h_narrow, rank2 of the wide group).
+    """(h, h_narrow, rank2 of the wide group), counted without building the
+    group: an independent second path beside ``class_group``.
 
-    Imaginary fields are counted with numpy from the reduced forms on and off
-    the boundary of the fundamental domain; real fields read the narrow-class
-    builder.
+    Imaginary fields are counted from the reduced forms on and off the
+    boundary of the fundamental domain; real fields from the rho-cycles of
+    their reduced forms (``_scan_counts_real``).
     """
     D = disc.delta
     if D < 0:
@@ -529,12 +554,8 @@ def scan_counts(disc: Discriminant) -> tuple[int, int, int]:
         if amax == 0:  # D = -3 edge is covered by amax >= 1 otherwise
             amax = 1
         a_vals = np.arange(1, amax + 1, dtype=np.int64)
-        lens = (a_vals - b0) // 2 + 1
-        total = int(lens.sum())
-        a_flat = np.repeat(a_vals, lens)
-        starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        b_flat = (np.arange(total, dtype=np.int64)
-                  - np.repeat(starts, lens)) * 2 + b0
+        off, a_flat = _ragged((a_vals - b0) // 2 + 1, a_vals)
+        b_flat = 2 * off + b0
         num = b_flat * b_flat + n
         mask = num % (4 * a_flat) == 0
         c_flat = np.zeros_like(a_flat)
@@ -545,15 +566,68 @@ def scan_counts(disc: Discriminant) -> tuple[int, int, int]:
         n_boundary = int(boundary.sum())
         n_interior = int(mask.sum()) - n_boundary
         h = n_boundary + 2 * n_interior
-        assert n_boundary & (n_boundary - 1) == 0
-        rank2 = n_boundary.bit_length() - 1
-        return h, h, rank2
+        return h, h, _exact_log2(n_boundary, D, "ambiguous classes")
+    return _scan_counts_real(D)
 
-    nc = _NarrowClasses(disc)
-    wide_keys = set(nc.wide_of.values())
-    # a wide class is self-inverse when its inverse, keyed by the reversed
-    # form (c, b, a), lands in the same coset of c0
-    torsion = sum(1 for k in wide_keys
-                  if nc.wide_of[nc.anchor_of((k[2], k[1], k[0]))] == k)
-    assert torsion & (torsion - 1) == 0
-    return len(wide_keys), len(nc.keys), torsion.bit_length() - 1
+
+def _scan_counts_real(D: int) -> tuple[int, int, int]:
+    """Counts for D > 0 from the rho-permutation of the reduced forms.
+
+    The forms are the divisor pairs of ``enumerate_reduced_indefinite`` as
+    flat arrays, addressed by the key b*(2s+3) + (a+s+1).  Each rho-cycle
+    (a narrow class) is labelled by its least index, found by pointer
+    jumping; (a, b, c) -> (-a, b, -c) multiplies by the class c0 of
+    (sqrt(delta)), so min(label, label of the negated form) labels the wide
+    class, and the reversed form (c, b, a) lies in the inverse class.
+    """
+    import numpy as np
+
+    s = isqrt(D)
+    b_vals = np.arange(2 - D % 2, s + 1, 2, dtype=np.int64)
+    m_vals = (D - b_vals * b_vals) // 4
+    lo = (s + 2 - b_vals) // 2
+    hi = np.array([isqrt(m) for m in m_vals.tolist()], dtype=np.int64)
+    off, a, b, m = _ragged(np.maximum(hi - lo + 1, 0), lo, b_vals, m_vals)
+    a += off
+    hit = m % a == 0
+    a, b = a[hit], b[hit]
+    c = m[hit] // a
+    # each (a, b, c) with its partner (c, b, a) when a != c, in both signs
+    # (a, b, -c) and (-a, b, c)
+    pair = a != c
+    ap, bp, cp = c[pair], b[pair], a[pair]
+    A = np.concatenate((a, ap, -a, -ap))
+    B = np.concatenate((b, bp, b, bp))
+    C = np.concatenate((-c, -cp, c, cp))
+    width = 2 * s + 3
+    key = B * width + A + s + 1
+    order = np.argsort(key)
+    key = key[order]
+
+    def index_of(a2, b2, what):
+        j = order[np.minimum(np.searchsorted(key, b2 * width + a2 + s + 1),
+                             len(key) - 1)]
+        miss = (A[j] != a2) | (B[j] != b2)
+        if miss.any():
+            i = int(np.flatnonzero(miss)[0])
+            raise ScanCountError(
+                f"D = {D}: {what} of ({A[i]}, {B[i]}, {C[i]}) is not an "
+                f"enumerated reduced form")
+        return j
+
+    absC = np.abs(C)
+    P = index_of(C, 2 * absC * ((s + B) // (2 * absC)) - B, "rho")
+    neg = index_of(-A, B, "the negation")
+    inv = index_of(C, B, "the reversal")
+    # L[i] = min over i, P(i), ..., P^(2^k - 1)(i) after k rounds; once L is
+    # constant along rho it is the least index of each cycle
+    index = np.arange(len(A))
+    L, Q = index, P
+    while not (L[P] == L).all():
+        L = np.minimum(L, L[Q])
+        Q = Q[Q]
+    W = np.minimum(L, L[neg])
+    own = W == index
+    torsion = int((own & (W[inv] == W)).sum())
+    return (int(own.sum()), int((L == index).sum()),
+            _exact_log2(torsion, D, "self-inverse classes"))

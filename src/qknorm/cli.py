@@ -154,7 +154,9 @@ def scan_row(delta: int) -> dict:
     rep = genus_engine(disc)
     eps_norm = ""
     if disc.is_real:
-        eps_norm = _s(fundamental_unit(disc).eps_norm)
+        # N(eps) = -1 exactly when the class of (sqrt(delta)) is trivial,
+        # that is when the narrow and wide class numbers agree
+        eps_norm = _s(-1 if rep.h_narrow == rep.h else 1)
     return {
         "delta": _s(rep.delta),
         "t_fin": _s(rep.t_fin),
@@ -174,6 +176,10 @@ def scan_row(delta: int) -> dict:
 def run_scan(cfg: ScanConfig) -> tuple[list[dict], dict]:
     deltas = fundamental_range(cfg.min, cfg.max)
     if cfg.jobs > 1:
+        # scan_counts imports numpy; importing it before the fork lets every
+        # worker inherit it instead of importing it again
+        import numpy  # noqa: F401
+
         with Pool(cfg.jobs) as pool:
             rows = pool.map(scan_row, deltas, chunksize=64)
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .quadfield import Discriminant, QuadNum, kronecker, sqrt_mod
+from .quadfield import Discriminant, QuadNum, is_prime, kronecker, sqrt_mod
 
 
 class DiscMismatch(ValueError):
@@ -170,6 +170,8 @@ class Decomposition:
 
 
 def primes_above(disc: Discriminant, p: int) -> Decomposition:
+    if not is_prime(p):
+        raise ValueError(f"primes_above needs a rational prime, got p = {p}")
     k = kronecker(disc, p)
     D = disc.delta
     if k == -1:

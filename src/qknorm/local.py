@@ -13,7 +13,7 @@ from itertools import islice
 
 from sympy import factorint, nextprime
 
-from .quadfield import Discriminant, _legendre, kronecker
+from .quadfield import Discriminant, _legendre, is_prime, kronecker
 
 INFINITY = "oo"
 
@@ -46,7 +46,7 @@ def hilbert_symbol(a, b, v: Place) -> int:
         raise ValueError("the Hilbert symbol needs nonzero arguments")
     if v == INFINITY:
         return -1 if a < 0 and b < 0 else 1
-    if not isinstance(v, int) or v < 2:
+    if not isinstance(v, int) or not is_prime(v):
         raise ValueError(f"not a place: {v!r}")
     p = v
     alpha, u = _strip(a, p)

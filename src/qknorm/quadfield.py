@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from sympy import factorint
+from sympy import factorint, isprime
 
 
 class NotFundamental(ValueError):
@@ -35,32 +36,45 @@ class Discriminant:
         return f"Discriminant({self.delta})"
 
 
-def is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    return all(e == 1 for e in factorint(n).values())
+def _fundamental_primes(n: int) -> tuple[int, ...] | None:
+    """The primes dividing n when n is a fundamental discriminant, else None.
+
+    n is fundamental when n = 1 mod 4 is squarefree (n != 1), or n = 4m with
+    m = 2, 3 mod 4 squarefree; one factorization decides it and gives the
+    primes.
+    """
+    if n % 4 == 1 and n != 1:
+        core = n
+    elif n % 4 == 0 and n // 4 % 4 in (2, 3):
+        core = n // 4
+    else:
+        return None
+    f = factorint(abs(core))
+    if any(e > 1 for e in f.values()):
+        return None
+    primes = {int(p) for p in f} | ({2} if n % 4 == 0 else set())
+    return tuple(sorted(primes))
 
 
 def is_fundamental(n: int) -> bool:
-    if n == 0 or n == 1:
-        return False
-    if n % 4 == 1:
-        return is_squarefree(n)
-    if n % 4 == 0:
-        m = n // 4
-        return m % 4 in (2, 3) and is_squarefree(m)
-    return False
+    return _fundamental_primes(n) is not None
 
 
 def make_discriminant(n: int) -> Discriminant:
-    if not is_fundamental(n):
+    ramified = _fundamental_primes(n)
+    if ramified is None:
         raise NotFundamental(f"{n} is not a fundamental discriminant")
-    ramified = tuple(sorted(int(p) for p in factorint(abs(n))))
     t_fin = len(ramified)
     t_all = t_fin if n > 0 else t_fin + 1
     return Discriminant(delta=n, ramified_primes=ramified, t_fin=t_fin,
                         t_all=t_all, is_real=n > 0)
+
+
+@lru_cache(maxsize=1024)
+def is_prime(p: int) -> bool:
+    """Primality, cached: places and primes passed to the local and ideal
+    layers repeat."""
+    return bool(isprime(p))
 
 
 class QuadNum:

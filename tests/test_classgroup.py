@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from math import prod, sqrt
 
 import pytest
@@ -149,8 +151,8 @@ def test_narrow_vs_wide():
 
 
 def test_real_h_matches_analytic_formula():
-    # scan_counts and class_group share the real-field engine, so real class
-    # numbers are checked against Dirichlet's formula instead
+    # class_group's real class numbers against Dirichlet's formula, a check
+    # that shares nothing with either class-group path
     from qknorm.units import fundamental_unit
 
     for D in range(1, 2001):
@@ -165,13 +167,37 @@ def test_real_h_matches_analytic_formula():
 
 
 def test_scan_counts_agree_with_class_group():
-    for delta in list(range(-250, 0)) + list(range(0, 450)):
+    # for both signs the scan counts are a path independent of class_group
+    deltas = list(range(-250, 0)) + list(range(0, 450)) \
+        + list(range(99000, 99301))
+    for delta in deltas:
         if not is_fundamental(delta):
             continue
         disc = make_discriminant(delta)
         cg = class_group(disc)
         h, h_narrow, rank2 = scan_counts(disc)
-        assert (h, h_narrow, rank2) == (cg.h, cg.h_narrow, cg.rank2)
+        assert (h, h_narrow, rank2) == (cg.h, cg.h_narrow, cg.rank2), delta
+
+
+def test_scan_count_checks_raise_under_optimize(src_env):
+    # D = 25 is a square, whose reduced forms rho leaves; D = 80 is not
+    # fundamental, and its non-primitive forms give three self-inverse
+    # classes.  Both must raise, not return counts, with asserts stripped.
+    code = (
+        "from qknorm.classgroup import ScanCountError, _scan_counts_real\n"
+        "for D in (25, 80):\n"
+        "    try:\n"
+        "        _scan_counts_real(D)\n"
+        "    except ScanCountError as exc:\n"
+        "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("D = 25: rho of")
+    assert lines[1] == "D = 80: 3 self-inverse classes, not a power of 2"
 
 
 def test_coinvariants_dimension():

@@ -1,17 +1,15 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import qknorm
-
 from qknorm.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERDICT, ScanConfig,
-                        fundamental_range, main, run_scan)
+                        fundamental_range, main, run_scan, scan_row)
+from qknorm.quadfield import make_discriminant
+from qknorm.units import fundamental_unit
 
 
 def _run(capsys, argv):
@@ -113,11 +111,34 @@ def test_fundamental_range_contents():
 
 
 def test_run_scan_jobs_agree():
-    cfg1 = ScanConfig(min=-200, max=200, jobs=1)
-    cfg2 = ScanConfig(min=-200, max=200, jobs=2)
+    cfg1 = ScanConfig(min=-3000, max=3000, jobs=1)
+    cfg2 = ScanConfig(min=-3000, max=3000, jobs=2)
     rows1, sum1 = run_scan(cfg1)
     rows2, sum2 = run_scan(cfg2)
     assert rows1 == rows2 and sum1 == sum2
+
+
+def test_scan_eps_norm_matches_fundamental_unit():
+    # scan rows read N(eps) off h_narrow = h instead of computing eps
+    for delta in fundamental_range(1, 2000):
+        want = fundamental_unit(make_discriminant(delta)).eps_norm
+        assert scan_row(delta)["eps_norm"] == str(want), delta
+
+
+def test_reports_do_not_import_numpy(src_env):
+    # numpy is for the scan only; a k0 or classgroup report must not pay
+    # its import and memory
+    code = (
+        "import contextlib, io, sys\n"
+        "from qknorm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['k0', '--disc', '229']) == 0\n"
+        "    assert main(['classgroup', '--disc', '229']) == 0\n"
+        "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=src_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_scan_config_validation():
@@ -140,14 +161,10 @@ def test_verify_negative_samples_usage_error(capsys):
     ["verify", "--disc", "60", "--samples", "-3"],
     ["verify", "--disc", "60", "--samples", "0"],
 ])
-def test_usage_errors_survive_optimize(argv):
+def test_usage_errors_survive_optimize(argv, src_env):
     # under -O every assert is stripped, so input checks must not be asserts
-    src = str(Path(qknorm.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-O", "-m", "qknorm.cli", *argv],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=src_env,
                           timeout=120)
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == "" and "error:" in proc.stderr

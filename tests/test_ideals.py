@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -96,6 +98,25 @@ def test_primes_above_kinds():
             else:
                 assert dec.primes[0] == full
                 assert dec.primes[0].norm() == p * p
+
+
+def test_primes_above_rejects_non_prime_under_optimize(src_env):
+    # under -O the old assert vanished; the check must still raise and name p
+    code = (
+        "from qknorm.ideals import primes_above\n"
+        "from qknorm.quadfield import make_discriminant\n"
+        "for D, p in ((60, 4), (-15, 9), (229, 1), (12, 15)):\n"
+        "    try:\n"
+        "        primes_above(make_discriminant(D), p)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.rsplit(" ", 1)[-1] for line in lines] == ["4", "9", "1", "15"]
+    assert all("p = " in line for line in lines)
 
 
 def test_valuation_and_factorization():

@@ -1,13 +1,10 @@
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import qknorm
 from qknorm import local
 from qknorm.local import (INFINITY, hilbert_symbol, genus_char_space,
                           h0_class_of_rational, is_global_norm,
@@ -198,23 +195,22 @@ def test_int_and_fraction_arguments_agree():
             assert hilbert_symbol(b, a, p) == want, (a, b, p)
 
 
-def test_bad_arguments_raise_under_optimize():
-    # under -O asserts vanish; zero or p = 1 must still raise, not loop
-    src = str(Path(qknorm.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+def test_bad_arguments_raise_under_optimize(src_env):
+    # under -O asserts vanish; zero or p = 1 must still raise, not loop, and
+    # a composite place must be rejected, not given a value
     code = (
         "from qknorm.local import hilbert_symbol\n"
-        "for args in ((0, 5, 3), (3, 0, 2), (3, 5, 1)):\n"
+        "for args in ((0, 5, 3), (3, 0, 2), (3, 5, 1), (2, 3, 15),\n"
+        "             (3, 5, 4), (3, 5, 9)):\n"
         "    try:\n"
         "        hilbert_symbol(*args)\n"
         "    except ValueError:\n"
         "        print('ValueError')\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=src_env,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 3
+    assert proc.stdout.split() == ["ValueError"] * 6
 
 
 @pytest.mark.parametrize("delta", [-56, 136])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from qknorm.quadfield import (Discriminant, NotFundamental, NotIntegral,
                               QuadNum, is_fundamental, kronecker,
@@ -38,6 +39,26 @@ def test_make_discriminant_bookkeeping():
     assert d.t_all == d.t_fin == 3 and d.is_real
     with pytest.raises(NotFundamental):
         make_discriminant(45)
+
+
+def _squarefree(m):
+    return m != 0 and all(m % (d * d) for d in range(2, math.isqrt(abs(m)) + 1))
+
+
+def test_make_discriminant_raises_exactly_off_fundamentals():
+    # against the definition, by trial division: n = 1 mod 4 squarefree, or
+    # n = 4m with m = 2, 3 mod 4 squarefree
+    for n in range(-3000, 3001):
+        fundamental = n != 1 and (
+            (n % 4 == 1 and _squarefree(n))
+            or (n % 4 == 0 and n // 4 % 4 in (2, 3) and _squarefree(n // 4)))
+        assert is_fundamental(n) == fundamental, n
+        if fundamental:
+            d = make_discriminant(n)
+            assert d.ramified_primes == tuple(sorted(factorint(abs(n)))), n
+        else:
+            with pytest.raises(NotFundamental):
+                make_discriminant(n)
 
 
 def test_canonical_form_is_reduced():
