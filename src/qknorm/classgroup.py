@@ -10,11 +10,15 @@ reduction loop per kind of form, and one narrow-class builder for real fields
 group here and of K0 in ``knorm``, is read off one coset enumeration and the
 Smith form of its relation matrix (``abelian_closure``).
 
-The scan's ``scan_counts`` shares no logic with ``class_group``, so for both
-signs it is an independent second path.  It counts with numpy, which only it
-imports: for D < 0 the reduced forms on and off the boundary of the
-fundamental domain; for D > 0 the rho-cycles of the reduced forms, labelled
-on index arrays by min-label pointer jumping.
+The scan's ``block_counts`` shares no logic with ``class_group``, so for both
+signs it is an independent second path.  It counts a whole block of
+discriminants (at most ``BLOCK_WIDTH`` consecutive integers) in one numpy
+pass, and only it and the scan's sieve import numpy: for D < 0 the reduced
+forms of every D of the block in one enumeration, on and off the boundary of
+the fundamental domain, counted by bincount; for D > 0 the cycles of rho
+followed by negation on the reduced forms with a > 0 of every D of the
+block, labelled on index arrays by min-label pointer jumping.
+``scan_counts`` is a block of one.
 
 Composition is realized as a Z-module product of the corresponding ideals
 followed by primitivization, which is Gauss composition at class level.
@@ -29,7 +33,7 @@ from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_decomp
 
 from .ideals import FracIdeal, _hnf2, principal_ideal
-from .quadfield import Discriminant, QuadNum
+from .quadfield import Discriminant, QuadNum, _ragged
 
 Form = tuple[int, int, int]
 Mat = tuple[int, int, int, int]  # row-major 2x2
@@ -516,16 +520,6 @@ def coinvariants(cg: ClassGroupData) -> Coinvariants:
 # fast counting path for the large discriminant scan (numpy, imported here
 # only, so that class_group and K0 runs never load it)
 
-def _ragged(lens, *cols):
-    """Flatten the ragged ranges 0..lens[i]-1: the offsets, then each of
-    ``cols`` with its i-th entry repeated lens[i] times."""
-    import numpy as np
-
-    starts = np.cumsum(lens) - lens
-    off = np.arange(int(lens.sum())) - np.repeat(starts, lens)
-    return (off, *(np.repeat(col, lens) for col in cols))
-
-
 class ScanCountError(ArithmeticError):
     """A consistency check behind the scan's class counts failed."""
 
@@ -536,98 +530,159 @@ def _exact_log2(count: int, D: int, what: str) -> int:
     return count.bit_length() - 1
 
 
+# block_counts counts at most this many consecutive integers per numpy pass;
+# the width bounds the pass's arrays (some 10^4 forms near |D| = 10^5)
+BLOCK_WIDTH = 150
+
+
 def scan_counts(disc: Discriminant) -> tuple[int, int, int]:
-    """(h, h_narrow, rank2 of the wide group), counted without building the
-    group: an independent second path beside ``class_group``.
-
-    Imaginary fields are counted from the reduced forms on and off the
-    boundary of the fundamental domain; real fields from the rho-cycles of
-    their reduced forms (``_scan_counts_real``).
-    """
-    D = disc.delta
-    if D < 0:
-        import numpy as np
-
-        n = -D
-        amax = isqrt(n // 3)
-        b0 = n % 2
-        if amax == 0:  # D = -3 edge is covered by amax >= 1 otherwise
-            amax = 1
-        a_vals = np.arange(1, amax + 1, dtype=np.int64)
-        off, a_flat = _ragged((a_vals - b0) // 2 + 1, a_vals)
-        b_flat = 2 * off + b0
-        num = b_flat * b_flat + n
-        mask = num % (4 * a_flat) == 0
-        c_flat = np.zeros_like(a_flat)
-        c_flat[mask] = num[mask] // (4 * a_flat[mask])
-        mask &= c_flat >= a_flat
-        boundary = mask & ((b_flat == 0) | (b_flat == a_flat)
-                           | (a_flat == c_flat))
-        n_boundary = int(boundary.sum())
-        n_interior = int(mask.sum()) - n_boundary
-        h = n_boundary + 2 * n_interior
-        return h, h, _exact_log2(n_boundary, D, "ambiguous classes")
-    return _scan_counts_real(D)
+    """(h, h_narrow, rank2 of the wide group) of one field: ``block_counts``
+    on a block of one."""
+    return block_counts([disc.delta])[0]
 
 
-def _scan_counts_real(D: int) -> tuple[int, int, int]:
-    """Counts for D > 0 from the rho-permutation of the reduced forms.
+def block_counts(deltas) -> list[tuple[int, int, int]]:
+    """(h, h_narrow, rank2 of the wide group) for each D in ``deltas``,
+    counted without building any group: an independent second path beside
+    ``class_group``.
 
-    The forms are the divisor pairs of ``enumerate_reduced_indefinite`` as
-    flat arrays, addressed by the key b*(2s+3) + (a+s+1).  Each rho-cycle
-    (a narrow class) is labelled by its least index, found by pointer
-    jumping; (a, b, c) -> (-a, b, -c) multiplies by the class c0 of
-    (sqrt(delta)), so min(label, label of the negated form) labels the wide
-    class, and the reversed form (c, b, a) lies in the inverse class.
+    The D of one sign are cut into runs that span fewer than BLOCK_WIDTH
+    integers.  The reduced forms of every integer of a run are enumerated
+    in one pass, and the forms of the integers not asked for are dropped.
+    Each check is made per D and names it.
     """
     import numpy as np
 
-    s = isqrt(D)
-    b_vals = np.arange(2 - D % 2, s + 1, 2, dtype=np.int64)
-    m_vals = (D - b_vals * b_vals) // 4
-    lo = (s + 2 - b_vals) // 2
-    hi = np.array([isqrt(m) for m in m_vals.tolist()], dtype=np.int64)
-    off, a, b, m = _ragged(np.maximum(hi - lo + 1, 0), lo, b_vals, m_vals)
+    out = {}
+    for sign, counts in ((-1, _counts_imag), (1, _counts_real)):
+        run = []
+        for m in sorted({sign * D for D in deltas if sign * D > 0}):
+            if run and m - run[0] >= BLOCK_WIDTH:
+                out.update(counts(np.array(run, dtype=np.int64)))
+                run = []
+            run.append(m)
+        if run:
+            out.update(counts(np.array(run, dtype=np.int64)))
+    return [out[D] for D in deltas]
+
+
+def _counts_imag(ns) -> dict[int, tuple[int, int, int]]:
+    """Counts for D = -n, n in the sorted array ``ns``, from the reduced
+    forms (a, b, c) with 0 <= b <= a <= c and 4ac - b^2 = n.
+
+    A form on the boundary of the fundamental domain (b = 0, b = a or
+    a = c) is one ambiguous class; any other stands for the two classes
+    (a, +-b, c).  h is one bincount on n and the ambiguous classes a second.
+    """
+    import numpy as np
+
+    lo, hi = int(ns[0]), int(ns[-1])
+    a_vals = np.arange(1, isqrt(hi // 3) + 1, dtype=np.int64)
+    # b = n mod 2 for every form of n: one parity when all n share it
+    step, b0 = (1, 0) if (ns % 2 != lo % 2).any() else (2, lo % 2)
+    b, a = _ragged((a_vals - b0) // step + 1, a_vals)
+    b = b0 + step * b
+    # c from max(a, (lo + b^2)/4a) up to (hi + b^2)/4a
+    c_lo = np.maximum(a, -((-lo - b * b) // (4 * a)))
+    off, a, b, c = _ragged(np.maximum((hi + b * b) // (4 * a) - c_lo + 1, 0),
+                           a, b, c_lo)
+    c += off
+    n = 4 * a * c - b * b - lo
+    width = hi - lo + 1
+    forms = np.bincount(n, minlength=width)
+    ambiguous = np.bincount(n[(b == 0) | (b == a) | (a == c)],
+                            minlength=width)
+    out = {}
+    for m in ns.tolist():
+        amb = int(ambiguous[m - lo])
+        h = 2 * int(forms[m - lo]) - amb
+        out[-m] = (h, h, _exact_log2(amb, -m, "ambiguous classes"))
+    return out
+
+
+def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
+    """Counts for the D > 0 in the sorted array ``Ds`` from the reduced forms
+    with a > 0.
+
+    A reduced form of D is (a, b, -k) or its partner (k, b, -a) with
+    D = b^2 + 4ak, a <= k, b <= s = isqrt(D) and 2a > s - b; the triples
+    (b, a, k) of the whole range are enumerated at once and keyed by
+    (index of D, b, a), and every array is put in key order.  rho alternates
+    the sign of the first coefficient, and (a, b, c) -> (-a, b, -c) (the
+    class c0 of (sqrt(delta))) commutes with it, so tau = negation after rho
+    maps the forms with a > 0 onto themselves: its cycles are the wide
+    classes, labelled by their least index through min-label pointer
+    jumping, and tau^2 = rho^2 splits a cycle of even length into two narrow
+    classes.  The reversal (a, b, c) -> (c, b, a) inverts the class, so
+    (-c, b, -a) lies in the inverse wide class.
+    """
+    import numpy as np
+
+    lo, hi = int(Ds[0]), int(Ds[-1])
+    width = hi - lo + 1
+    wanted = np.zeros(width, dtype=bool)
+    wanted[Ds - lo] = True
+    S = np.array([isqrt(D) for D in range(lo, hi + 1)], dtype=np.int64)
+    s_lo, s_hi = isqrt(lo), isqrt(hi)
+    # (b, a) with b <= s_hi and (s_lo + 2 - b)//2 <= a, 4a^2 <= hi - b^2
+    # b = D mod 2 for every form of D: one parity when all D share it
+    step, b0 = (1, 1) if (Ds % 2 != lo % 2).any() else (2, 2 - lo % 2)
+    b_vals = np.arange(b0, s_hi + 1, step, dtype=np.int64)
+    a_lo = np.maximum((s_lo + 2 - b_vals) // 2, 1)
+    a_hi = np.array([isqrt((hi - b * b) // 4) for b in b_vals.tolist()],
+                    dtype=np.int64)
+    off, b, a = _ragged(np.maximum(a_hi - a_lo + 1, 0), b_vals, a_lo)
     a += off
-    hit = m % a == 0
-    a, b = a[hit], b[hit]
-    c = m[hit] // a
-    # each (a, b, c) with its partner (c, b, a) when a != c, in both signs
-    # (a, b, -c) and (-a, b, c)
-    pair = a != c
-    ap, bp, cp = c[pair], b[pair], a[pair]
-    A = np.concatenate((a, ap, -a, -ap))
-    B = np.concatenate((b, bp, b, bp))
-    C = np.concatenate((-c, -cp, c, cp))
-    width = 2 * s + 3
-    key = B * width + A + s + 1
-    order = np.argsort(key)
-    key = key[order]
+    # k from max(a, (lo - b^2)/4a) up to (hi - b^2)/4a
+    k_lo = np.maximum(a, -((b * b - lo) // (4 * a)))
+    off, b, a, k = _ragged(np.maximum((hi - b * b) // (4 * a) - k_lo + 1, 0),
+                           b, a, k_lo)
+    k += off
+    J = b * b + 4 * a * k - lo
+    s = S[J]
+    keep = wanted[J] & (b <= s) & (a >= (s + 2 - b) // 2)
+    b, a, k, J = b[keep], a[keep], k[keep], J[keep]
+    pair = a != k
+    A = np.concatenate((a, k[pair]))
+    B = np.concatenate((b, b[pair]))
+    C = np.concatenate((k, a[pair]))  # |c|
+    J = np.concatenate((J, J[pair]))
+    top = int(A.max(initial=0)) + 1
+    key = (J * (s_hi + 1) + B) * top + A
+    order = np.argsort(key, kind="stable")
+    A, B, C, J, key = A[order], B[order], C[order], J[order], key[order]
+    s = S[J]
 
-    def index_of(a2, b2, what):
-        j = order[np.minimum(np.searchsorted(key, b2 * width + a2 + s + 1),
-                             len(key) - 1)]
-        miss = (A[j] != a2) | (B[j] != b2)
+    def index_of(b2, a2, ok, what):
+        q = (J * (s_hi + 1) + b2) * top + a2
+        i = np.minimum(np.searchsorted(key, q), len(key) - 1)
+        miss = ~ok | (key[i] != q)
         if miss.any():
-            i = int(np.flatnonzero(miss)[0])
+            m = int(np.flatnonzero(miss)[0])
             raise ScanCountError(
-                f"D = {D}: {what} of ({A[i]}, {B[i]}, {C[i]}) is not an "
-                f"enumerated reduced form")
-        return j
+                f"D = {lo + int(J[m])}: {what} of ({A[m]}, {B[m]}, "
+                f"{-C[m]}) is not an enumerated reduced form")
+        return i
 
-    absC = np.abs(C)
-    P = index_of(C, 2 * absC * ((s + B) // (2 * absC)) - B, "rho")
-    neg = index_of(-A, B, "the negation")
-    inv = index_of(C, B, "the reversal")
-    # L[i] = min over i, P(i), ..., P^(2^k - 1)(i) after k rounds; once L is
-    # constant along rho it is the least index of each cycle
+    # tau(a, b, -|c|) = (|c|, b', .), b' = 2|c| * ((s + b) // 2|c|) - b
+    b2 = 2 * C * ((s + B) // (2 * C)) - B
+    P = index_of(b2, C, (b2 >= 1) & (b2 <= s) & (C < top), "rho")
+    inv = index_of(B, C, C < top, "the reversal")
+    # L[i] = min over i, P(i), ..., P^(2^r - 1)(i) after r rounds; once L
+    # is constant along tau it is the least index of each cycle
     index = np.arange(len(A))
     L, Q = index, P
     while not (L[P] == L).all():
         L = np.minimum(L, L[Q])
         Q = Q[Q]
-    W = np.minimum(L, L[neg])
-    own = W == index
-    torsion = int((own & (W[inv] == W)).sum())
-    return (int(own.sum()), int((L == index).sum()),
-            _exact_log2(torsion, D, "self-inverse classes"))
+    own = L == index
+    even = np.bincount(L, minlength=len(A)) % 2 == 0
+    h = np.bincount(J[own], minlength=width)
+    h_narrow = h + np.bincount(J[own & even], minlength=width)
+    torsion = np.bincount(J[own & (L[inv] == L)], minlength=width)
+    out = {}
+    for D in Ds.tolist():
+        j = D - lo
+        out[D] = (int(h[j]), int(h_narrow[j]),
+                  _exact_log2(int(torsion[j]), D, "self-inverse classes"))
+    return out

@@ -36,6 +36,10 @@ class NormKernelViolation(ValueError):
     """Raised when a norm-one precondition fails."""
 
 
+class KernelPreimageError(ArithmeticError):
+    """A check behind a constructed boundary preimage failed."""
+
+
 def _rational_prime_of(prime: FracIdeal) -> int:
     # split/ramified primes are stored as (1, p, b), inert ones as p*(1, 1, b)
     return int(prime.q) if prime.a == 1 else prime.a
@@ -219,12 +223,20 @@ def mu1(z: QuadNum, u: IdeleFS) -> IdeleFS:
 # constructive kernel of i inside the image of the boundary
 
 def boundary_preimage(ctx: K0Context, e: K0Elt) -> IdeleFS | None:
-    """An idele z with boundary(z) equal to e as a class, when i kills e."""
+    """An idele z with boundary(z) equal to e as a class, when i kills e.
+
+    Raises ``KernelPreimageError`` when t has no global norm solution
+    although it is a norm everywhere locally, or when boundary(z) is not the
+    class of e.
+    """
     disc = e.disc
     if not i_is_trivial(disc, map_i(e)):
         return None
     x = solve_norm_equation(e.t, disc, ctx.cg)
-    assert x is not None, "Hasse principle: an everywhere-local norm is a norm"
+    if x is None:
+        raise KernelPreimageError(
+            f"D = {disc.delta}: {e.t} is a local norm everywhere but no "
+            f"global norm (Hasse principle)")
     ideal = e.ideal * principal_ideal(x).inverse()
     assert ideal.norm() == 1
     support = {int(p) for p in factorint(ideal.a)}
@@ -241,7 +253,10 @@ def boundary_preimage(ctx: K0Context, e: K0Elt) -> IdeleFS | None:
         assert ideal_valuation(ideal, pbar) == -v
         if v:
             z = z * split_pair_idele(disc, p, Fraction(p) ** v)
-    assert k0_eq(ctx, boundary(z), e)
+    if not k0_eq(ctx, boundary(z), e):
+        raise KernelPreimageError(
+            f"D = {disc.delta}: the boundary of the constructed idele is not "
+            f"the class of ({e.t}, {e.ideal})")
     return z
 
 
@@ -382,9 +397,15 @@ class GenusReport:
         return self.verdict_69 and self.verdict_67 and self.verdict_68
 
 
-def genus_engine(disc: Discriminant) -> GenusReport:
-    """2-rank of the class group against the ramification count, three ways."""
-    h, h_narrow, rank2 = scan_counts(disc)
+def genus_engine(disc: Discriminant,
+                 counts: tuple[int, int, int] | None = None) -> GenusReport:
+    """2-rank of the class group against the ramification count, three ways.
+
+    ``counts`` is (h, h_narrow, rank2) when the scan has already counted
+    them for a whole block (``block_counts``); otherwise ``scan_counts``
+    counts them for this field alone.
+    """
+    h, h_narrow, rank2 = scan_counts(disc) if counts is None else counts
     dim_v = genus_char_space(disc).dim
     dim_h = 0 if is_global_norm(-1, disc, "all") else 1
     exceptional = disc.is_real and any(p % 4 == 3

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from sympy import factorint, isprime
 
@@ -60,14 +60,81 @@ def is_fundamental(n: int) -> bool:
     return _fundamental_primes(n) is not None
 
 
-def make_discriminant(n: int) -> Discriminant:
-    ramified = _fundamental_primes(n)
-    if ramified is None:
-        raise NotFundamental(f"{n} is not a fundamental discriminant")
+def _discriminant(n: int, ramified: tuple[int, ...]) -> Discriminant:
     t_fin = len(ramified)
     t_all = t_fin if n > 0 else t_fin + 1
     return Discriminant(delta=n, ramified_primes=ramified, t_fin=t_fin,
                         t_all=t_all, is_real=n > 0)
+
+
+def make_discriminant(n: int) -> Discriminant:
+    ramified = _fundamental_primes(n)
+    if ramified is None:
+        raise NotFundamental(f"{n} is not a fundamental discriminant")
+    return _discriminant(n, ramified)
+
+
+def _ragged(lens, *cols):
+    """Flatten the ragged ranges 0..lens[i]-1 (numpy arrays): the offsets,
+    then each of ``cols`` with its i-th entry repeated lens[i] times."""
+    import numpy as np
+
+    starts = np.cumsum(lens) - lens
+    off = np.arange(int(lens.sum())) - np.repeat(starts, lens)
+    return (off, *(np.repeat(col, lens) for col in cols))
+
+
+def _odd_primes_to(root: int):
+    """The odd primes up to root, as a numpy array (sieve of Eratosthenes)."""
+    import numpy as np
+
+    table = np.ones(root + 1, dtype=bool)
+    table[:3] = False
+    table[4::2] = False
+    for p in range(3, isqrt(root) + 1, 2):
+        if table[p]:
+            table[p * p::2 * p] = False
+    return np.flatnonzero(table)
+
+
+def fundamental_discriminants(lo: int, hi: int) -> list[Discriminant]:
+    """Every fundamental discriminant in lo..hi, in order, by a sieve.
+
+    For n = 1 mod 4, or n = 4m with m = 2, 3 mod 4, the core is squarefree
+    exactly when no odd p^2 divides n (the power of 2 is fixed by the
+    residue).  Every odd prime p <= sqrt(max |n|) is sieved over the range
+    at once; the odd part of |n| divided by the sieved primes that divide it
+    is 1 or one more prime.  numpy is imported here only, for the scan.
+    """
+    import numpy as np
+
+    if lo > hi:
+        return []
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    r = n % 16  # n = 4m with m = 2, 3 mod 4 is n = 8, 12 mod 16
+    ok = (r % 4 == 1) & (n != 1) | (r == 8) | (r == 12)
+    rest = np.abs(n) >> np.where(r == 8, 3, np.where(r == 12, 2, 0))
+    primes = _odd_primes_to(isqrt(max(-lo, hi)))
+    first = -lo % primes
+    off, p, at = _ragged(np.maximum(len(n) - first + primes - 1, 0)
+                         // primes, primes, first)
+    at += off * p
+    hit = ok[at]
+    at, p = at[hit], p[hit]
+    ok[at[rest[at] % (p * p) == 0]] = False
+    np.floor_divide.at(rest, at, p)
+    found = np.flatnonzero(ok)
+    even = found[r[found] % 4 == 0]
+    big = found[rest[found] > 1]
+    at = np.concatenate((even, at, big))
+    p = np.concatenate((np.full(len(even), 2), p, rest[big]))
+    keep = ok[at]
+    order = np.argsort(at[keep], kind="stable")  # 2 first, the big one last
+    at, p = at[keep][order], p[keep][order].tolist()
+    starts = np.searchsorted(at, found).tolist()
+    ends = np.searchsorted(at, found, side="right").tolist()
+    return [_discriminant(lo + i, tuple(p[j:k]))
+            for i, j, k in zip(found.tolist(), starts, ends)]
 
 
 @lru_cache(maxsize=1024)

@@ -5,8 +5,9 @@ from math import prod, sqrt
 
 import pytest
 
-from qknorm.classgroup import (class_group, coinvariants, compose_forms,
-                               cycle_of, enumerate_reduced_definite,
+from qknorm.classgroup import (block_counts, class_group, coinvariants,
+                               compose_forms, cycle_of,
+                               enumerate_reduced_definite,
                                enumerate_reduced_indefinite, principal_form,
                                principal_generator, reduce_definite,
                                reduce_form, scan_counts, QForm)
@@ -170,13 +171,19 @@ def test_scan_counts_agree_with_class_group():
     # for both signs the scan counts are a path independent of class_group
     deltas = list(range(-250, 0)) + list(range(0, 450)) \
         + list(range(99000, 99301))
+    deltas = [d for d in deltas if is_fundamental(d)]
+    want = []
     for delta in deltas:
-        if not is_fundamental(delta):
-            continue
         disc = make_discriminant(delta)
         cg = class_group(disc)
-        h, h_narrow, rank2 = scan_counts(disc)
-        assert (h, h_narrow, rank2) == (cg.h, cg.h_narrow, cg.rank2), delta
+        want.append((cg.h, cg.h_narrow, cg.rank2))
+        # scan_counts is block_counts on a block of one
+        assert scan_counts(disc) == want[-1], delta
+    # all at once, in blocks and shuffled
+    assert block_counts(deltas) == want
+    order = random.Random(5).sample(range(len(deltas)), len(deltas))
+    assert block_counts([deltas[i] for i in order]) == \
+        [want[i] for i in order]
 
 
 def test_scan_count_checks_raise_under_optimize(src_env):
@@ -184,10 +191,10 @@ def test_scan_count_checks_raise_under_optimize(src_env):
     # fundamental, and its non-primitive forms give three self-inverse
     # classes.  Both must raise, not return counts, with asserts stripped.
     code = (
-        "from qknorm.classgroup import ScanCountError, _scan_counts_real\n"
+        "from qknorm.classgroup import ScanCountError, block_counts\n"
         "for D in (25, 80):\n"
         "    try:\n"
-        "        _scan_counts_real(D)\n"
+        "        block_counts([D])\n"
         "    except ScanCountError as exc:\n"
         "        print(exc)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],

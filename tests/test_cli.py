@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from qknorm import cli
 from qknorm.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERDICT, ScanConfig,
                         fundamental_range, main, run_scan, scan_row)
 from qknorm.quadfield import make_discriminant
@@ -118,6 +119,65 @@ def test_run_scan_jobs_agree():
     assert rows1 == rows2 and sum1 == sum2
 
 
+@pytest.mark.parametrize("lo,hi", [(-3000, 3000), (98500, 99500)])
+def test_rows_do_not_depend_on_block_cuts(lo, hi, monkeypatch):
+    whole, summary = run_scan(ScanConfig(min=lo, max=hi))
+    assert whole == [scan_row(d) for d in fundamental_range(lo, hi)]
+    # the same range as pieces split at odd offsets
+    cuts = [lo, lo + 1, lo + 38, lo + 401, (lo + hi) // 2 | 1, hi - 2, hi + 1]
+    pieces = []
+    for a, b in zip(cuts, cuts[1:]):
+        pieces += run_scan(ScanConfig(min=a, max=b - 1))[0]
+    assert pieces == whole
+    # and cut into blocks of odd widths
+    for width in (7, 151):
+        monkeypatch.setattr(cli, "BLOCK_WIDTH", width)
+        assert run_scan(ScanConfig(min=lo, max=hi)) == (whole, summary)
+
+
+@pytest.mark.parametrize("lo,hi,deltas", [
+    (2, 3, []), (5, 5, [5]), (-4, -3, [-4, -3]),
+    (-8, 8, [-8, -7, -4, -3, 5, 8])])
+def test_scan_edge_ranges(lo, hi, deltas):
+    for jobs in (1, 2):
+        rows, summary = run_scan(ScanConfig(min=lo, max=hi, jobs=jobs))
+        assert rows == [scan_row(d) for d in deltas]
+        assert summary["count"] == str(len(deltas))
+
+
+def test_jobs_clamped_to_cpus_and_blocks(monkeypatch):
+    started = []
+
+    class Recorder:
+        """Stands in for multiprocessing.Pool and starts no process."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=None):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(cli, "Pool", Recorder)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    w = cli.BLOCK_WIDTH
+    for blocks, want in ((3, [3]), (10, [4]), (1, [])):
+        started.clear()
+        cfg = ScanConfig(min=1000, max=1000 + blocks * w - 1, jobs=64)
+        rows = run_scan(cfg)[0]
+        assert started == want, blocks
+        assert rows == run_scan(ScanConfig(min=cfg.min, max=cfg.max))[0]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    started.clear()
+    run_scan(ScanConfig(min=1000, max=1000 + 3 * w - 1, jobs=64))
+    assert started == []
+
+
 def test_scan_eps_norm_matches_fundamental_unit():
     # scan rows read N(eps) off h_narrow = h instead of computing eps
     for delta in fundamental_range(1, 2000):
@@ -168,3 +228,23 @@ def test_usage_errors_survive_optimize(argv, src_env):
                           timeout=120)
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == "" and "error:" in proc.stderr
+
+
+# the constructive-kernel preimages are built from split-prime pairs; with
+# every pair replaced by the identity idele, no preimage maps back
+BROKEN_PREIMAGES = (
+    "import sys\n"
+    "import qknorm.mv as mv\n"
+    "from qknorm.cli import main\n"
+    "mv.split_pair_idele = lambda disc, p, u: mv.IdeleFS.one(disc)\n"
+    "sys.exit(main(['verify', '--disc', '-23', '--samples', '5']))\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_broken_kernel_preimage_fails_verify(flags, src_env):
+    proc = subprocess.run([sys.executable, *flags, "-c", BROKEN_PREIMAGES],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=120)
+    assert proc.returncode == EXIT_VERDICT, proc.stderr
+    assert json.loads(proc.stdout)["constructive_kernel"] == "false"
+    assert "constructive_kernel: D = -23" in proc.stderr

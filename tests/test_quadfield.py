@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 from qknorm.quadfield import (Discriminant, NotFundamental, NotIntegral,
-                              QuadNum, is_fundamental, kronecker,
-                              make_discriminant, mult_matrix, sqrt_mod,
-                              sqrt_mod_prime)
+                              QuadNum, fundamental_discriminants,
+                              is_fundamental, kronecker, make_discriminant,
+                              mult_matrix, sqrt_mod, sqrt_mod_prime)
 
 from oracle import kronecker_symbol
 
@@ -59,6 +59,19 @@ def test_make_discriminant_raises_exactly_off_fundamentals():
         else:
             with pytest.raises(NotFundamental):
                 make_discriminant(n)
+
+
+@pytest.mark.parametrize("lo,hi", [(-3000, 3000), (99000, 100000),
+                                   (-100000, -99000), (2, 3), (5, 5),
+                                   (-4, -3), (-1, 1), (0, 0)])
+def test_sieve_matches_make_discriminant(lo, hi):
+    got = fundamental_discriminants(lo, hi)
+    assert got == [make_discriminant(n) for n in range(lo, hi + 1)
+                   if is_fundamental(n)]
+    # plain ints, as make_discriminant gives: the scan prints and reuses them
+    for d in got:
+        assert type(d.delta) is int, d
+        assert all(type(p) is int for p in d.ramified_primes), d
 
 
 def test_canonical_form_is_reduced():
