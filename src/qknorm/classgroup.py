@@ -20,8 +20,11 @@ followed by negation on the reduced forms with a > 0 of every D of the
 block, labelled on index arrays by min-label pointer jumping.
 ``scan_counts`` is a block of one.
 
-Composition is realized as a Z-module product of the corresponding ideals
-followed by primitivization, which is Gauss composition at class level.
+Forms are plain (a, b, c) tuples.  Composition is the product of the
+corresponding ideals (``ideals.lattice_product``, the same product as
+``FracIdeal``'s) with the content dropped, which is Gauss composition at
+class level.  A principal ideal's generator is read off the transform that
+takes its form to one with |a| = 1 (``principal_generator``).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from math import isqrt
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_decomp
 
-from .ideals import FracIdeal, _hnf2, principal_ideal
+from .ideals import FracIdeal, lattice_product, principal_ideal
 from .quadfield import Discriminant, QuadNum, _ragged
 
 Form = tuple[int, int, int]
@@ -41,36 +44,18 @@ Mat = tuple[int, int, int, int]  # row-major 2x2
 _ID: Mat = (1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class QForm:
-    a: int
-    b: int
-    c: int
-    disc: Discriminant
-
-    def __post_init__(self):
-        assert self.b * self.b - 4 * self.a * self.c == self.disc.delta
-
-    def tup(self) -> Form:
-        return (self.a, self.b, self.c)
-
-    def __repr__(self):
-        return f"QForm({self.a}, {self.b}, {self.c}; D={self.disc.delta})"
-
-
 def principal_form(D: int) -> Form:
     b = D % 2
     return (1, b, (b * b - D) // 4)
 
 
-def form_of_ideal(i: FracIdeal) -> QForm:
-    D = i.disc.delta
-    return QForm(i.a, i.b, (i.b * i.b - D) // (4 * i.a), i.disc)
+def form_of_ideal(i: FracIdeal) -> Form:
+    return (i.a, i.b, (i.b * i.b - i.disc.delta) // (4 * i.a))
 
 
-def ideal_of_form(f: QForm) -> FracIdeal:
-    assert f.a > 0, "only positive leading coefficients correspond to ideals"
-    return FracIdeal.make(1, f.a, f.b, f.disc)
+def ideal_of_form(f: Form, disc: Discriminant) -> FracIdeal:
+    assert f[0] > 0, "only positive leading coefficients correspond to ideals"
+    return FracIdeal.make(1, f[0], f[1], disc)
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +65,6 @@ def _mat_mul(m: Mat, n: Mat) -> Mat:
     a, b, c, d = m
     e, f, g, h = n
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _mat_inv(m: Mat) -> Mat:
-    a, b, c, d = m
-    det = a * d - b * c
-    assert det == 1
-    return (d, -b, -c, a)
 
 
 def _apply(f: Form, m: Mat, D: int) -> Form:
@@ -179,36 +157,13 @@ def cycle_of(f: Form, D: int) -> list[Form]:
     return out
 
 
-def reduce_form(f: QForm) -> QForm:
-    """Canonical representative: the reduced form (D<0) or cycle anchor (D>0)."""
-    D = f.disc.delta
-    if D < 0:
-        return QForm(*reduce_definite(f.tup()), f.disc)
-    return QForm(*min(cycle_of(f.tup(), D)), f.disc)
-
-
 # ---------------------------------------------------------------------------
-# composition (class level): module product of the two ideals, primitivized
+# composition (class level): the product of the two ideals, primitivized
 
 def compose_forms(f1: Form, f2: Form, D: int) -> Form:
-    a1, b1, _ = f1
-    a2, b2, _ = f2
-    assert a1 > 0 and a2 > 0
-    nw = (D * D - D) // 4
-    g1 = [(a1, 0), ((b1 - D) // 2, 1)]
-    g2 = [(a2, 0), ((b2 - D) // 2, 1)]
-    prods = []
-    for u1, v1 in g1:
-        for u2, v2 in g2:
-            prods.append((u1 * u2 - v1 * v2 * nw,
-                          u1 * v2 + u2 * v1 + v1 * v2 * D))
-    n, c, e = _hnf2(prods)
-    assert n % e == 0 and c % e == 0
-    a3 = n // e
-    b3 = (2 * (c // e) + D) % (2 * a3)
-    if b3 > a3:
-        b3 -= 2 * a3
-    return (a3, b3, (b3 * b3 - D) // (4 * a3))
+    assert f1[0] > 0 and f2[0] > 0
+    _, a, b = lattice_product(f1[0], f1[1], f2[0], f2[1], D)
+    return (a, b, (b * b - D) // (4 * a))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +242,7 @@ class _NarrowClasses:
         self.keys = sorted(set(self.anchors.values()))
         self.identity = self.anchor_of(principal_form(D))
         sqrt_delta = QuadNum(0, 2, 1, disc)
-        c0 = self.anchor_of(form_of_ideal(principal_ideal(sqrt_delta)).tup())
+        c0 = self.anchor_of(form_of_ideal(principal_ideal(sqrt_delta)))
         if c0 == self.identity:
             self.wide_of = {k: k for k in self.keys}
         else:
@@ -311,53 +266,51 @@ class _NarrowClasses:
 # ---------------------------------------------------------------------------
 # principality with explicit generator
 
-def _generator_from_transform(i: FracIdeal, col: tuple[int, int],
-                              expected_norm_sign: int) -> QuadNum:
-    u, v = col
-    D = i.disc.delta
-    # z0 = a*u + ((b+sqrt(D))/2)*v on the primitive part
+class GeneratorCheckError(ArithmeticError):
+    """A principal generator, on which K0 verdicts rest, failed its check."""
+
+
+def _generator_from_transform(i: FracIdeal, m: Mat, g: Form) -> QuadNum:
+    """The z = q*(a*u + ((b+sqrt(D))/2)*v) of i = q*[a, (b+sqrt(D))/2], with
+    (u, v) the first column of m and f o m = g for the form f of i; its norm
+    is g[0]*N(i)."""
+    u, v = m[0], m[2]
     z0 = QuadNum(2 * i.a * u + i.b * v, v, 1, i.disc)
-    assert z0.norm() == expected_norm_sign * i.a
+    if z0.norm() != g[0] * i.a:
+        raise GeneratorCheckError(
+            f"generator read-off: D = {i.disc.delta}: N({z0!r}) is not "
+            f"{g[0]} * {i.a}")
     return z0.scale(i.q)
 
 
 def principal_generator(i: FracIdeal) -> QuadNum | None:
-    """A generator z with z*O_F = i (either sign of N(z)), or None."""
+    """A generator z with z*O_F = i (either sign of N(z)), or None.
+
+    If f o M = g for the form f of i, then f(M*e1) = g[0]; so i is principal
+    exactly when a reduced form equivalent to f has |a| = 1, and then z is
+    read off the first column of M.  For D < 0 that is the reduced form of
+    f; for D > 0 the walk follows rho around the cycle of f.
+    """
     D = i.disc.delta
-    f = form_of_ideal(i).tup()
+    f = form_of_ideal(i)
     if D < 0:
-        rf, m = reduce_definite_t(f)
-        if rf != reduce_definite(principal_form(D)):
-            return None
-        z = _generator_from_transform(i, (m[0], m[2]), 1)
+        g, m = reduce_definite_t(f)
     else:
-        rf, m0 = reduce_indef_t(f, D)
         s = isqrt(D)
-        z = None
-        for sign in (1, -1):
-            p0 = principal_form(D) if sign == 1 else _negative_unit_form(D)
-            start, n = reduce_indef_t(p0, D)
-            g = start
-            while True:
-                if g == rf:
-                    m = _mat_mul(m0, _mat_inv(n))
-                    z = _generator_from_transform(i, (m[0], m[2]), sign)
-                    break
-                g, step = rho_t(g, s)
-                n = _mat_mul(n, step)
-                if g == start:
-                    break
-            if z is not None:
+        g, m = reduce_indef_t(f, D)
+        start = g
+        while abs(g[0]) != 1:
+            g, step = rho_t(g, s)
+            if g == start:
                 break
-        if z is None:
-            return None
-    assert principal_ideal(z) == i
+            m = _mat_mul(m, step)
+    if abs(g[0]) != 1:
+        return None
+    z = _generator_from_transform(i, m, g)
+    if principal_ideal(z) != i:
+        raise GeneratorCheckError(
+            f"principal_generator: D = {D}: {z!r} does not generate {i!r}")
     return z
-
-
-def _negative_unit_form(D: int) -> Form:
-    b = D % 2
-    return (-1, b, (D - b * b) // 4)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +332,7 @@ class ClassGroupData:
     _rep_form: object = field(repr=False, default=None)
 
     def key_of_ideal(self, i: FracIdeal):
-        return self._key_of_form(form_of_ideal(i).tup())
+        return self._key_of_form(form_of_ideal(i))
 
     def mul(self, k1, k2):
         return self._mul(k1, k2)
@@ -391,7 +344,7 @@ class ClassGroupData:
         return list(self._elements)
 
     def rep_ideal(self, key) -> FracIdeal:
-        return ideal_of_form(QForm(*self._rep_form(key), self.disc))
+        return ideal_of_form(self._rep_form(key), self.disc)
 
 
 class ClosureBudgetExceeded(RuntimeError):

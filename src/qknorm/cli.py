@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .classgroup import BLOCK_WIDTH, block_counts, class_group
+from .classgroup import BLOCK_WIDTH, GeneratorCheckError, block_counts, \
+    class_group
 from .knorm import bass_sequence_report, k0_group, k0_rep
 from .mv import KernelPreimageError, boundary_preimage, genus_engine, \
     sampled_exactness
@@ -121,12 +122,8 @@ def cmd_k0(args) -> int:
     return EXIT_OK if report.exact else EXIT_VERDICT
 
 
-class ScanConfigError(ValueError, AssertionError):
-    """A scan range with min > max, or a job count below one.
-
-    Also an AssertionError, the type these checks raised when they were
-    asserts, so that existing handlers still catch it.
-    """
+class ScanConfigError(ValueError):
+    """A scan range with min > max, or a job count below one."""
 
 
 @dataclass(frozen=True)
@@ -305,7 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GeneratorCheckError as exc:
+        # the K0 classes of k0 and verify rest on checked generators
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_VERDICT
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Exact fractional-ideal arithmetic in the maximal order of a quadratic field.
 
 An ideal is stored as q * (a*Z + ((b+sqrt(D))/2)*Z) with a positive rational
-scale q, a > 0 and -a < b <= a.  Products are computed as Z-module products
-on the integral basis {1, w}, w = (D+sqrt(D))/2, followed by Hermite
-normalization, which keeps everything exact.
+scale q, a > 0 and -a < b <= a.  Products are Z-module products on the
+integral basis {1, w}, w = (D+sqrt(D))/2, followed by Hermite normalization
+(``lattice_product``, shared with the composition of forms), which keeps
+everything exact.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .quadfield import Discriminant, QuadNum, is_prime, kronecker, sqrt_mod
+from .quadfield import (Discriminant, QuadNum, is_prime, kronecker,
+                        sqrt_mod_prime)
 
 
 class DiscMismatch(ValueError):
@@ -63,6 +65,22 @@ def _hnf2(vectors: list[tuple[int, int]]) -> tuple[int, int, int]:
     return n, c, e
 
 
+def lattice_product(a1: int, b1: int, a2: int, b2: int,
+                    D: int) -> tuple[int, int, int]:
+    """[a1, (b1+sqrt(D))/2] * [a2, (b2+sqrt(D))/2] = e * [a, (b+sqrt(D))/2].
+
+    Returns (e, a, b) with -a < b <= a.  The products of the basis vectors,
+    (b-D)/2 + w with w^2 = D*w - (D^2-D)/4, are put in Hermite form.
+    """
+    x1, x2 = (b1 - D) // 2, (b2 - D) // 2
+    n, c, e = _hnf2([(a1 * a2, 0), (a1 * x2, a1), (a2 * x1, a2),
+                     (x1 * x2 - (D * D - D) // 4, x1 + x2 + D)])
+    assert n % e == 0 and c % e == 0, "product is not an O_F-module"
+    a = n // e
+    b = (2 * (c // e) + D) % (2 * a)
+    return e, a, (b - 2 * a if b > a else b)
+
+
 @dataclass(frozen=True)
 class FracIdeal:
     q: Fraction
@@ -99,11 +117,6 @@ class FracIdeal:
     def norm(self) -> Fraction:
         return self.q * self.q * self.a
 
-    def _coords(self) -> list[tuple[int, int]]:
-        # basis vectors on {1, w}; (b+sqrt(D))/2 = (b-D)/2 + w
-        D = self.disc.delta
-        return [(self.a, 0), ((self.b - D) // 2, 1)]
-
     def conjugate(self) -> "FracIdeal":
         return FracIdeal.make(self.q, self.a, -self.b, self.disc)
 
@@ -117,17 +130,9 @@ class FracIdeal:
         if other.disc.delta != self.disc.delta:
             raise DiscMismatch(
                 f"discriminants {self.disc.delta} and {other.disc.delta} differ")
-        D = self.disc.delta
-        nw = (D * D - D) // 4
-        prods = []
-        for u1, v1 in self._coords():
-            for u2, v2 in other._coords():
-                prods.append((u1 * u2 - v1 * v2 * nw,
-                              u1 * v2 + u2 * v1 + v1 * v2 * D))
-        n, c, e = _hnf2(prods)
-        assert n % e == 0 and c % e == 0, "product is not an O_F-module"
-        return FracIdeal.make(self.q * other.q * e, n // e, 2 * (c // e) + D,
-                              self.disc)
+        e, a, b = lattice_product(self.a, self.b, other.a, other.b,
+                                  self.disc.delta)
+        return FracIdeal(self.q * other.q * e, a, b, self.disc)
 
     def __pow__(self, k: int) -> "FracIdeal":
         if k < 0:
@@ -177,11 +182,12 @@ def primes_above(disc: Discriminant, p: int) -> Decomposition:
     if k == -1:
         inert = FracIdeal.make(p, 1, D % 2, disc)
         return Decomposition("inert", p, (inert,))
-    b = sqrt_mod(D % (4 * p), 4 * p)
-    assert b is not None, f"no square root of {D} mod {4 * p}"
-    if (b - D) % 2 != 0:
-        b = (2 * p - b) % (4 * p)
-    assert (b * b - D) % (4 * p) == 0 and (b - D) % 2 == 0
+    if p == 2:
+        b = next(b for b in range(4) if (b * b - D) % 8 == 0)
+    else:
+        # the root of D mod p with the parity of D is a root mod 4p
+        r = sqrt_mod_prime(D, p)
+        b = r + p * ((r - D) % 2)
     pid = FracIdeal.make(1, p, b, disc)
     if k == 0:
         assert pid * pid == FracIdeal.make(p, 1, D % 2, disc)
@@ -212,21 +218,3 @@ def ideal_valuation(i: FracIdeal, prime: FracIdeal) -> int:
     den_ideal = FracIdeal.make(den, 1, i.disc.delta % 2, i.disc)
     return (_integral_valuation(scaled, prime)
             - _integral_valuation(den_ideal, prime))
-
-
-def factor_integral_ideal(i: FracIdeal) -> dict[FracIdeal, int]:
-    """Prime factorization of an integral ideal."""
-    from sympy import factorint
-
-    assert i.is_integral()
-    out: dict[FracIdeal, int] = {}
-    n = i.norm()
-    assert n.denominator == 1
-    for p in factorint(int(n)):
-        p = int(p)
-        dec = primes_above(i.disc, p)
-        for prime in dec.primes:
-            v = ideal_valuation(i, prime)
-            if v:
-                out[prime] = v
-    return out

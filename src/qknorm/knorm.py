@@ -16,7 +16,8 @@ from sympy import factorint
 
 # ClosureBudgetExceeded is raised by k0_group and importable from here
 from .classgroup import (ClassGroupData, ClosureBudgetExceeded,
-                         abelian_closure, class_group, principal_generator)
+                         GeneratorCheckError, abelian_closure, class_group,
+                         principal_generator)
 from .ideals import FracIdeal, primes_above
 from .quadfield import Discriminant, QuadNum
 from .units import UnitData, fundamental_unit
@@ -83,7 +84,10 @@ def k0_key(ctx: K0Context, e: K0Elt):
     key = ctx.cg.key_of_ideal(e.ideal)
     i0 = ctx.cg.rep_ideal(key)
     z = principal_generator(e.ideal * i0.inverse())
-    assert z is not None, "ideal is not in the class of its representative"
+    if z is None:
+        raise GeneratorCheckError(
+            f"k0_key: D = {ctx.disc.delta}: {e.ideal!r} is not in the class "
+            f"of its representative {i0!r}")
     t0 = e.t / z.norm()
     assert abs(t0) == i0.norm()
     sign = 1 if t0 > 0 else -1

@@ -278,21 +278,6 @@ class QuadNum:
         return diff.sign_real()
 
 
-def mult_matrix(u: QuadNum) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Matrix of multiplication by u on the basis {1, w}, w = (D+sqrt(D))/2.
-
-    Its determinant is N(u) and its trace is Tr(u).
-    """
-    if not u.is_integral():
-        raise NotIntegral(f"{u!r} is not an algebraic integer")
-    D = u.disc.delta
-    b = u.y
-    a = (u.x - u.y * D) // 2
-    # w^2 = D*w - (D^2-D)/4
-    nw = (D * D - D) // 4
-    return ((a, -b * nw), (b, a + b * D))
-
-
 def _legendre(a: int, p: int) -> int:
     a %= p
     if a == 0:
@@ -314,10 +299,8 @@ def kronecker(disc: Discriminant, p: int) -> int:
 
 
 def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of a mod p (Tonelli-Shanks), or None."""
+    """A square root of a mod an odd prime p (Tonelli-Shanks), or None."""
     a %= p
-    if p == 2:
-        return a
     if a == 0:
         return 0
     if _legendre(a, p) != 1:
@@ -342,50 +325,3 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
-
-
-def sqrt_mod(a: int, m: int) -> int | None:
-    """A square root of a modulo m, by CRT over the factorization of m."""
-    from sympy.ntheory.modular import crt
-
-    if m == 1:
-        return 0
-    residues, moduli = [], []
-    for p, e in factorint(m).items():
-        r = _sqrt_mod_prime_power(a, p, e)
-        if r is None:
-            return None
-        residues.append(r)
-        moduli.append(p ** e)
-    res = crt(moduli, residues)
-    if res is None:
-        return None
-    return int(res[0])
-
-
-def _sqrt_mod_prime_power(a: int, p: int, e: int) -> int | None:
-    pe = p ** e
-    a %= pe
-    if a == 0:
-        return 0
-    if p == 2:
-        # small exhaustive search; e stays tiny in this artifact
-        for z in range(pe):
-            if z * z % pe == a:
-                return z
-        return None
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    if v % 2 == 1:
-        return None
-    r = sqrt_mod_prime(a, p)
-    if r is None:
-        return None
-    # Hensel lift to p^(e-v)
-    k = 1
-    while k < e - v:
-        r = (r - (r * r - a) * pow(2 * r, -1, p ** (2 * k))) % (p ** (2 * k))
-        k *= 2
-    return (r % p ** (e - v)) * p ** (v // 2) % pe

@@ -1,7 +1,7 @@
 """Acceptance gate: the eight headline verdicts, one test each.
 
-The full-range scan is computed once per session and shared by the four
-criteria that consume it.
+The full-range scan is computed once per session, in the scan's blocks, and
+shared by the four criteria that consume it.
 """
 
 import random
@@ -10,12 +10,14 @@ from math import prod
 
 import pytest
 
-from qknorm.classgroup import class_group, scan_counts
+from qknorm.classgroup import BLOCK_WIDTH, block_counts, class_group, \
+    scan_counts
 from qknorm.knorm import bass_sequence_report, k0_context, k0_group, k0_rep
 from qknorm.local import hilbert_symbol, relevant_places
 from qknorm.mv import (boundary, boundary_preimage, genus_engine,
                        i_is_trivial, map_i, k0_eq, sampled_exactness)
-from qknorm.quadfield import is_fundamental, make_discriminant
+from qknorm.quadfield import fundamental_discriminants, is_fundamental, \
+    make_discriminant
 from qknorm.units import fundamental_unit
 
 from oracle import hilbert2_oracle, pell_min
@@ -28,10 +30,19 @@ VERIFICATION_DISCS = [-15, 12, 60, -23, 8, 40, -56, 105, -120, 136,
 
 @pytest.fixture(scope="session")
 def full_scan_reports():
-    reports = []
-    for delta in range(-SCAN_BOUND, SCAN_BOUND + 1):
-        if is_fundamental(delta):
-            reports.append(genus_engine(make_discriminant(delta)))
+    # the scan's own route: each block of BLOCK_WIDTH integers sieved and
+    # counted in one pass
+    discs, reports = [], []
+    for lo in range(-SCAN_BOUND, SCAN_BOUND + 1, BLOCK_WIDTH):
+        block = fundamental_discriminants(lo, min(lo + BLOCK_WIDTH - 1,
+                                                  SCAN_BOUND))
+        counts = block_counts([d.delta for d in block])
+        reports += [genus_engine(d, c) for d, c in zip(block, counts)]
+        discs += block
+    # the sieve's discriminants and ramified primes against factorint
+    assert discs == [make_discriminant(d)
+                     for d in range(-SCAN_BOUND, SCAN_BOUND + 1)
+                     if is_fundamental(d)]
     return reports
 
 

@@ -10,7 +10,7 @@ from qknorm.classgroup import (block_counts, class_group, coinvariants,
                                enumerate_reduced_definite,
                                enumerate_reduced_indefinite, principal_form,
                                principal_generator, reduce_definite,
-                               reduce_form, scan_counts, QForm)
+                               scan_counts)
 from qknorm.ideals import FracIdeal, primes_above, principal_ideal
 from qknorm.quadfield import QuadNum, is_fundamental, make_discriminant
 
@@ -134,6 +134,21 @@ def test_nonprincipal_detected():
     assert principal_generator(p2) is None
 
 
+def test_generator_exactly_for_principal_class():
+    # the one-cycle walk, on a representative of every wide class; real
+    # fields with N(eps) = -1 and +1 alike
+    for delta in range(-1000, 1001):
+        if not is_fundamental(delta):
+            continue
+        cg = class_group(make_discriminant(delta))
+        for k in cg.elements():
+            i = cg.rep_ideal(k)
+            z = principal_generator(i)
+            assert (z is not None) == (k == cg.identity_key()), (delta, k)
+            if z is not None:
+                assert principal_ideal(z) == i, delta
+
+
 def test_narrow_vs_wide():
     # real: h_narrow = 2h exactly when the fundamental unit has norm +1
     from qknorm.units import fundamental_unit
@@ -214,12 +229,17 @@ def test_coinvariants_dimension():
         assert co.dim == cg.rank2
 
 
+def _canonical(f, D):
+    # the reduced form (D < 0) or the least form of the rho-cycle (D > 0)
+    return reduce_definite(f) if D < 0 else min(cycle_of(f, D))
+
+
 def test_cycle_closure():
     for D in (12, 60, 316, 229):
         f = principal_form(D)
         cyc = cycle_of(f, D)
         assert len(set(cyc)) == len(cyc)
-        assert reduce_form(QForm(*f, make_discriminant(D))).tup() in cyc
+        assert _canonical(f, D) in cyc
 
 
 def test_compose_identity():
@@ -229,9 +249,7 @@ def test_compose_identity():
                   else enumerate_reduced_indefinite(D))[:10]:
             if g[0] < 0:
                 continue
-            disc = make_discriminant(D)
-            lhs = reduce_form(QForm(*compose_forms(g, f, D), disc))
-            assert lhs == reduce_form(QForm(*g, disc))
+            assert _canonical(compose_forms(g, f, D), D) == _canonical(g, D)
 
 
 def test_reduce_definite_idempotent_and_equivalent():

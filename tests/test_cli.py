@@ -8,7 +8,8 @@ import pytest
 
 from qknorm import cli
 from qknorm.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERDICT, ScanConfig,
-                        fundamental_range, main, run_scan, scan_row)
+                        ScanConfigError, fundamental_range, main, run_scan,
+                        scan_row)
 from qknorm.quadfield import make_discriminant
 from qknorm.units import fundamental_unit
 
@@ -202,9 +203,9 @@ def test_reports_do_not_import_numpy(src_env):
 
 
 def test_scan_config_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ScanConfigError):
         ScanConfig(min=5, max=1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ScanConfigError):
         ScanConfig(min=0, max=1, jobs=0)
 
 
@@ -248,3 +249,28 @@ def test_broken_kernel_preimage_fails_verify(flags, src_env):
     assert proc.returncode == EXIT_VERDICT, proc.stderr
     assert json.loads(proc.stdout)["constructive_kernel"] == "false"
     assert "constructive_kernel: D = -23" in proc.stderr
+
+
+# K0 classes are keyed through principal generators; a read-off that returns
+# 2z names an ideal of four times the norm, which the generator check catches
+BROKEN_GENERATORS = (
+    "import sys\n"
+    "import qknorm.classgroup as cg\n"
+    "from qknorm.cli import main\n"
+    "read_off = cg._generator_from_transform\n"
+    "cg._generator_from_transform = lambda *a: 2 * read_off(*a)\n"
+    "codes = [main(['k0', '--disc', '-23']),\n"
+    "         main(['verify', '--disc', '-23', '--samples', '5'])]\n"
+    "print(*codes)\n"
+    "sys.exit(max(codes))\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_broken_generator_fails_k0_and_verify(flags, src_env):
+    proc = subprocess.run([sys.executable, *flags, "-c", BROKEN_GENERATORS],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=120)
+    assert proc.returncode == EXIT_VERDICT, proc.stderr
+    assert proc.stdout.split() == [str(EXIT_VERDICT)] * 2
+    for command in ("k0", "verify"):
+        assert f"{command}: principal_generator: D = -23: " in proc.stderr

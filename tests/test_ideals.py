@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qknorm.ideals import (DiscMismatch, FracIdeal, factor_integral_ideal,
-                           ideal_valuation, primes_above, principal_ideal)
+from qknorm.ideals import (DiscMismatch, FracIdeal, ideal_valuation,
+                           primes_above, principal_ideal)
 from qknorm.quadfield import QuadNum, kronecker, make_discriminant
 
 DISCS = [make_discriminant(d) for d in (-15, -23, 12, 60, -4, 40, -120, 229)]
@@ -132,7 +132,6 @@ def test_valuation_and_factorization():
                 e = rng.randint(1, 3)
                 exps[prime] = exps.get(prime, 0) + e
                 i = i * prime ** e
-            assert factor_integral_ideal(i) == exps
             for prime, e in exps.items():
                 assert ideal_valuation(i, prime) == e
                 assert ideal_valuation(i.inverse(), prime) == -e

@@ -9,7 +9,7 @@ from sympy import factorint
 from qknorm.quadfield import (Discriminant, NotFundamental, NotIntegral,
                               QuadNum, fundamental_discriminants,
                               is_fundamental, kronecker, make_discriminant,
-                              mult_matrix, sqrt_mod, sqrt_mod_prime)
+                              sqrt_mod_prime)
 
 from oracle import kronecker_symbol
 
@@ -125,16 +125,6 @@ def test_sign_real_matches_float(a):
         assert a.sign_real() == (1 if approx > 0 else -1)
 
 
-def test_mult_matrix_det_trace():
-    u = QuadNum(3, 1, 1, D15)
-    m = mult_matrix(u)
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    assert det == u.norm()
-    assert m[0][0] + m[1][1] == u.trace()
-    with pytest.raises(NotIntegral):
-        mult_matrix(QuadNum(1, 0, 3, D15))
-
-
 @pytest.mark.parametrize("delta", [-15, -4, 8, 12, 60, -23, 229, -120])
 def test_kronecker_matches_reference(delta):
     disc = make_discriminant(delta)
@@ -151,15 +141,6 @@ def test_sqrt_mod_prime(a, p):
         assert pow(a, (p - 1) // 2, p) == p - 1
     else:
         assert r * r % p == a % p
-
-
-@given(st.integers(min_value=0, max_value=5000),
-       st.integers(min_value=1, max_value=500))
-@settings(max_examples=300, deadline=None)
-def test_sqrt_mod_composite(a, m):
-    r = sqrt_mod(a, m)
-    if r is not None:
-        assert r * r % m == a % m
 
 
 def test_rational_embedding():
