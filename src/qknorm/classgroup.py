@@ -24,7 +24,8 @@ Forms are plain (a, b, c) tuples.  Composition is the product of the
 corresponding ideals (``ideals.lattice_product``, the same product as
 ``FracIdeal``'s) with the content dropped, which is Gauss composition at
 class level.  A principal ideal's generator is read off the transform that
-takes its form to one with |a| = 1 (``principal_generator``).
+takes its form to one with |a| = 1 (``principal_generator``), for D > 0 by
+the walk (``rho_walk``) that also gives ``units`` the fundamental unit.
 """
 
 from __future__ import annotations
@@ -283,6 +284,18 @@ def _generator_from_transform(i: FracIdeal, m: Mat, g: Form) -> QuadNum:
     return z0.scale(i.q)
 
 
+def rho_walk(g: Form, m: Mat, s: int) -> tuple[Form, Mat]:
+    """From the reduced form g = f o m, follow rho to the next form with
+    |a| = 1 on the cycle, or back to g; returns that form h and the M with
+    f o M = h."""
+    start = g
+    while True:
+        g, step = rho_t(g, s)
+        m = _mat_mul(m, step)
+        if abs(g[0]) == 1 or g == start:
+            return g, m
+
+
 def principal_generator(i: FracIdeal) -> QuadNum | None:
     """A generator z with z*O_F = i (either sign of N(z)), or None.
 
@@ -296,14 +309,9 @@ def principal_generator(i: FracIdeal) -> QuadNum | None:
     if D < 0:
         g, m = reduce_definite_t(f)
     else:
-        s = isqrt(D)
         g, m = reduce_indef_t(f, D)
-        start = g
-        while abs(g[0]) != 1:
-            g, step = rho_t(g, s)
-            if g == start:
-                break
-            m = _mat_mul(m, step)
+        if abs(g[0]) != 1:
+            g, m = rho_walk(g, m, isqrt(D))
     if abs(g[0]) != 1:
         return None
     z = _generator_from_transform(i, m, g)

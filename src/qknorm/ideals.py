@@ -4,7 +4,7 @@ An ideal is stored as q * (a*Z + ((b+sqrt(D))/2)*Z) with a positive rational
 scale q, a > 0 and -a < b <= a.  Products are Z-module products on the
 integral basis {1, w}, w = (D+sqrt(D))/2, followed by Hermite normalization
 (``lattice_product``, shared with the composition of forms), which keeps
-everything exact.
+everything exact.  Valuations are read off (q, a, b) (``ideal_valuation``).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .local import _valuation
 from .quadfield import (Discriminant, QuadNum, is_prime, kronecker,
                         sqrt_mod_prime)
 
@@ -197,24 +198,22 @@ def primes_above(disc: Discriminant, p: int) -> Decomposition:
     return Decomposition("split", p, (pid, pbar))
 
 
-def _integral_valuation(j: FracIdeal, prime: FracIdeal) -> int:
-    assert j.is_integral()
-    v = 0
-    pinv = prime.inverse()
-    while True:
-        nxt = j * pinv
-        if not nxt.is_integral():
-            return v
-        j = nxt
-        v += 1
+def rational_prime_of(prime: FracIdeal) -> int:
+    """The p below a prime from ``primes_above``: [p, ...] or, inert, p*O."""
+    return int(prime.q) if prime.a == 1 else prime.a
 
 
 def ideal_valuation(i: FracIdeal, prime: FracIdeal) -> int:
-    """Exponent of the prime ideal in the factorization of i."""
-    den = i.q.denominator
-    if den == 1:
-        return _integral_valuation(i, prime)
-    scaled = FracIdeal(i.q * den, i.a, i.b, i.disc)
-    den_ideal = FracIdeal.make(den, 1, i.disc.delta % 2, i.disc)
-    return (_integral_valuation(scaled, prime)
-            - _integral_valuation(den_ideal, prime))
+    """Exponent of the prime ideal P above p in the factorization of i.
+
+    The lattice [a, (b+sqrt(D))/2] of i is primitive: it has no inert
+    factor, holds a ramified P once if p | a, and a split P = [p, (b_P +
+    sqrt(D))/2] to the power v_p(a) if b = b_P mod 2p.  The rest is v_P(q).
+    """
+    p = rational_prime_of(prime)
+    v = _valuation(i.q, p)
+    if prime.a == 1:  # inert
+        return v
+    if i.disc.delta % p == 0:  # ramified
+        return 2 * v + (i.a % p == 0)
+    return v + (0 if (i.b - prime.b) % (2 * p) else _valuation(i.a, p))

@@ -203,25 +203,24 @@ def _integral_ideals_of_norm(disc: Discriminant, m: int):
 
 
 def solve_norm_equation(t, disc: Discriminant,
-                        cg: ClassGroupData | None = None) -> QuadNum | None:
+                        ctx: K0Context | None = None) -> QuadNum | None:
     """An x in F* with N(x) = t, or None if there is none.
 
     The principal ideal of a solution is an integral ideal above the primes
     dividing t times a norm-one twist A * conj(A)^-1, whose class is the
     square of [A]; so it suffices to run over the integral parts and over the
     square roots of the inverse class of each, and read off generators.
+    A generator that does not give N(x) = t raises ``GeneratorCheckError``.
     """
     t = Fraction(t)
     assert t != 0
     if disc.delta < 0 and t < 0:
         return None
-    if cg is None:
-        cg = class_group(disc)
-    units = fundamental_unit(disc)
+    if ctx is None:
+        ctx = k0_context(disc)
+    cg, units = ctx.cg, ctx.units
     # clear the denominator: N(y) = t * den^2 with y = x * den
-    m = t * t.denominator ** 2
-    assert m.denominator == 1
-    m = int(m)
+    m = t.numerator * t.denominator
     for j0 in _integral_ideals_of_norm(disc, abs(m)):
         target = cg.identity_key()
         k0 = cg.key_of_ideal(j0)
@@ -231,13 +230,13 @@ def solve_norm_equation(t, disc: Discriminant,
             a = cg.rep_ideal(c)
             j = j0 * a * a.conjugate().inverse()
             z = principal_generator(j)
-            assert z is not None, "class arithmetic made j principal"
-            n = z.norm()
-            assert abs(n) == abs(m)
-            if n != m:
-                if units.eps is None or units.eps_norm != -1:
+            if z is not None and z.norm() == -m:
+                if units.eps_norm != -1:
                     continue
                 z = z * units.eps
-                assert z.norm() == m
+            if z is None or z.norm() != m:
+                raise GeneratorCheckError(
+                    f"solve_norm_equation: D = {disc.delta}: {j!r} has no "
+                    f"generator of norm {m}")
             return z.scale(Fraction(1, t.denominator))
     return None

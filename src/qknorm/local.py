@@ -84,14 +84,10 @@ def _norm_test_primes(q, disc: Discriminant) -> set[int]:
     return {2, *disc.ramified_primes} | _primes_of(q)
 
 
-def is_global_norm(q, disc: Discriminant, places: str = "all") -> bool:
+def is_global_norm(q, disc: Discriminant) -> bool:
     """Hasse test: q is a norm from F iff it is a local norm everywhere."""
-    if places not in ("all", "finite_only"):
-        raise ValueError(f"places must be 'all' or 'finite_only': {places!r}")
-    if places == "all" and hilbert_symbol(q, disc.delta, INFINITY) == -1:
-        return False
-    return all(hilbert_symbol(q, disc.delta, p) == 1
-               for p in _norm_test_primes(q, disc))
+    return all(hilbert_symbol(q, disc.delta, v) == 1
+               for v in (INFINITY, *_norm_test_primes(q, disc)))
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ from fractions import Fraction
 from sympy import factorint, primerange
 
 from .classgroup import scan_counts
-from .ideals import FracIdeal, ideal_valuation, primes_above, principal_ideal
+from .ideals import FracIdeal, ideal_valuation, primes_above, \
+    principal_ideal, rational_prime_of
 from .knorm import K0Context, K0Elt, k0_eq, k0_identity, solve_norm_equation
-from .local import TateVec, _valuation, genus_char_space, \
+from .local import TateVec, _primes_of, _valuation, genus_char_space, \
     h0_class_of_rational, hilbert_symbol, is_global_norm, norm_uniformizer
 from .quadfield import Discriminant, QuadNum, kronecker
 
@@ -38,11 +39,6 @@ class NormKernelViolation(ValueError):
 
 class KernelPreimageError(ArithmeticError):
     """A check behind a constructed boundary preimage failed."""
-
-
-def _rational_prime_of(prime: FracIdeal) -> int:
-    # split/ramified primes are stored as (1, p, b), inert ones as p*(1, 1, b)
-    return int(prime.q) if prime.a == 1 else prime.a
 
 
 @dataclass
@@ -64,7 +60,7 @@ class IdeleFS:
                                    QuadNum.from_rational(1, self.disc))
 
     def support_primes(self) -> list[int]:
-        return sorted({_rational_prime_of(p) for p in self.components})
+        return sorted({rational_prime_of(p) for p in self.components})
 
     def __mul__(self, other: "IdeleFS") -> "IdeleFS":
         assert other.disc.delta == self.disc.delta
@@ -129,7 +125,7 @@ def idele_norm(z: IdeleFS) -> IdeleQ:
     disc = z.disc
     by_p: dict[int, list[tuple[FracIdeal, QuadNum]]] = {}
     for prime, comp in z.components.items():
-        by_p.setdefault(_rational_prime_of(prime), []).append((prime, comp))
+        by_p.setdefault(rational_prime_of(prime), []).append((prime, comp))
     out: dict[int, Fraction] = {}
     for p, entries in by_p.items():
         if kronecker(disc, p) != 1:
@@ -164,7 +160,7 @@ def boundary(z: IdeleFS) -> K0Elt:
     vals = _component_valuations(z)
     by_p: dict[int, int] = {}
     for prime, r in vals.items():
-        p = _rational_prime_of(prime)
+        p = rational_prime_of(prime)
         f = 2 if kronecker(disc, p) == -1 else 1
         by_p[p] = by_p.get(p, 0) + f * r
     bad = [p for p, s in by_p.items() if s]
@@ -207,7 +203,7 @@ def mu(disc: Discriminant, t: Fraction, y: TateVec) -> TateVec:
 
 def i_is_trivial(disc: Discriminant, pair: tuple[Fraction, TateVec]) -> bool:
     t, y = pair
-    return is_global_norm(t, disc, "all") and not y
+    return is_global_norm(t, disc) and not y
 
 
 def mu1(z: QuadNum, u: IdeleFS) -> IdeleFS:
@@ -232,16 +228,14 @@ def boundary_preimage(ctx: K0Context, e: K0Elt) -> IdeleFS | None:
     disc = e.disc
     if not i_is_trivial(disc, map_i(e)):
         return None
-    x = solve_norm_equation(e.t, disc, ctx.cg)
+    x = solve_norm_equation(e.t, disc, ctx)
     if x is None:
         raise KernelPreimageError(
             f"D = {disc.delta}: {e.t} is a local norm everywhere but no "
             f"global norm (Hasse principle)")
     ideal = e.ideal * principal_ideal(x).inverse()
     assert ideal.norm() == 1
-    support = {int(p) for p in factorint(ideal.a)}
-    support |= {int(p) for p in factorint(ideal.q.numerator)}
-    support |= {int(p) for p in factorint(ideal.q.denominator)}
+    support = _primes_of(ideal.q) | _primes_of(ideal.a)
     z = IdeleFS.one(disc)
     for p in sorted(support):
         dec = primes_above(disc, p)
@@ -407,7 +401,7 @@ def genus_engine(disc: Discriminant,
     """
     h, h_narrow, rank2 = scan_counts(disc) if counts is None else counts
     dim_v = genus_char_space(disc).dim
-    dim_h = 0 if is_global_norm(-1, disc, "all") else 1
+    dim_h = 0 if is_global_norm(-1, disc) else 1
     exceptional = disc.is_real and any(p % 4 == 3
                                        for p in disc.ramified_primes)
     expected = disc.t_fin - 1 - (1 if exceptional else 0)

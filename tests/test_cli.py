@@ -181,7 +181,7 @@ def test_jobs_clamped_to_cpus_and_blocks(monkeypatch):
 
 def test_scan_eps_norm_matches_fundamental_unit():
     # scan rows read N(eps) off h_narrow = h instead of computing eps
-    for delta in fundamental_range(1, 2000):
+    for delta in fundamental_range(1, 20000):
         want = fundamental_unit(make_discriminant(delta)).eps_norm
         assert scan_row(delta)["eps_norm"] == str(want), delta
 

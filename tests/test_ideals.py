@@ -7,7 +7,8 @@ import pytest
 
 from qknorm.ideals import (DiscMismatch, FracIdeal, ideal_valuation,
                            primes_above, principal_ideal)
-from qknorm.quadfield import QuadNum, kronecker, make_discriminant
+from qknorm.quadfield import QuadNum, is_fundamental, kronecker, \
+    make_discriminant
 
 DISCS = [make_discriminant(d) for d in (-15, -23, 12, 60, -4, 40, -120, 229)]
 
@@ -120,20 +121,22 @@ def test_primes_above_rejects_non_prime_under_optimize(src_env):
 
 
 def test_valuation_and_factorization():
+    # every prime ideal above p < 30 gets an exponent in -3..3; the inert
+    # primes and both primes above a split p put content into q
     rng = random.Random(11)
-    for disc in DISCS:
-        for _ in range(10):
-            # build a known factorization, then recover it
-            exps = {}
+    for delta in range(-200, 201):
+        if not is_fundamental(delta):
+            continue
+        disc = make_discriminant(delta)
+        primes = [prime for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+                  for prime in primes_above(disc, p).primes]
+        for _ in range(4):
+            exps = {prime: rng.randint(-3, 3) for prime in primes}
             i = FracIdeal.unit(disc)
-            for p in rng.sample([2, 3, 5, 7], k=2):
-                dec = primes_above(disc, p)
-                prime = rng.choice(dec.primes)
-                e = rng.randint(1, 3)
-                exps[prime] = exps.get(prime, 0) + e
+            for prime, e in exps.items():
                 i = i * prime ** e
             for prime, e in exps.items():
-                assert ideal_valuation(i, prime) == e
+                assert ideal_valuation(i, prime) == e, (delta, i, prime)
                 assert ideal_valuation(i.inverse(), prime) == -e
 
 

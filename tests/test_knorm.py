@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -122,7 +124,7 @@ def test_solve_norm_equation_exact():
             if x is not None:
                 assert x.norm() == t
             # the Hasse criterion agrees with constructive solvability
-            assert (x is not None) == is_global_norm(t, disc, "all"), \
+            assert (x is not None) == is_global_norm(t, disc), \
                 (delta, t)
 
 
@@ -134,3 +136,33 @@ def test_solve_norm_equation_hard_cases():
     x = solve_norm_equation(2, make_discriminant(-56))
     assert x is not None and x.norm() == 2
     assert not principal_ideal(x).is_integral()
+
+
+# -1 over discriminant 5 is solved through the twist by the unit of norm -1;
+# a unit data that reports N(eps) = -1 but holds eps^2 (norm +1) must not
+# produce a solution of the wrong norm
+BROKEN_UNIT = (
+    "import dataclasses\n"
+    "import qknorm.knorm as kn\n"
+    "from qknorm.classgroup import GeneratorCheckError\n"
+    "from qknorm.quadfield import make_discriminant\n"
+    "unit = kn.fundamental_unit\n"
+    "def squared(disc):\n"
+    "    u = unit(disc)\n"
+    "    return dataclasses.replace(u, eps=u.eps * u.eps)\n"
+    "kn.fundamental_unit = squared\n"
+    "try:\n"
+    "    x = kn.solve_norm_equation(-1, make_discriminant(5))\n"
+    "except GeneratorCheckError as exc:\n"
+    "    print(exc)\n"
+    "else:\n"
+    "    print('returned', x, 'of norm', x.norm())\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_wrong_unit_fails_norm_equation(flags, src_env):
+    proc = subprocess.run([sys.executable, *flags, "-c", BROKEN_UNIT],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("solve_norm_equation: D = 5: "), proc.stdout

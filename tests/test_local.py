@@ -83,7 +83,7 @@ def test_is_global_norm_against_explicit_norms():
             d = rng.randint(1, 8)
             n = Fraction(x * x - delta * y * y, 4 * d * d)
             if n:
-                assert is_global_norm(n, disc, "all"), (delta, n)
+                assert is_global_norm(n, disc), (delta, n)
 
 
 def test_minus_one_norm_criterion():
@@ -94,7 +94,7 @@ def test_minus_one_norm_criterion():
         disc = make_discriminant(delta)
         expect = not (delta < 0
                       or any(p % 4 == 3 for p in disc.ramified_primes))
-        assert is_global_norm(-1, disc, "all") == expect, delta
+        assert is_global_norm(-1, disc) == expect, delta
 
 
 def test_norm_uniformizer():
