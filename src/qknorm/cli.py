@@ -1,8 +1,9 @@
 """Command-line surface: class group and K0 reports, the discriminant scan,
 and the sampled verification suite.
 
-Exit codes: 0 all verdicts pass, 1 a mathematical verdict failed, 2 usage or
-input error.  Integers are emitted as decimal strings in JSON and CSV so that
+Exit codes: 0 all verdicts pass, 1 a mathematical verdict failed or could
+not be reached (a cap or budget was hit: "inconclusive"), 2 usage or input
+error.  Integers are emitted as decimal strings in JSON and CSV so that
 consumers with 64-bit parsers never overflow.
 """
 
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .classgroup import BLOCK_WIDTH, GeneratorCheckError, block_counts, \
-    class_group
+from .classgroup import BLOCK_WIDTH, ClosureBudgetExceeded, \
+    GeneratorCheckError, ScanCountError, block_counts, class_group
 from .knorm import bass_sequence_report, k0_group, k0_rep
+from .local import SplitPrimeCapExceeded
 from .mv import KernelPreimageError, boundary_preimage, genus_engine, \
     sampled_exactness
 from .quadfield import NotFundamental, fundamental_discriminants, \
@@ -307,6 +309,12 @@ def main(argv=None) -> int:
     except GeneratorCheckError as exc:
         # the K0 classes of k0 and verify rest on checked generators
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_VERDICT
+    except (SplitPrimeCapExceeded, ScanCountError,
+            ClosureBudgetExceeded) as exc:
+        # a cap or budget hit, or counts that fail their own check, leave
+        # the verdict open; it must not read as a pass
+        print(f"{args.command}: inconclusive: {exc}", file=sys.stderr)
         return EXIT_VERDICT
 
 

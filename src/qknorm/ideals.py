@@ -189,13 +189,16 @@ def primes_above(disc: Discriminant, p: int) -> Decomposition:
         # the root of D mod p with the parity of D is a root mod 4p
         r = sqrt_mod_prime(D, p)
         b = r + p * ((r - D) % 2)
+    # [p, (b+sqrt(D))/2] is an ideal of norm p iff b^2 = D mod 4p, and then
+    # its product with its conjugate [p, (-b+sqrt(D))/2] is (p); it is its
+    # own conjugate (p ramifies) iff p | b
+    if (b * b - D) % (4 * p) or (k == 0) != (b % p == 0):
+        raise ArithmeticError(
+            f"primes_above: b = {b} gives no prime above {p} for D = {D}")
     pid = FracIdeal.make(1, p, b, disc)
     if k == 0:
-        assert pid * pid == FracIdeal.make(p, 1, D % 2, disc)
         return Decomposition("ramified", p, (pid,))
-    pbar = pid.conjugate()
-    assert pid * pbar == FracIdeal.make(p, 1, D % 2, disc)
-    return Decomposition("split", p, (pid, pbar))
+    return Decomposition("split", p, (pid, pid.conjugate()))
 
 
 def rational_prime_of(prime: FracIdeal) -> int:

@@ -50,17 +50,6 @@ def k0_mul(e1: K0Elt, e2: K0Elt) -> K0Elt:
     return K0Elt(e1.t * e2.t, e1.ideal * e2.ideal)
 
 
-def k0_inv(e: K0Elt) -> K0Elt:
-    return K0Elt(1 / e.t, e.ideal.inverse())
-
-
-def k0_twist(e: K0Elt, z: QuadNum) -> K0Elt:
-    """The same class presented on the ideal z * I."""
-    from .ideals import principal_ideal
-
-    return K0Elt(e.t * z.norm(), e.ideal * principal_ideal(z))
-
-
 @dataclass
 class K0Context:
     """Class group plus unit data, enough to canonicalize K0 classes."""

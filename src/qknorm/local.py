@@ -1,19 +1,25 @@
-"""Local norm data: Hilbert symbols, the Hasse norm test, semi-local unit
-classes at ramified primes, and the genus-character subspace.
+"""Local norm data: Hilbert symbols, the Hasse norm test, norm
+uniformizers, and the genus-character subspace.
 
 Places are labelled by rational primes together with the symbol "oo".
 Coordinate vectors over places are F2-valued with finite support.
+
+The Hilbert symbol has one formula, ``_hilbert_core``, on arguments already
+split as p^alpha u with u prime to p.  ``hilbert_symbol`` is the checked
+entry for ints and Fractions.  ``is_global_norm`` and ``genus_char_space``
+pass places that are primes by construction straight to the core;
+``genus_char_space`` strips Delta once per ramified prime and keeps its F2
+span as int bitmasks over the ramified primes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
-from sympy import factorint, nextprime
+from sympy import factorint
 
-from .quadfield import Discriminant, _legendre, is_prime, kronecker
+from .quadfield import Discriminant, is_prime, kronecker
 
 INFINITY = "oo"
 
@@ -34,11 +40,32 @@ def _valuation(q, p: int) -> int:
     return _strip(q.numerator, p)[0] - _strip(q.denominator, p)[0]
 
 
+def _hilbert_core(alpha: int, u: int, beta: int, w: int, p: int) -> int:
+    """(p^alpha u, p^beta w)_p for a prime p and integers u, w prime to p
+    (Serre, A Course in Arithmetic, III.1.2)."""
+    if p == 2:
+        # (-1)^(eps(u) eps(w) + alpha omega(w) + beta omega(u)), where
+        # eps(u) = 1 iff u = 3 mod 4 and omega(u) = 1 iff u = 3, 5 mod 8
+        e = (u & w & 2) >> 1
+        e ^= alpha & ((w & 7) in (3, 5))
+        e ^= beta & ((u & 7) in (3, 5))
+        return -1 if e else 1
+    # (-1)^(alpha beta (p-1)/2) (u/p)^beta (w/p)^alpha, each Legendre
+    # symbol by Euler's criterion
+    e = alpha & beta & (p >> 1)  # (p-1)/2 is odd iff p = 3 mod 4
+    if beta & 1:
+        e ^= pow(u, p >> 1, p) != 1
+    if alpha & 1:
+        e ^= pow(w, p >> 1, p) != 1
+    return -1 if e & 1 else 1
+
+
 def hilbert_symbol(a, b, v: Place) -> int:
     """The classical Hilbert symbol (a, b)_v over the rationals.
 
     a and b are ints or Fractions.  n/d is n*d times a square, so each is
-    replaced by the integer n*d and the symbol is read off integers.
+    replaced by the integer n*d; at a prime v both are stripped of their
+    factors v and passed to ``_hilbert_core``.
     """
     a = a.numerator * a.denominator
     b = b.numerator * b.denominator
@@ -48,34 +75,13 @@ def hilbert_symbol(a, b, v: Place) -> int:
         return -1 if a < 0 and b < 0 else 1
     if not isinstance(v, int) or not is_prime(v):
         raise ValueError(f"not a place: {v!r}")
-    p = v
-    alpha, u = _strip(a, p)
-    beta, w = _strip(b, p)
-    if p == 2:
-        # (-1)^(eps(u) eps(w) + alpha omega(w) + beta omega(u)), where
-        # eps(u) = 1 iff u = 3 mod 4 and omega(u) = 1 iff u = 3, 5 mod 8
-        e = (u & w & 2) >> 1
-        e ^= alpha & ((w & 7) in (3, 5))
-        e ^= beta & ((u & 7) in (3, 5))
-        return -1 if e else 1
-    sign = -1 if alpha & beta & 1 and p & 2 else 1
-    if beta & 1:
-        sign *= _legendre(u, p)
-    if alpha & 1:
-        sign *= _legendre(w, p)
-    return sign
+    return _hilbert_core(*_strip(a, v), *_strip(b, v), v)
 
 
 def _primes_of(q) -> set[int]:
     """The primes dividing the numerator or denominator of q."""
     return {int(p) for n in (abs(q.numerator), q.denominator) if n > 1
             for p in factorint(n)}
-
-
-def relevant_places(a, b) -> list[Place]:
-    """Finite set of places where (a, b)_v can differ from +1."""
-    a, b = Fraction(a), Fraction(b)
-    return sorted({2} | _primes_of(a) | _primes_of(b)) + [INFINITY]
 
 
 def _norm_test_primes(q, disc: Discriminant) -> set[int]:
@@ -85,9 +91,16 @@ def _norm_test_primes(q, disc: Discriminant) -> set[int]:
 
 
 def is_global_norm(q, disc: Discriminant) -> bool:
-    """Hasse test: q is a norm from F iff it is a local norm everywhere."""
-    return all(hilbert_symbol(q, disc.delta, v) == 1
-               for v in (INFINITY, *_norm_test_primes(q, disc)))
+    """Hasse test: q is a norm from F iff it is a local norm everywhere.
+
+    The entry point checks q at the infinite place; the finite places are
+    primes by construction, so their symbols go to the core.
+    """
+    if hilbert_symbol(q, disc.delta, INFINITY) == -1:
+        return False
+    n = q.numerator * q.denominator
+    return all(_hilbert_core(*_strip(n, p), *_strip(disc.delta, p), p) == 1
+               for p in _norm_test_primes(q, disc))
 
 
 @dataclass(frozen=True)
@@ -128,20 +141,6 @@ def norm_uniformizer(disc: Discriminant, p: int) -> Fraction:
     raise AssertionError(f"no small norm uniformizer at {p} for {disc}")
 
 
-def unit_class_at_ramified(u, disc: Discriminant, p: int) -> int:
-    """F2 class of a p-adic unit modulo norms of local units at ramified p.
-
-    At a ramified place a unit is a norm of a unit iff it is a norm at all
-    (norms of non-units have odd valuation), so the Hilbert symbol decides.
-    """
-    u = Fraction(u)
-    if p not in disc.ramified_primes:
-        raise ValueError(f"{p} is not ramified in {disc}")
-    if _valuation(u, p) != 0:
-        raise ValueError(f"{u} is not a unit at {p}")
-    return 0 if hilbert_symbol(u, disc.delta, p) == 1 else 1
-
-
 def h0_class_of_rational(q, disc: Discriminant) -> TateVec:
     """Image of a rational in the sum of local norm-residue groups at
     nonsplit finite places (coordinate 1 where q fails to be a local norm)."""
@@ -158,25 +157,6 @@ class GenusCharSpace:
     generating_rationals: tuple[Fraction, ...]
 
 
-def _span_reduce(basis, vec, tag):
-    """Reduce vec against an F2 basis of (frozenset, tag) pairs; the tag of
-    the reduced vector is the matching product of rationals."""
-    for bv, bt in basis:
-        if min(bv) in vec:
-            vec = vec ^ bv
-            tag = tag * bt
-    return vec, tag
-
-
-def _span_add(basis, vec, tag) -> bool:
-    vec, tag = _span_reduce(basis, vec, tag)
-    if not vec:
-        return False
-    basis.append((vec, tag))
-    basis.sort(key=lambda t: min(t[0]))
-    return True
-
-
 _SPLIT_PRIME_CAP = 25
 
 
@@ -185,11 +165,17 @@ class SplitPrimeCapExceeded(RuntimeError):
     character space reaches its proven dimension."""
 
 
-def _primes():
-    p = 2
-    while True:
-        yield p
-        p = nextprime(p)
+_PRIMES = [2, 3]  # the primes in order, grown by ``_prime`` on demand
+
+
+def _prime(i: int) -> int:
+    """The i-th prime, counting from 0."""
+    while i >= len(_PRIMES):
+        n = _PRIMES[-1] + 2
+        while any(n % p == 0 for p in _PRIMES if p * p <= n):
+            n += 2
+        _PRIMES.append(n)
+    return _PRIMES[i]
 
 
 def genus_char_space(disc: Discriminant) -> GenusCharSpace:
@@ -203,27 +189,50 @@ def genus_char_space(disc: Discriminant) -> GenusCharSpace:
     lie in the even-weight hyperplane when Delta > 0, so the span has
     dimension at most t_all - 1; split primes are adjoined until it gets
     there.  Running out of them first raises SplitPrimeCapExceeded.
+
+    Vectors are int bitmasks, bit i for the i-th ramified prime.  Each
+    candidate q is -1 or a prime, so v_p(q) = [q = p], and the symbols
+    (q, Delta)_p go straight to ``_hilbert_core`` with Delta stripped once.
+    The span keeps one vector per pivot, its lowest set bit; a new vector
+    is reduced against the pivots in increasing order.
     """
     ram = disc.ramified_primes
     bound = len(ram) - disc.is_real  # = t_all - 1
+    places = [(1 << i, p, *_strip(disc.delta, p)) for i, p in enumerate(ram)]
+    pivots: dict[int, tuple[int, int]] = {}  # lowest set bit -> (vec, q)
 
-    def vector_of(q: int) -> frozenset:
-        return frozenset(p for p in ram
-                         if hilbert_symbol(q, disc.delta, p) == -1)
+    def adjoin(q: int) -> None:
+        vec = 0
+        for bit, p, beta, w in places:
+            if (_hilbert_core(1, 1, beta, w, p) if q == p
+                    else _hilbert_core(0, q, beta, w, p)) < 0:
+                vec |= bit
+        for bit, _, _, _ in places:  # the pivots in increasing order
+            if vec & bit and bit in pivots:
+                bvec, bq = pivots[bit]
+                vec ^= bvec
+                q *= bq
+        if vec:
+            pivots[vec & -vec] = (vec, q)
 
-    basis: list[tuple[frozenset, int]] = []
     for g in (-1, *ram):
-        _span_add(basis, vector_of(g), g)
-    split = islice((p for p in _primes() if kronecker(disc, p) == 1),
-                   _SPLIT_PRIME_CAP)
-    while len(basis) < bound:
-        p = next(split, None)
-        if p is None:
+        adjoin(g)
+    i = used = 0
+    while len(pivots) < bound:
+        if used == _SPLIT_PRIME_CAP:
             raise SplitPrimeCapExceeded(
-                f"genus character space of {disc}: span {len(basis)} after "
+                f"genus character space of {disc}: span {len(pivots)} after "
                 f"{_SPLIT_PRIME_CAP} split primes, below the bound {bound}")
-        _span_add(basis, vector_of(p), p)
-    return GenusCharSpace(
-        disc=disc, dim=len(basis),
-        basis=tuple(TateVec(v, "ramified_only") for v, _ in basis),
-        generating_rationals=tuple(Fraction(q) for _, q in basis))
+        p = _prime(i)
+        i += 1
+        if kronecker(disc, p) == 1:
+            used += 1
+            adjoin(p)
+    basis, rationals = [], []
+    for bit, _, _, _ in places:
+        if bit in pivots:
+            vec, q = pivots[bit]
+            basis.append(TateVec(frozenset([p for b, p, _, _ in places
+                                            if vec & b]), "ramified_only"))
+            rationals.append(Fraction(q))
+    return GenusCharSpace(disc, len(basis), tuple(basis), tuple(rationals))

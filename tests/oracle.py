@@ -94,6 +94,29 @@ def _strip_square_part(n: int) -> int:
     return sign * n
 
 
+def _prime_factors(n: int) -> set[int]:
+    """The primes dividing n > 0, by trial division."""
+    primes, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            primes.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        primes.add(n)
+    return primes
+
+
+def relevant_places(a, b) -> list:
+    """The places where (a, b)_v can differ from +1: 2, the primes of the
+    numerators and denominators of a and b, and the infinite place "oo"."""
+    primes = {2}
+    for x in (Fraction(a), Fraction(b)):
+        primes |= _prime_factors(abs(x.numerator))
+        primes |= _prime_factors(x.denominator)
+    return sorted(primes) + ["oo"]
+
+
 def hilbert2_oracle(a, b) -> int:
     """(a, b)_2 decided by exhaustive search for a primitive zero of
     z^2 = a x^2 + b y^2 modulo 64 after removing square parts."""

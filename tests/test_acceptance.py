@@ -13,14 +13,14 @@ import pytest
 from qknorm.classgroup import BLOCK_WIDTH, block_counts, class_group, \
     scan_counts
 from qknorm.knorm import bass_sequence_report, k0_context, k0_group, k0_rep
-from qknorm.local import hilbert_symbol, relevant_places
+from qknorm.local import hilbert_symbol
 from qknorm.mv import (boundary, boundary_preimage, genus_engine,
                        i_is_trivial, map_i, k0_eq, sampled_exactness)
 from qknorm.quadfield import fundamental_discriminants, is_fundamental, \
     make_discriminant
 from qknorm.units import fundamental_unit
 
-from oracle import hilbert2_oracle, pell_min
+from oracle import hilbert2_oracle, pell_min, relevant_places
 
 SCAN_BOUND = 100_000
 

@@ -274,3 +274,36 @@ def test_broken_generator_fails_k0_and_verify(flags, src_env):
     assert proc.stdout.split() == [str(EXIT_VERDICT)] * 2
     for command in ("k0", "verify"):
         assert f"{command}: principal_generator: D = -23: " in proc.stderr
+
+
+# a cap or budget hit leaves the verdict open: no split prime allowed for
+# the genus space of -56 in the scan, and a K0 closure budget of two classes
+INCONCLUSIVE = {
+    "scan": (
+        "import sys\n"
+        "import qknorm.local as local\n"
+        "from qknorm.cli import main\n"
+        "local._SPLIT_PRIME_CAP = 0\n"
+        "sys.exit(main(['scan', '--min', '-60', '--max', '-50']))\n",
+        "scan: inconclusive: genus character space of Discriminant(-56)"),
+    "k0": (
+        "import sys\n"
+        "import qknorm.knorm as knorm\n"
+        "from qknorm.cli import main\n"
+        "knorm.k0_group.__defaults__ = (2,)\n"
+        "sys.exit(main(['k0', '--disc', '-23']))\n",
+        "k0: inconclusive: more than 2 classes generated"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("command", sorted(INCONCLUSIVE))
+def test_cap_hit_is_inconclusive(command, flags, src_env):
+    code, message = INCONCLUSIVE[command]
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=120)
+    assert proc.returncode == EXIT_VERDICT, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(message), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -120,6 +120,20 @@ def test_primes_above_rejects_non_prime_under_optimize(src_env):
     assert all("p = " in line for line in lines)
 
 
+def test_primes_above_checks_its_root(monkeypatch):
+    # a wrong square root of D mod p gives a lattice that is no prime ideal;
+    # the explicit check (not an assert) must refuse it
+    from qknorm import ideals
+
+    def non_root(a, p):
+        return next(x for x in range(1, p) if (x * x - a) % p)
+
+    monkeypatch.setattr(ideals, "sqrt_mod_prime", non_root)
+    for delta, p in ((-15, 3), (-15, 5), (229, 5), (-23, 13)):
+        with pytest.raises(ArithmeticError, match=f"prime above {p} "):
+            primes_above(make_discriminant(delta), p)
+
+
 def test_valuation_and_factorization():
     # every prime ideal above p < 30 gets an exponent in -3..3; the inert
     # primes and both primes above a split p put content into q

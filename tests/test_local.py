@@ -8,11 +8,11 @@ import pytest
 from qknorm import local
 from qknorm.local import (INFINITY, hilbert_symbol, genus_char_space,
                           h0_class_of_rational, is_global_norm,
-                          norm_uniformizer, relevant_places,
-                          unit_class_at_ramified, TateVec)
+                          norm_uniformizer, TateVec)
 from qknorm.quadfield import is_fundamental, kronecker, make_discriminant
 
-from oracle import hilbert2_oracle, hilbert_odd_oracle
+from oracle import (hilbert2_oracle, hilbert_odd_oracle, kronecker_symbol,
+                    relevant_places)
 
 
 def _random_nonzero(rng, span=400):
@@ -111,6 +111,16 @@ def test_norm_uniformizer():
             assert v == 1
 
 
+def _unit_class_at_ramified(u, disc, p):
+    """F2 class of a p-adic unit modulo norms of local units at ramified p.
+
+    At a ramified place a unit is a norm of a unit iff it is a norm at all
+    (norms of non-units have odd valuation), so the Hilbert symbol decides.
+    """
+    assert p in disc.ramified_primes and u.numerator % p and u.denominator % p
+    return 0 if hilbert_symbol(u, disc.delta, p) == 1 else 1
+
+
 def test_semilocal_unit_classes_injective():
     # distinct class vectors for distinct sign patterns over ramified primes
     for delta in (-120, 105, 60, -420):
@@ -127,10 +137,10 @@ def test_semilocal_unit_classes_injective():
                 u = next(Fraction(n) for n in
                          (1, -1, 2, 3, 5, 7, -2, -3, -5, -7, 11, 13, -11)
                          if n % p != 0
-                         and unit_class_at_ramified(Fraction(n), disc, p)
+                         and _unit_class_at_ramified(Fraction(n), disc, p)
                          == want)
                 fams[p] = u
-            key = tuple(unit_class_at_ramified(fams[p], disc, p)
+            key = tuple(_unit_class_at_ramified(fams[p], disc, p)
                         for p in places)
             assert key == tuple(delta_units >> i & 1
                                 for i in range(len(places)))
@@ -275,3 +285,98 @@ def test_norm_test_places_match_factored_delta():
             assert h0_class_of_rational(q, disc).coords == frozenset(
                 v for v in places[:-1] if kronecker(disc, v) != 1
                 and hilbert_symbol(q, delta, v) == -1)
+
+
+def _genus_reference(delta, ram):
+    """The genus space as (coords, rational) pairs, derived through the
+    public hilbert_symbol on frozensets: -1, the ramified primes, then the
+    split primes in order until the span reaches t_all - 1, each vector
+    reduced against the basis in order of its least place."""
+    basis = []
+
+    def adjoin(q):
+        vec = frozenset(p for p in ram if hilbert_symbol(q, delta, p) == -1)
+        for bv, bq in basis:
+            if min(bv) in vec:
+                vec ^= bv
+                q *= bq
+        if vec:
+            basis.append((vec, q))
+            basis.sort(key=lambda t: min(t[0]))
+
+    for q in (-1, *ram):
+        adjoin(q)
+    bound = len(ram) - (delta > 0)
+    p = 1
+    while len(basis) < bound:
+        p += 1
+        if _is_prime(p) and kronecker_symbol(delta, p) == 1:
+            adjoin(p)
+    return basis
+
+
+def test_genus_char_space_at_far_end_of_scan():
+    # the bitmask span against the frozenset route on the largest |Delta|
+    # the scan covers
+    count = 0
+    for delta in (*range(-100_000, -98_999), *range(99_000, 100_001)):
+        if not is_fundamental(delta):
+            continue
+        disc = make_discriminant(delta)
+        g = genus_char_space(disc)
+        want = _genus_reference(delta, disc.ramified_primes)
+        assert g.dim == len(want), delta
+        assert [v.coords for v in g.basis] == [v for v, _ in want], delta
+        assert all(v.support_rule == "ramified_only" for v in g.basis)
+        assert g.generating_rationals == tuple(Fraction(q) for _, q in want)
+        count += 1
+    assert count > 500
+
+
+def _random_unit(rng, p, span=10 ** 6):
+    while True:
+        u = rng.randint(-span, span)
+        if u % p:
+            return u
+
+
+def test_hilbert_core_matches_public_symbol():
+    rng = random.Random(26)
+    # arbitrary stripped arguments, against the public entry and, for small
+    # ones, the exhaustive oracles
+    for _ in range(3000):
+        p = rng.choice([2, 2, 3, 5, 7, 11, 13, 97, 65537, 99991])
+        alpha, beta = rng.randint(0, 5), rng.randint(0, 5)
+        u, w = _random_unit(rng, p), _random_unit(rng, p)
+        want = hilbert_symbol(p ** alpha * u, p ** beta * w, p)
+        assert local._hilbert_core(alpha, u, beta, w, p) == want, \
+            (alpha, u, beta, w, p)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        alpha, beta = rng.randint(0, 2), rng.randint(0, 2)
+        u = rng.choice([-1, 1]) * rng.choice([1, 2, 3, 5, 7, 11, 13, 17])
+        w = rng.choice([-1, 1]) * rng.choice([1, 2, 3, 5, 7, 11, 13, 17])
+        if u % p == 0 or w % p == 0:
+            continue
+        a, b = p ** alpha * u, p ** beta * w
+        want = hilbert2_oracle(a, b) if p == 2 else hilbert_odd_oracle(a, b, p)
+        assert local._hilbert_core(alpha, u, beta, w, p) == want, (a, b, p)
+    # the calls genus_char_space makes: q = -1, q = p and other primes q
+    # against Delta at each ramified p, with v_2(Delta) = 2 and 3 at p = 2
+    deltas = [d for d in range(-3000, 3001) if is_fundamental(d)]
+    assert {-4, 8, -8, 12} <= set(deltas)
+    for delta in (-4, 8, -8, 12, *rng.sample(deltas, 300)):
+        disc = make_discriminant(delta)
+        for p in disc.ramified_primes:
+            w, beta = delta, 0
+            while w % p == 0:
+                w //= p
+                beta += 1
+            if p == 2:
+                assert beta in (2, 3)
+            for q in (-1, p, *rng.sample(range(2, 400), 5)):
+                if q > 0 and not _is_prime(q):
+                    continue
+                alpha = 1 if q == p else 0
+                got = local._hilbert_core(alpha, q // p ** alpha, beta, w, p)
+                assert got == hilbert_symbol(q, delta, p), (q, delta, p)
