@@ -138,13 +138,12 @@ class FracIdeal:
     def __pow__(self, k: int) -> "FracIdeal":
         if k < 0:
             return self.inverse() ** (-k)
-        result = FracIdeal.unit(self.disc)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        # left to right over the bits of k after the leading one
+        result = self if k else FracIdeal.unit(self.disc)
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def contains(self, z: QuadNum) -> bool:

@@ -1,9 +1,10 @@
 """Grothendieck group of the norm functor on a quadratic field.
 
 An element is a pair [t, I] with t a nonzero rational, I a fractional ideal
-and |t| = N(I); two pairs are identified when [t', I'] = [N(z)*t, z*I] for
-some z in F*.  The group sits in an exact sequence between the units-mod-norms
-group of the field and its class group, verified here by explicit enumeration.
+and |t| = N(I), stored as (sign, I) with t = sign * N(I); two pairs are
+identified when [t', I'] = [N(z)*t, z*I] for some z in F*.  The group sits
+in an exact sequence between the units-mod-norms group of the field and its
+class group, verified here by explicit enumeration.
 """
 
 from __future__ import annotations
@@ -23,19 +24,18 @@ from .quadfield import Discriminant, QuadNum
 from .units import UnitData, fundamental_unit
 
 
-class NormMismatch(ValueError):
-    """Raised when |t| differs from the norm of the ideal component."""
-
-
 @dataclass(frozen=True)
 class K0Elt:
-    t: Fraction
+    sign: int
     ideal: FracIdeal
 
     def __post_init__(self):
-        if abs(self.t) != self.ideal.norm():
-            raise NormMismatch(
-                f"|{self.t}| != N(I) = {self.ideal.norm()}")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise ValueError(f"K0 sign {self.sign!r} is not the int 1 or -1")
+
+    @property
+    def t(self) -> Fraction:
+        return self.sign * self.ideal.norm()
 
     @property
     def disc(self) -> Discriminant:
@@ -43,11 +43,11 @@ class K0Elt:
 
 
 def k0_identity(disc: Discriminant) -> K0Elt:
-    return K0Elt(Fraction(1), FracIdeal.unit(disc))
+    return K0Elt(1, FracIdeal.unit(disc))
 
 
 def k0_mul(e1: K0Elt, e2: K0Elt) -> K0Elt:
-    return K0Elt(e1.t * e2.t, e1.ideal * e2.ideal)
+    return K0Elt(e1.sign * e2.sign, e1.ideal * e2.ideal)
 
 
 @dataclass
@@ -77,9 +77,10 @@ def k0_key(ctx: K0Context, e: K0Elt):
         raise GeneratorCheckError(
             f"k0_key: D = {ctx.disc.delta}: {e.ideal!r} is not in the class "
             f"of its representative {i0!r}")
-    t0 = e.t / z.norm()
-    assert abs(t0) == i0.norm()
-    sign = 1 if t0 > 0 else -1
+    n = z.norm()
+    assert e.ideal.norm() == abs(n) * i0.norm()
+    # e = [N(z) * t0, z * i0]; the key keeps the sign of t0
+    sign = e.sign if n > 0 else -e.sign
     if not ctx.sign_is_invariant:
         sign = 1
     return (sign, key)
@@ -87,8 +88,7 @@ def k0_key(ctx: K0Context, e: K0Elt):
 
 def k0_rep(ctx: K0Context, key) -> K0Elt:
     sign, ckey = key
-    i0 = ctx.cg.rep_ideal(ckey)
-    return K0Elt(sign * i0.norm(), i0)
+    return K0Elt(sign, ctx.cg.rep_ideal(ckey))
 
 
 def k0_eq(ctx: K0Context, e1: K0Elt, e2: K0Elt) -> bool:
@@ -97,8 +97,7 @@ def k0_eq(ctx: K0Context, e1: K0Elt, e2: K0Elt) -> bool:
 
 def sigma(ctx: K0Context, sign: int) -> K0Elt:
     """Image of a unit class: [sign, O_F]."""
-    assert sign in (1, -1)
-    return K0Elt(Fraction(sign), FracIdeal.unit(ctx.disc))
+    return K0Elt(sign, FracIdeal.unit(ctx.disc))
 
 
 def rho(ctx: K0Context, e: K0Elt):
@@ -121,7 +120,7 @@ def k0_group(ctx: K0Context, budget: int = 1_000_000) -> K0Group:
         return k0_key(ctx, k0_mul(k0_rep(ctx, k1), k0_rep(ctx, k2)))
 
     gens = [k0_key(ctx, sigma(ctx, -1))]
-    gens += [k0_key(ctx, K0Elt(g.norm(), g)) for g in ctx.cg.generators]
+    gens += [k0_key(ctx, K0Elt(1, g)) for g in ctx.cg.generators]
     elements, divisors, _ = abelian_closure(
         gens, mul, k0_key(ctx, k0_identity(ctx.disc)), budget)
     keys = sorted(elements)
@@ -152,8 +151,8 @@ def bass_sequence_report(disc: Discriminant) -> BassReport:
     ctx = k0_context(disc)
     grp = k0_group(ctx)
     im_sigma = {k0_key(ctx, sigma(ctx, 1)), k0_key(ctx, sigma(ctx, -1))}
-    ker_rho = {k for k in grp.keys
-               if k[1] == ctx.cg.key_of_ideal(FracIdeal.unit(disc))}
+    unit_key = ctx.cg.key_of_ideal(FracIdeal.unit(disc))
+    ker_rho = {k for k in grp.keys if k[1] == unit_key}
     classes_hit = {k[1] for k in grp.keys}
     expected = ctx.units.h0_units_order * ctx.cg.h
     return BassReport(

@@ -49,6 +49,18 @@ def test_inverse_and_conjugate():
             assert i * i.conjugate() == scaled
 
 
+def test_power_is_repeated_product():
+    rng = random.Random(12)
+    for disc in DISCS:
+        for _ in range(5):
+            i = _random_ideal(disc, rng)
+            for k in range(-3, 5):
+                expected = FracIdeal.unit(disc)
+                for _ in range(abs(k)):
+                    expected = expected * (i if k > 0 else i.inverse())
+                assert i ** k == expected, (disc.delta, i, k)
+
+
 def test_disc_mismatch():
     with pytest.raises(DiscMismatch):
         FracIdeal.unit(DISCS[0]) * FracIdeal.unit(DISCS[2])

@@ -6,10 +6,9 @@ from fractions import Fraction
 import pytest
 
 from qknorm.ideals import FracIdeal, primes_above, principal_ideal
-from qknorm.knorm import (K0Elt, NormMismatch, bass_sequence_report, k0_eq,
-                          k0_context, k0_group, k0_identity, k0_key,
-                          k0_mul, k0_rep, rho, sigma,
-                          solve_norm_equation)
+from qknorm.knorm import (K0Elt, bass_sequence_report, k0_eq, k0_context,
+                          k0_group, k0_identity, k0_key, k0_mul, k0_rep, rho,
+                          sigma, solve_norm_equation)
 from qknorm.local import is_global_norm
 from qknorm.quadfield import QuadNum, make_discriminant
 
@@ -20,13 +19,27 @@ def _random_elt(disc, rng):
     i = FracIdeal.unit(disc)
     for p in rng.sample([2, 3, 5, 7, 11], k=rng.randint(0, 2)):
         i = i * rng.choice(primes_above(disc, p).primes) ** rng.randint(-2, 2)
-    return K0Elt(rng.choice([1, -1]) * i.norm(), i)
+    return K0Elt(rng.choice([1, -1]), i)
 
 
-def test_norm_mismatch_rejected():
+def test_sign_other_than_one_or_minus_one_rejected():
     disc = make_discriminant(-15)
-    with pytest.raises(NormMismatch):
-        K0Elt(Fraction(2), FracIdeal.unit(disc))
+    ctx = k0_context(disc)
+    for sign in (2, 0, -2, 1.0, True):
+        with pytest.raises(ValueError):
+            K0Elt(sign, FracIdeal.unit(disc))
+        with pytest.raises(ValueError):
+            sigma(ctx, sign)
+
+
+def test_t_is_signed_norm_and_multiplicative():
+    rng = random.Random(30)
+    for delta in (-15, 12, -23, 229):
+        disc = make_discriminant(delta)
+        for _ in range(15):
+            a, b = _random_elt(disc, rng), _random_elt(disc, rng)
+            assert a.t == a.sign * a.ideal.norm()
+            assert k0_mul(a, b).t == a.t * b.t
 
 
 @pytest.mark.parametrize("delta,order", [(-15, 4), (8, 1), (-23, 6), (12, 2),
@@ -50,7 +63,9 @@ def test_class_invariance_under_twist():
             if not z:
                 continue
             # the same class presented on the ideal z * I
-            twisted = K0Elt(e.t * z.norm(), e.ideal * principal_ideal(z))
+            sign = e.sign if z.norm() > 0 else -e.sign
+            twisted = K0Elt(sign, e.ideal * principal_ideal(z))
+            assert twisted.t == e.t * z.norm()
             assert k0_eq(ctx, e, twisted)
             assert k0_key(ctx, e) == k0_key(ctx, twisted)
 
@@ -64,7 +79,8 @@ def test_group_laws():
         for _ in range(15):
             a, b = _random_elt(disc, rng), _random_elt(disc, rng)
             assert k0_eq(ctx, k0_mul(a, b), k0_mul(b, a))
-            inverse = K0Elt(1 / a.t, a.ideal.inverse())
+            inverse = K0Elt(a.sign, a.ideal.inverse())
+            assert inverse.t == 1 / a.t
             assert k0_eq(ctx, k0_mul(a, inverse), one)
             assert k0_eq(ctx, k0_mul(a, one), a)
 

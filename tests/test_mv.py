@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qknorm.ideals import primes_above, principal_ideal
+from qknorm.ideals import ideal_valuation, primes_above, principal_ideal
 from qknorm.knorm import K0Elt, k0_context, k0_eq, k0_group, k0_identity, \
     k0_rep
 from qknorm.mv import (IdeleFS, NormKernelViolation, NotInNormKernel,
@@ -13,6 +13,8 @@ from qknorm.mv import (IdeleFS, NormKernelViolation, NotInNormKernel,
                        random_norm_one_element, random_unit_idele,
                        sampled_exactness, split_pair_idele)
 from qknorm.quadfield import QuadNum, make_discriminant
+
+from oracle import _prime_factors
 
 D15 = make_discriminant(-15)
 
@@ -51,13 +53,33 @@ def test_boundary_of_split_pair():
     assert e.ideal == pid * pbar.inverse()
 
 
+def _full_diagonal_idele(z):
+    """z at every prime of O_F where z is not a unit, both halves at a split
+    p; the support comes from the primes dividing q and a of z*O."""
+    i = principal_ideal(z)
+    support = (_prime_factors(i.q.numerator) | _prime_factors(i.q.denominator)
+               | _prime_factors(i.a))
+    comps = {}
+    for p in support:
+        primes = primes_above(z.disc, p).primes
+        if any(ideal_valuation(i, prime) for prime in primes):
+            comps.update((prime, z) for prime in primes)
+    return IdeleFS(comps, z.disc)
+
+
 def test_boundary_of_hilbert90_diagonal_is_trivial():
     rng = random.Random(40)
-    ctx = k0_context(D15)
-    for _ in range(20):
-        z = random_norm_one_element(D15, rng)
-        e = boundary(diagonal_idele(z))
-        assert k0_eq(ctx, e, k0_identity(D15))
+    for delta in (-15, 12, 60, 229):
+        disc = make_discriminant(delta)
+        ctx = k0_context(disc)
+        nonempty = 0
+        for _ in range(20):
+            z = random_norm_one_element(disc, rng)
+            d = _full_diagonal_idele(z)
+            nonempty += bool(d.components)
+            assert idele_norm(d).is_one()
+            assert k0_eq(ctx, boundary(d), k0_identity(disc)), (delta, z)
+        assert nonempty >= 15, (delta, nonempty)
 
 
 def test_boundary_homomorphism():
@@ -82,7 +104,8 @@ def test_map_i_well_defined_across_presentations():
                 continue
             t1, y1 = map_i(e)
             # the same class presented on the ideal z * I
-            t2, y2 = map_i(K0Elt(e.t * z.norm(), e.ideal * principal_ideal(z)))
+            sign = e.sign if z.norm() > 0 else -e.sign
+            t2, y2 = map_i(K0Elt(sign, e.ideal * principal_ideal(z)))
             assert y1.coords == y2.coords
             # first components differ by the global norm of z
             assert t2 / t1 == z.norm()
@@ -93,12 +116,13 @@ def test_map_i_on_sigma_minus_one():
     disc = make_discriminant(12)
     from qknorm.ideals import FracIdeal
 
-    t, y = map_i(K0Elt(Fraction(-1), FracIdeal.unit(disc)))
+    t, y = map_i(K0Elt(-1, FracIdeal.unit(disc)))
     assert not i_is_trivial(disc, (t, y))
     assert y.coords == frozenset({2, 3})
     # and [3, p3] presents the same class, with the same invariants
     p3 = primes_above(disc, 3).primes[0]
-    t2, y2 = map_i(K0Elt(Fraction(3), p3))
+    t2, y2 = map_i(K0Elt(1, p3))
+    assert t2 == 3
     assert y2.coords == y.coords
 
 
