@@ -338,6 +338,8 @@ class ClassGroupData:
     _identity: object = field(repr=False, default=None)
     _key_of_form: object = field(repr=False, default=None)
     _rep_form: object = field(repr=False, default=None)
+    # {c^2: [c, ...]} in elements() order, built by the first square_roots
+    _roots: dict | None = field(repr=False, compare=False, default=None)
 
     def key_of_ideal(self, i: FracIdeal):
         return self._key_of_form(form_of_ideal(i))
@@ -353,6 +355,16 @@ class ClassGroupData:
 
     def rep_ideal(self, key) -> FracIdeal:
         return ideal_of_form(self._rep_form(key), self.disc)
+
+    def square_roots(self, key) -> list:
+        """The classes c with c^2 = key, in elements() order ([] when key is
+        not a square): a coset of Cl[2], read from a table of all h squares
+        built on the first call."""
+        if self._roots is None:
+            self._roots = {}
+            for c in self._elements:
+                self._roots.setdefault(self.mul(c, c), []).append(c)
+        return self._roots.get(key, [])
 
 
 class ClosureBudgetExceeded(RuntimeError):
@@ -454,27 +466,6 @@ def class_group(disc: Discriminant) -> ClassGroupData:
         _rep_form=rep_form)
     data.generators = [data.rep_ideal(k) for k in gen_keys]
     return data
-
-
-@dataclass(frozen=True)
-class Coinvariants:
-    dim: int
-    coset_reps: tuple[FracIdeal, ...]
-    norm_kernel_is_all: bool = True  # base field Q has trivial class group
-
-
-def coinvariants(cg: ClassGroupData) -> Coinvariants:
-    """Cl/Cl^2 (the conjugation action inverts classes, so I_G Cl = Cl^2)."""
-    squares = {cg.mul(k, k) for k in cg.elements()}
-    reps, covered = [], set()
-    for k in cg.elements():
-        if k in covered:
-            continue
-        reps.append(k)
-        covered |= {cg.mul(k, s) for s in squares}
-    dim = len(reps).bit_length() - 1
-    assert 1 << dim == len(reps) and dim == cg.rank2
-    return Coinvariants(dim=dim, coset_reps=tuple(cg.rep_ideal(k) for k in reps))
 
 
 # ---------------------------------------------------------------------------

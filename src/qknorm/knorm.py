@@ -194,11 +194,14 @@ def solve_norm_equation(t, disc: Discriminant,
                         ctx: K0Context | None = None) -> QuadNum | None:
     """An x in F* with N(x) = t, or None if there is none.
 
-    The principal ideal of a solution is an integral ideal above the primes
-    dividing t times a norm-one twist A * conj(A)^-1, whose class is the
-    square of [A]; so it suffices to run over the integral parts and over the
-    square roots of the inverse class of each, and read off generators.
-    A generator that does not give N(x) = t raises ``GeneratorCheckError``.
+    The principal ideal of a solution is an integral ideal J0 above the
+    primes dividing t times a norm-one twist A * conj(A)^-1, whose class is
+    the square of [A]; so it suffices to run over the integral parts J0 and
+    over the square roots of [J0]^-1 = [conj(J0)], looked up in the class
+    group's table of squares (``ClassGroupData.square_roots``), and read off
+    generators.  Every root is tried in turn: when N(eps) = +1 the sign of
+    the generator's norm depends on the root.  A generator that does not give
+    N(x) = t raises ``GeneratorCheckError``.
     """
     t = Fraction(t)
     assert t != 0
@@ -210,11 +213,7 @@ def solve_norm_equation(t, disc: Discriminant,
     # clear the denominator: N(y) = t * den^2 with y = x * den
     m = t.numerator * t.denominator
     for j0 in _integral_ideals_of_norm(disc, abs(m)):
-        target = cg.identity_key()
-        k0 = cg.key_of_ideal(j0)
-        for c in cg.elements():
-            if cg.mul(cg.mul(c, c), k0) != target:
-                continue
+        for c in cg.square_roots(cg.key_of_ideal(j0.conjugate())):
             a = cg.rep_ideal(c)
             j = j0 * a * a.conjugate().inverse()
             z = principal_generator(j)

@@ -5,9 +5,8 @@ from math import prod, sqrt
 
 import pytest
 
-from qknorm.classgroup import (block_counts, class_group, coinvariants,
-                               compose_forms, cycle_of,
-                               enumerate_reduced_definite,
+from qknorm.classgroup import (block_counts, class_group, compose_forms,
+                               cycle_of, enumerate_reduced_definite,
                                enumerate_reduced_indefinite, principal_form,
                                principal_generator, reduce_definite,
                                scan_counts)
@@ -222,11 +221,19 @@ def test_scan_count_checks_raise_under_optimize(src_env):
     assert lines[1] == "D = 80: 3 self-inverse classes, not a power of 2"
 
 
-def test_coinvariants_dimension():
-    for delta in (-15, -84, -120, 60, 105, -231):
-        cg = class_group(make_discriminant(delta))
-        co = coinvariants(cg)
-        assert co.dim == cg.rank2
+def test_square_roots_match_squaring():
+    # the roots of a square form a coset of Cl[2], which has 2^rank2 classes
+    for D in range(-300, 301):
+        if not is_fundamental(D):
+            continue
+        cg = class_group(make_discriminant(D))
+        elements = cg.elements()
+        squares = {cg.mul(c, c) for c in elements}
+        for x in elements:
+            roots = cg.square_roots(x)
+            assert roots == [c for c in elements if cg.mul(c, c) == x]
+            assert len(roots) == (1 << cg.rank2 if x in squares else 0)
+        assert cg.h == (1 << cg.rank2) * len(squares)
 
 
 def _canonical(f, D):

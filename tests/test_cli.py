@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qknorm import cli
+from qknorm import cli, knorm
 from qknorm.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERDICT, ScanConfig,
                         ScanConfigError, fundamental_range, main, run_scan,
                         scan_row)
@@ -105,6 +105,31 @@ def test_verify_seed_reproducible(capsys):
     _, out2 = _run(capsys, ["verify", "--disc", "60",
                             "--samples", "30", "--seed", "5"])
     assert out1 == out2
+
+
+def test_verify_class_products_linear_in_h(capsys, monkeypatch):
+    # the norm equation reads square roots from one table of h squares
+    k0_context = knorm.k0_context
+    products, groups = [0], []
+
+    def counting_context(disc):
+        ctx = k0_context(disc)
+        mul = ctx.cg._mul
+
+        def counted(k1, k2):
+            products[0] += 1
+            return mul(k1, k2)
+        ctx.cg._mul = counted
+        groups.append(ctx.cg)
+        return ctx
+
+    monkeypatch.setattr(knorm, "k0_context", counting_context)
+    code, out = _run(capsys, ["verify", "--disc", "-85159",
+                              "--samples", "80"])
+    assert code == EXIT_OK
+    assert json.loads(out)["constructive_kernel"] == "true"
+    assert len(groups) == 1 and groups[0].h == 139
+    assert products[0] <= groups[0].h
 
 
 def test_fundamental_range_contents():
