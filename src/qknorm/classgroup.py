@@ -56,7 +56,7 @@ def form_of_ideal(i: FracIdeal) -> Form:
 
 def ideal_of_form(f: Form, disc: Discriminant) -> FracIdeal:
     assert f[0] > 0, "only positive leading coefficients correspond to ideals"
-    return FracIdeal.make(1, f[0], f[1], disc)
+    return FracIdeal.scaled(1, 1, f[0], f[1], disc)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +272,16 @@ class GeneratorCheckError(ArithmeticError):
 
 
 def _generator_from_transform(i: FracIdeal, m: Mat, g: Form) -> QuadNum:
-    """The z = q*(a*u + ((b+sqrt(D))/2)*v) of i = q*[a, (b+sqrt(D))/2], with
-    (u, v) the first column of m and f o m = g for the form f of i; its norm
-    is g[0]*N(i)."""
+    """The z = (n/d)*(a*u + ((b+sqrt(D))/2)*v) of i = (n/d)*[a, (b+sqrt(D))/2],
+    with (u, v) the first column of m and f o m = g for the form f of i; its
+    norm is g[0]*N(i)."""
     u, v = m[0], m[2]
     z0 = QuadNum(2 * i.a * u + i.b * v, v, 1, i.disc)
-    if z0.norm() != g[0] * i.a:
+    if z0.x * z0.x - i.disc.delta * v * v != 4 * g[0] * i.a:
         raise GeneratorCheckError(
             f"generator read-off: D = {i.disc.delta}: N({z0!r}) is not "
             f"{g[0]} * {i.a}")
-    return z0.scale(i.q)
+    return QuadNum(z0.x * i.n, z0.y * i.n, i.d, i.disc)
 
 
 def rho_walk(g: Form, m: Mat, s: int) -> tuple[Form, Mat]:

@@ -23,8 +23,8 @@ from .classgroup import BLOCK_WIDTH, ClosureBudgetExceeded, \
     GeneratorCheckError, ScanCountError, block_counts, class_group
 from .knorm import bass_sequence_report, k0_group, k0_rep
 from .local import SplitPrimeCapExceeded
-from .mv import KernelPreimageError, boundary_preimage, genus_engine, \
-    sampled_exactness
+from .mv import IdeleCheckError, KernelPreimageError, boundary_preimage, \
+    genus_engine, sampled_exactness
 from .quadfield import NotFundamental, fundamental_discriminants, \
     make_discriminant
 from .units import fundamental_unit
@@ -306,8 +306,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GeneratorCheckError as exc:
-        # the K0 classes of k0 and verify rest on checked generators
+    except (GeneratorCheckError, IdeleCheckError) as exc:
+        # the K0 classes of k0 and verify rest on checked generators, and
+        # verify's samples on checked idele norms and boundaries
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_VERDICT
     except (SplitPrimeCapExceeded, ScanCountError,

@@ -1,10 +1,13 @@
 """Exact fractional-ideal arithmetic in the maximal order of a quadratic field.
 
-An ideal is stored as q * (a*Z + ((b+sqrt(D))/2)*Z) with a positive rational
-scale q, a > 0 and -a < b <= a.  Products are Z-module products on the
+An ideal is stored as (n/d) * (a*Z + ((b+sqrt(D))/2)*Z) with coprime ints
+n, d > 0, a > 0 and -a < b <= a.  Products are Z-module products on the
 integral basis {1, w}, w = (D+sqrt(D))/2, followed by Hermite normalization
 (``lattice_product``, shared with the composition of forms), which keeps
-everything exact.  Valuations are read off (q, a, b) (``ideal_valuation``).
+everything exact.  Valuations of ideals are read off (n, d, a, b)
+(``ideal_valuation``) and those of elements off their coordinates
+(``element_valuation``); products of split prime powers are built by Hensel
+lifting and the Chinese remainder theorem (``split_power_product``).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .local import _valuation
+from .local import _strip
 from .quadfield import (Discriminant, QuadNum, is_prime, kronecker,
                         sqrt_mod_prime)
 
@@ -84,46 +87,62 @@ def lattice_product(a1: int, b1: int, a2: int, b2: int,
 
 @dataclass(frozen=True)
 class FracIdeal:
-    q: Fraction
+    """(n/d) * [a, (b+sqrt(D))/2] with coprime ints n, d > 0."""
+    n: int
+    d: int
     a: int
     b: int
     disc: Discriminant
 
     def __post_init__(self):
         D = self.disc.delta
-        assert self.q > 0 and self.a > 0
-        assert -self.a < self.b <= self.a
+        assert self.n > 0 and self.d > 0 and gcd(self.n, self.d) == 1
+        assert self.a > 0 and -self.a < self.b <= self.a
         assert (self.b * self.b - D) % (4 * self.a) == 0
 
     def __repr__(self):
         return f"FracIdeal({self.q}*[{self.a}, ({self.b}+sqrt({self.disc.delta}))/2])"
 
+    @property
+    def q(self) -> Fraction:
+        """The scale n/d."""
+        return Fraction(self.n, self.d)
+
     @classmethod
-    def make(cls, q, a: int, b: int, disc: Discriminant) -> "FracIdeal":
-        b = b % (2 * a)
+    def scaled(cls, n: int, d: int, a: int, b: int,
+               disc: Discriminant) -> "FracIdeal":
+        """(n/d) * [a, (b+sqrt(D))/2] for ints n, d > 0 and any b with
+        b^2 = D mod 4a."""
+        g = gcd(n, d)
+        b %= 2 * a
         if b > a:
             b -= 2 * a
-        return cls(Fraction(q), a, b, disc)
+        return cls(n // g, d // g, a, b, disc)
 
     @classmethod
     def unit(cls, disc: Discriminant) -> "FracIdeal":
-        return cls.make(1, 1, disc.delta % 2, disc)
+        return cls(1, 1, 1, disc.delta % 2, disc)
 
     def is_unit_ideal(self) -> bool:
-        return self.q == 1 and self.a == 1
+        return self.n == 1 and self.d == 1 and self.a == 1
 
     def is_integral(self) -> bool:
-        return self.q.denominator == 1
+        return self.d == 1
 
     def norm(self) -> Fraction:
-        return self.q * self.q * self.a
+        return Fraction(self.n * self.n * self.a, self.d * self.d)
+
+    def norm_is_one(self) -> bool:
+        # n^2 a = d^2 with n, d coprime forces n = 1
+        return self.n == 1 and self.a == self.d * self.d
 
     def conjugate(self) -> "FracIdeal":
-        return FracIdeal.make(self.q, self.a, -self.b, self.disc)
+        return FracIdeal.scaled(self.n, self.d, self.a, -self.b, self.disc)
 
     def inverse(self) -> "FracIdeal":
-        c = self.conjugate()
-        return FracIdeal(c.q / self.norm(), c.a, c.b, c.disc)
+        # conj(I) / N(I): the scale n/d over n^2 a / d^2 is d / (n a)
+        return FracIdeal.scaled(self.d, self.n * self.a, self.a, -self.b,
+                                self.disc)
 
     def __mul__(self, other: "FracIdeal") -> "FracIdeal":
         if not isinstance(other, FracIdeal):
@@ -133,7 +152,9 @@ class FracIdeal:
                 f"discriminants {self.disc.delta} and {other.disc.delta} differ")
         e, a, b = lattice_product(self.a, self.b, other.a, other.b,
                                   self.disc.delta)
-        return FracIdeal(self.q * other.q * e, a, b, self.disc)
+        n, d = self.n * other.n * e, self.d * other.d
+        g = gcd(n, d)
+        return FracIdeal(n // g, d // g, a, b, self.disc)
 
     def __pow__(self, k: int) -> "FracIdeal":
         if k < 0:
@@ -152,19 +173,22 @@ class FracIdeal:
         return (principal_ideal(z) * self.inverse()).is_integral()
 
 
+def _omega_coords(z: QuadNum) -> tuple[int, int]:
+    """(u, v) with 2d*z = x + y*sqrt(D) = u + v*w, w = (D+sqrt(D))/2."""
+    return z.x - z.y * z.disc.delta, 2 * z.y
+
+
 def principal_ideal(z: QuadNum) -> FracIdeal:
     """The fractional ideal z * O_F."""
     assert z, "zero generates no fractional ideal"
     disc = z.disc
     D = disc.delta
-    # z = w / (2d) with w = x + y*sqrt(D) integral
-    u0, v0 = z.x - z.y * D, 2 * z.y  # coords of w on {1, w-basis}... see below
-    # w = x + y*sqrt(D) = (2x + 2y*sqrt(D))/2 -> v = 2y, u = x - y*D
-    nw = (D * D - D) // 4
-    gens = [(u0, v0), (-v0 * nw, u0 + v0 * D)]  # w, w*omega
-    n, c, e = _hnf2(gens)
+    # z = w/(2d) with w = u + v*omega integral; w*O is spanned by w and
+    # w*omega, where omega^2 = D*omega - (D^2-D)/4
+    u, v = _omega_coords(z)
+    n, c, e = _hnf2([(u, v), (-v * ((D * D - D) // 4), u + v * D)])
     assert n % e == 0 and c % e == 0
-    return FracIdeal.make(Fraction(e, 2 * z.d), n // e, 2 * (c // e) + D, disc)
+    return FracIdeal.scaled(e, 2 * z.d, n // e, 2 * (c // e) + D, disc)
 
 
 @dataclass(frozen=True)
@@ -177,10 +201,17 @@ class Decomposition:
 def primes_above(disc: Discriminant, p: int) -> Decomposition:
     if not is_prime(p):
         raise ValueError(f"primes_above needs a rational prime, got p = {p}")
+    return decompose(disc, p)
+
+
+def decompose(disc: Discriminant, p: int) -> Decomposition:
+    """``primes_above`` for a p that is prime by construction (a factor
+    from ``factorint`` or a listed small prime): no primality test, which
+    would fill the process-wide cache of ``is_prime``."""
     k = kronecker(disc, p)
     D = disc.delta
     if k == -1:
-        inert = FracIdeal.make(p, 1, D % 2, disc)
+        inert = FracIdeal(p, 1, 1, D % 2, disc)
         return Decomposition("inert", p, (inert,))
     if p == 2:
         b = next(b for b in range(4) if (b * b - D) % 8 == 0)
@@ -194,7 +225,7 @@ def primes_above(disc: Discriminant, p: int) -> Decomposition:
     if (b * b - D) % (4 * p) or (k == 0) != (b % p == 0):
         raise ArithmeticError(
             f"primes_above: b = {b} gives no prime above {p} for D = {D}")
-    pid = FracIdeal.make(1, p, b, disc)
+    pid = FracIdeal.scaled(1, 1, p, b, disc)
     if k == 0:
         return Decomposition("ramified", p, (pid,))
     return Decomposition("split", p, (pid, pid.conjugate()))
@@ -202,7 +233,7 @@ def primes_above(disc: Discriminant, p: int) -> Decomposition:
 
 def rational_prime_of(prime: FracIdeal) -> int:
     """The p below a prime from ``primes_above``: [p, ...] or, inert, p*O."""
-    return int(prime.q) if prime.a == 1 else prime.a
+    return prime.n if prime.a == 1 else prime.a
 
 
 def ideal_valuation(i: FracIdeal, prime: FracIdeal) -> int:
@@ -210,12 +241,80 @@ def ideal_valuation(i: FracIdeal, prime: FracIdeal) -> int:
 
     The lattice [a, (b+sqrt(D))/2] of i is primitive: it has no inert
     factor, holds a ramified P once if p | a, and a split P = [p, (b_P +
-    sqrt(D))/2] to the power v_p(a) if b = b_P mod 2p.  The rest is v_P(q).
+    sqrt(D))/2] to the power v_p(a) if b = b_P mod 2p.  The rest is v_P(n/d).
     """
     p = rational_prime_of(prime)
-    v = _valuation(i.q, p)
+    v = _strip(i.n, p)[0] - _strip(i.d, p)[0]
     if prime.a == 1:  # inert
         return v
     if i.disc.delta % p == 0:  # ramified
         return 2 * v + (i.a % p == 0)
-    return v + (0 if (i.b - prime.b) % (2 * p) else _valuation(i.a, p))
+    return v + (0 if (i.b - prime.b) % (2 * p) else _strip(i.a, p)[0])
+
+
+def element_valuation(z: QuadNum, prime: FracIdeal) -> int:
+    """v_P(z) for z != 0, read off z = (x + y*sqrt(D))/(2d) with no ideal.
+
+    With m = N(2d*z) = x^2 - D*y^2: an inert P has v_P(z) = v_p(N z)/2 and a
+    ramified one v_p(N z).  At a split P = [p, (b+sqrt(D))/2], write 2d*z =
+    c*(u + v*w) with w = (D+sqrt(D))/2 and gcd(u, v) = 1.  The primitive
+    u + v*w is not divisible by both P and its conjugate; it lies in P iff
+    u + v*(D-b)/2 = 0 mod p, and then P carries all of its norm.
+    """
+    if not z:
+        raise ValueError("zero has no valuation")
+    D = z.disc.delta
+    p = rational_prime_of(prime)
+    m = z.x * z.x - D * z.y * z.y
+    v2d = _strip(2 * z.d, p)[0]
+    if prime.a == 1:  # inert
+        return _strip(m, p)[0] // 2 - v2d
+    if D % p == 0:  # ramified
+        return _strip(m, p)[0] - 2 * v2d
+    u, v = _omega_coords(z)
+    c = gcd(u, v)
+    vc = _strip(c, p)[0]
+    if (u // c + v // c * ((D - prime.b) // 2)) % p:
+        return vc - v2d
+    return _strip(m, p)[0] - vc - v2d
+
+
+def _hensel_b(D: int, p: int, b: int, k: int) -> int:
+    """The b' = b mod 2p with b'^2 = D mod 4p^k, for a split prime P = [p,
+    (b+sqrt(D))/2]: then P^k = [p^k, (b'+sqrt(D))/2]."""
+    if p == 2:
+        # for odd b with b^2 = D mod 2^m, m >= 3, b or b + 2^(m-1) is a root
+        # mod 2^(m+1)
+        for m in range(3, k + 2):
+            if (b * b - D) >> m & 1:
+                b += 1 << (m - 1)
+        return b
+    # Newton's step r -> r - (r^2 - D)/(2r) doubles the power of p; the
+    # root with the parity of D is then a root mod 4p^k
+    r, e = b % p, 1
+    while e < k:
+        e = min(2 * e, k)
+        pe = p ** e
+        r = (r - (r * r - D) * pow(2 * r, -1, pe)) % pe
+    return r + p ** k * ((r - D) % 2)
+
+
+def split_power_product(powers: list[tuple[FracIdeal, int]], n: int, d: int,
+                        disc: Discriminant) -> FracIdeal:
+    """(n/d) * prod P^k over split primes P = [p, (b_P+sqrt(D))/2] above
+    distinct p, each k >= 1, with no ideal product.
+
+    The product is [prod p^k, (b+sqrt(D))/2] with b = b' mod 2p^k for the
+    Hensel lift b' of each b_P (``_hensel_b``), found by the Chinese
+    remainder theorem.
+    """
+    D = disc.delta
+    a, b = 1, D % 2  # b mod 2a
+    for prime, k in powers:
+        p = prime.a
+        pk = p ** k
+        # b + 2a*t = b' mod 2p^k, where b = b' = D mod 2
+        t = (_hensel_b(D, p, prime.b, k) - b) // 2 * pow(a, -1, pk) % pk
+        b += 2 * a * t
+        a *= pk
+    return FracIdeal.scaled(n, d, a, b, disc)

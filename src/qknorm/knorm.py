@@ -35,7 +35,8 @@ class K0Elt:
 
     @property
     def t(self) -> Fraction:
-        return self.sign * self.ideal.norm()
+        i = self.ideal
+        return Fraction(self.sign * i.n * i.n * i.a, i.d * i.d)
 
     @property
     def disc(self) -> Discriminant:
@@ -77,10 +78,8 @@ def k0_key(ctx: K0Context, e: K0Elt):
         raise GeneratorCheckError(
             f"k0_key: D = {ctx.disc.delta}: {e.ideal!r} is not in the class "
             f"of its representative {i0!r}")
-    n = z.norm()
-    assert e.ideal.norm() == abs(n) * i0.norm()
     # e = [N(z) * t0, z * i0]; the key keeps the sign of t0
-    sign = e.sign if n > 0 else -e.sign
+    sign = e.sign if z.x * z.x > ctx.disc.delta * z.y * z.y else -e.sign
     if not ctx.sign_is_invariant:
         sign = 1
     return (sign, key)

@@ -18,14 +18,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from sympy import factorint
-
 from .classgroup import scan_counts
-from .ideals import FracIdeal, ideal_valuation, primes_above, \
-    principal_ideal, rational_prime_of
+from .ideals import Decomposition, FracIdeal, decompose, \
+    element_valuation, ideal_valuation, primes_above, principal_ideal, \
+    rational_prime_of, split_power_product
 from .knorm import K0Context, K0Elt, k0_eq, k0_identity, k0_key, k0_mul, \
     solve_norm_equation
-from .local import TateVec, _primes_of, _valuation, genus_char_space, \
+from .local import TateVec, _primes_of, genus_char_space, \
     h0_class_of_rational, hilbert_symbol, is_global_norm, norm_uniformizer
 from .quadfield import Discriminant, QuadNum, is_prime, kronecker
 
@@ -40,6 +39,11 @@ class NormKernelViolation(ValueError):
 
 class KernelPreimageError(ArithmeticError):
     """A check behind a constructed boundary preimage failed."""
+
+
+class IdeleCheckError(ArithmeticError):
+    """An idele norm or a boundary, on which the sampled verdicts rest,
+    failed its check."""
 
 
 @dataclass
@@ -65,11 +69,12 @@ class IdeleFS:
 
     def __mul__(self, other: "IdeleFS") -> "IdeleFS":
         assert other.disc.delta == self.disc.delta
+        one = QuadNum(2, 0, 1, self.disc)
         out = dict(self.components)
         for prime, z in other.components.items():
             w = out.get(prime)
             prod = z if w is None else w * z
-            if prod == QuadNum.from_rational(1, self.disc):
+            if prod == one:
                 out.pop(prime, None)
             else:
                 out[prime] = prod
@@ -91,38 +96,70 @@ class IdeleQ:
         return self.components.get(p, Fraction(1))
 
 
-def diagonal_idele(z: QuadNum) -> IdeleFS:
-    """The diagonal image of z, truncated to the primes where z is not a
-    local unit (invisible components are 1 by convention; the maps used here
-    only read valuations and norms, which agree with the full diagonal)."""
-    assert z
+class FieldPrimes:
+    """Prime data of one field for one ``sampled_exactness`` run: the split
+    primes below 60 that the samplers draw from, and the decomposition of
+    each prime the run meets, memoised for this object's lifetime only."""
+
+    def __init__(self, disc: Discriminant):
+        self.disc = disc
+        self.split = [p for p in _SMALL_PRIMES if kronecker(disc, p) == 1]
+        self._above: dict[int, Decomposition] = {}
+
+    def above(self, p: int) -> Decomposition:
+        dec = self._above.get(p)
+        if dec is None:
+            dec = self._above[p] = decompose(self.disc, p)
+        return dec
+
+
+def diagonal_idele(z: QuadNum, primes: FieldPrimes | None = None) -> IdeleFS:
+    """The diagonal image of z, truncated to the primes of z*O (its other
+    components are 1 by convention; the maps used here only read valuations
+    and norms, which agree with the full diagonal).
+
+    With z = (x + y*sqrt(D))/(2d), every P where z is not a unit lies over a
+    prime of 2d or of N(z); at a split p both halves are kept, so that the
+    joint image stays rational.
+    """
+    if not z:
+        raise ValueError("the diagonal idele of zero does not exist")
     disc = z.disc
-    i = principal_ideal(z)
-    support = {int(p) for p in factorint(i.norm().numerator)}
-    support |= {int(p) for p in factorint(i.norm().denominator)}
+    primes = primes or FieldPrimes(disc)
     comps: dict[FracIdeal, QuadNum] = {}
-    for p in sorted(support):
-        dec = primes_above(disc, p)
-        if any(ideal_valuation(i, prime) for prime in dec.primes):
-            # at a split p keep both halves so the joint image stays rational
+    for p in sorted(_primes_of(z.norm()) | _primes_of(2 * z.d)):
+        dec = primes.above(p)
+        if any(element_valuation(z, prime) for prime in dec.primes):
             for prime in dec.primes:
                 comps[prime] = z
     return IdeleFS(comps, disc)
 
 
+def _pair_idele(dec: Decomposition, u: Fraction) -> IdeleFS:
+    pid, pbar = dec.primes
+    n, d, disc = u.numerator, u.denominator, pid.disc
+    return IdeleFS({pid: QuadNum(2 * n, 0, d, disc),
+                    pbar: QuadNum(2 * d, 0, n, disc)}, disc)
+
+
 def split_pair_idele(disc: Discriminant, p: int, u) -> IdeleFS:
     """Idele (u, 1/u) at the two primes above a split p; its norm is 1."""
     dec = primes_above(disc, p)
-    assert dec.kind == "split"
+    if dec.kind != "split":
+        raise ValueError(f"split_pair_idele: {p} is {dec.kind} in {disc}")
     u = Fraction(u)
-    assert u != 0
-    pid, pbar = dec.primes
-    return IdeleFS({pid: QuadNum.from_rational(u, disc),
-                    pbar: QuadNum.from_rational(1 / u, disc)}, disc)
+    if u == 0:
+        raise ValueError("split_pair_idele: u = 0")
+    return _pair_idele(dec, u)
 
 
 def idele_norm(z: IdeleFS) -> IdeleQ:
-    """Componentwise norm down to rational ideles, exact in this model."""
+    """Componentwise norm down to rational ideles, exact in this model.
+
+    Raises ``IdeleCheckError`` when a nonsplit p carries more than one
+    component, or when the components above a split p are not at conjugate
+    primes or have no rational joint image.
+    """
     disc = z.disc
     by_p: dict[int, list[tuple[FracIdeal, QuadNum]]] = {}
     for prime, comp in z.components.items():
@@ -130,7 +167,10 @@ def idele_norm(z: IdeleFS) -> IdeleQ:
     out: dict[int, Fraction] = {}
     for p, entries in by_p.items():
         if kronecker(disc, p) != 1:
-            assert len(entries) == 1
+            if len(entries) != 1:
+                raise IdeleCheckError(
+                    f"idele_norm: D = {disc.delta}: {len(entries)} "
+                    f"components at the nonsplit prime {p}")
             out[p] = entries[0][1].norm()
             continue
         # product of the two local images: z_w * conj(z_wbar)
@@ -138,40 +178,48 @@ def idele_norm(z: IdeleFS) -> IdeleQ:
             prod = entries[0][1]
         else:
             (p1, c1), (p2, c2) = entries
-            assert p1.conjugate() == p2
+            if p1.conjugate() != p2:
+                raise IdeleCheckError(
+                    f"idele_norm: D = {disc.delta}: the components above "
+                    f"the split prime {p} are not at conjugate primes")
             prod = c1 * c2.conj()
-        assert prod.is_rational(), \
-            "split components must have a rational joint image"
+        if not prod.is_rational():
+            raise IdeleCheckError(
+                f"idele_norm: D = {disc.delta}: the components above the "
+                f"split prime {p} have no rational joint image")
         out[p] = prod.as_rational()
     return IdeleQ(out)
 
 
-def _component_valuations(z: IdeleFS) -> dict[FracIdeal, int]:
-    vals = {}
-    for prime, comp in z.components.items():
-        v = ideal_valuation(principal_ideal(comp), prime)
-        if v:
-            vals[prime] = v
-    return vals
-
-
 def boundary(z: IdeleFS) -> K0Elt:
-    """The class [1, I_z] with I_z assembled from component valuations."""
+    """The class [1, I_z], I_z the product of P^(v_P(z_P)) over the primes.
+
+    On the norm kernel only split p carry a valuation: r at one prime P
+    above p and -r at its conjugate, so I_z = prod P^(2r) / p^r, built as
+    (1/prod p^r) * [prod p^(2r), (b+sqrt(D))/2] by ``split_power_product``
+    with no ideal product.  Raises ``NotInNormKernel`` when the idele norm
+    has a nonzero valuation, and ``IdeleCheckError`` when I_z does not come
+    out of norm one.
+    """
     disc = z.disc
-    vals = _component_valuations(z)
     by_p: dict[int, int] = {}
-    for prime, r in vals.items():
+    powers, d = [], 1
+    for prime, comp in z.components.items():
+        r = element_valuation(comp, prime)
         p = rational_prime_of(prime)
-        f = 2 if kronecker(disc, p) == -1 else 1
-        by_p[p] = by_p.get(p, 0) + f * r
+        # N(P^r) is p^(2r) for an inert P = p*O and p^r otherwise
+        by_p[p] = by_p.get(p, 0) + (2 * r if prime.a == 1 else r)
+        if r > 0:
+            powers.append((prime, 2 * r))
+            d *= p ** r
     bad = [p for p, s in by_p.items() if s]
     if bad:
         raise NotInNormKernel(
             f"idele norm has nonzero valuation at {sorted(bad)}")
-    ideal = FracIdeal.unit(disc)
-    for prime, r in vals.items():
-        ideal = ideal * prime ** r
-    assert ideal.norm() == 1
+    ideal = split_power_product(powers, 1, d, disc)
+    if not ideal.norm_is_one():
+        raise IdeleCheckError(
+            f"boundary: D = {disc.delta}: I_z = {ideal!r} is not of norm 1")
     return K0Elt(1, ideal)
 
 
@@ -180,17 +228,18 @@ def map_i(e: K0Elt) -> tuple[Fraction, TateVec]:
 
     The unit part at each ramified p divides out a uniformizer that is itself
     a local norm; with any other uniformizer the vector would depend on the
-    chosen presentation [t, I] of the class.
+    chosen presentation [t, I] of the class.  Mod squares, t = sign*a for I
+    = (n/d)*[a, ...], and a has v_p(a) = v_p(t) mod 2 (0 or 1), so the unit
+    at p is sign*a, times the uniformizer when p | a.
     """
     disc = e.disc
-    t = e.t
+    a = e.sign * e.ideal.a
     on = []
     for p in disc.ramified_primes:
-        v = _valuation(t, p)
-        u = t / norm_uniformizer(disc, p) ** v
+        u = a * norm_uniformizer(disc, p) if a % p == 0 else a
         if hilbert_symbol(u, disc.delta, p) == -1:
             on.append(p)
-    return t, TateVec.make(on, "ramified_only")
+    return e.t, TateVec.make(on, "ramified_only")
 
 
 def mu(disc: Discriminant, t: Fraction, y: TateVec) -> TateVec:
@@ -207,13 +256,14 @@ def i_is_trivial(disc: Discriminant, pair: tuple[Fraction, TateVec]) -> bool:
     return is_global_norm(t, disc) and not y
 
 
-def mu1(z: QuadNum, u: IdeleFS) -> IdeleFS:
+def mu1(z: QuadNum, u: IdeleFS,
+        primes: FieldPrimes | None = None) -> IdeleFS:
     """The idele z/u for a norm-one z and a norm-trivial unit idele u."""
     if z.norm() != 1:
         raise NormKernelViolation(f"N(z) = {z.norm()} != 1")
     if not idele_norm(u).is_one():
         raise NormKernelViolation("u does not have trivial idele norm")
-    return diagonal_idele(z) * u.inverse()
+    return diagonal_idele(z, primes) * u.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +273,9 @@ def boundary_preimage(ctx: K0Context, e: K0Elt) -> IdeleFS | None:
     """An idele z with boundary(z) equal to e as a class, when i kills e.
 
     Raises ``KernelPreimageError`` when t has no global norm solution
-    although it is a norm everywhere locally, or when boundary(z) is not the
-    class of e.
+    although it is a norm everywhere locally, when e.ideal / (x) for the
+    solution x is not a norm-one product over split primes, or when
+    boundary(z) is not the class of e.
     """
     disc = e.disc
     if not i_is_trivial(disc, map_i(e)):
@@ -235,17 +286,24 @@ def boundary_preimage(ctx: K0Context, e: K0Elt) -> IdeleFS | None:
             f"D = {disc.delta}: {e.t} is a local norm everywhere but no "
             f"global norm (Hasse principle)")
     ideal = e.ideal * principal_ideal(x).inverse()
-    assert ideal.norm() == 1
-    support = _primes_of(ideal.q) | _primes_of(ideal.a)
+    if not ideal.norm_is_one():
+        raise KernelPreimageError(
+            f"D = {disc.delta}: {ideal!r} = I / (x) is not of norm 1")
     z = IdeleFS.one(disc)
-    for p in sorted(support):
+    for p in sorted(_primes_of(ideal.n * ideal.d * ideal.a)):
         dec = primes_above(disc, p)
+        vals = [ideal_valuation(ideal, q) for q in dec.primes]
         if dec.kind != "split":
-            assert all(ideal_valuation(ideal, q) == 0 for q in dec.primes)
+            if vals[0]:
+                raise KernelPreimageError(
+                    f"D = {disc.delta}: {ideal!r} = I / (x) has valuation "
+                    f"{vals[0]} at the {dec.kind} prime above {p}")
             continue
-        pid, pbar = dec.primes
-        v = ideal_valuation(ideal, pid)
-        assert ideal_valuation(ideal, pbar) == -v
+        v = vals[0]
+        if vals[1] != -v:
+            raise KernelPreimageError(
+                f"D = {disc.delta}: {ideal!r} = I / (x) has valuations "
+                f"{vals} above the split prime {p}")
         if v:
             z = z * split_pair_idele(disc, p, Fraction(p) ** v)
     if not k0_eq(ctx, boundary(z), e):
@@ -274,46 +332,53 @@ def _random_quadnum(disc: Discriminant, rng: random.Random,
 
 def random_norm_one_element(disc: Discriminant,
                             rng: random.Random) -> QuadNum:
+    """x / conj(x) = x^2 / N(x) for a random x: with x = (X + Y*sqrt(D))/(2d),
+    that is (X^2 + D*Y^2 + 2XY*sqrt(D)) / (X^2 - D*Y^2)."""
     x = _random_quadnum(disc, rng)
-    z = x / x.conj()
-    assert z.norm() == 1
-    return z
+    X, Y, D = x.x, x.y, disc.delta
+    return QuadNum(2 * (X * X + D * Y * Y), 4 * X * Y, X * X - D * Y * Y,
+                   disc)
 
 
-def random_norm_kernel_idele(disc: Discriminant,
-                             rng: random.Random) -> IdeleFS:
+def random_norm_kernel_idele(disc: Discriminant, rng: random.Random,
+                             primes: FieldPrimes | None = None) -> IdeleFS:
+    primes = primes or FieldPrimes(disc)
     z = IdeleFS.one(disc)
-    split = [p for p in _SMALL_PRIMES if kronecker(disc, p) == 1]
     for _ in range(rng.randint(0, 3)):
-        if rng.random() < 0.5 or not split:
-            z = z * diagonal_idele(random_norm_one_element(disc, rng))
+        if rng.random() < 0.5 or not primes.split:
+            z = z * diagonal_idele(random_norm_one_element(disc, rng), primes)
         else:
-            p = rng.choice(split)
+            p = rng.choice(primes.split)
             u = Fraction(p) ** rng.randint(-2, 2) * rng.randint(1, 9)
-            z = z * split_pair_idele(disc, p, u)
+            z = z * _pair_idele(primes.above(p), u)
     return z
 
 
-def random_unit_idele(disc: Discriminant, rng: random.Random) -> IdeleFS:
+def random_unit_idele(disc: Discriminant, rng: random.Random,
+                      primes: FieldPrimes | None = None) -> IdeleFS:
     """A norm-trivial idele whose components are local units."""
+    primes = primes or FieldPrimes(disc)
     z = IdeleFS.one(disc)
-    split = [p for p in _SMALL_PRIMES if kronecker(disc, p) == 1]
     for _ in range(rng.randint(0, 2)):
-        if not split:
+        if not primes.split:
             break
-        p = rng.choice(split)
+        p = rng.choice(primes.split)
         u = Fraction(rng.choice([1, 2, 3, 5, 7, 9]))
         while u % p == 0:
             u += 1
-        z = z * split_pair_idele(disc, p, u)
+        z = z * _pair_idele(primes.above(p), u)
     return z
 
 
-def random_k0_elt(disc: Discriminant, rng: random.Random) -> K0Elt:
+_K0_SAMPLE_PRIMES = [p for p in _SMALL_PRIMES if p < 40]
+
+
+def random_k0_elt(disc: Discriminant, rng: random.Random,
+                  primes: FieldPrimes | None = None) -> K0Elt:
+    primes = primes or FieldPrimes(disc)
     ideal = FracIdeal.unit(disc)
-    for p in rng.sample([p for p in _SMALL_PRIMES if p < 40],
-                        k=rng.randint(0, 3)):
-        prime = rng.choice(primes_above(disc, p).primes)
+    for p in rng.sample(_K0_SAMPLE_PRIMES, k=rng.randint(0, 3)):
+        prime = rng.choice(primes.above(p).primes)
         ideal = ideal * prime ** rng.randint(-2, 2)
     return K0Elt(rng.choice([1, -1]), ideal)
 
@@ -346,24 +411,25 @@ def sampled_exactness(disc: Discriminant, samples: int,
     rng = random.Random(seed)
     ctx = k0_context(disc)
     identity_key = k0_key(ctx, k0_identity(disc))
+    primes = FieldPrimes(disc)
     ok_ib = ok_mi = ok_bm = ok_hom = True
     for _ in range(samples):
-        z = random_norm_kernel_idele(disc, rng)
+        z = random_norm_kernel_idele(disc, rng, primes)
         e = boundary(z)
         if not i_is_trivial(disc, map_i(e)):
             ok_ib = False
 
-        e2 = random_k0_elt(disc, rng)
+        e2 = random_k0_elt(disc, rng, primes)
         t, y = map_i(e2)
         if mu(disc, t, y):
             ok_mi = False
 
         w = random_norm_one_element(disc, rng)
-        u = random_unit_idele(disc, rng)
-        if k0_key(ctx, boundary(mu1(w, u))) != identity_key:
+        u = random_unit_idele(disc, rng, primes)
+        if k0_key(ctx, boundary(mu1(w, u, primes))) != identity_key:
             ok_bm = False
 
-        z2 = random_norm_kernel_idele(disc, rng)
+        z2 = random_norm_kernel_idele(disc, rng, primes)
         if not k0_eq(ctx, boundary(z * z2), k0_mul(e, boundary(z2))):
             ok_hom = False
     return SampledExactness(disc, samples, seed, ok_ib, ok_mi, ok_bm, ok_hom,

@@ -276,6 +276,63 @@ def test_broken_kernel_preimage_fails_verify(flags, src_env):
     assert "constructive_kernel: D = -23" in proc.stderr
 
 
+# boundary_after_mu1_trivial reads the boundary of the diagonal idele of a
+# norm-one w over a unit idele, which is the class of w*O; a boundary that
+# flips the sign of every class off O_F must turn it false
+BROKEN_BOUNDARY = (
+    "import sys\n"
+    "import qknorm.mv as mv\n"
+    "from qknorm.cli import main\n"
+    "from qknorm.knorm import K0Elt\n"
+    "boundary = mv.boundary\n"
+    "def flipped(z):\n"
+    "    e = boundary(z)\n"
+    "    return e if e.ideal.is_unit_ideal() else K0Elt(-1, e.ideal)\n"
+    "mv.boundary = flipped\n"
+    "sys.exit(max(main(['verify', '--disc', d, '--samples', '20', '--csv'])\n"
+    "             for d in ('-23', '60')))\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_broken_boundary_fails_mu1_check(flags, src_env):
+    proc = subprocess.run([sys.executable, *flags, "-c", BROKEN_BOUNDARY],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=120)
+    assert proc.returncode == EXIT_VERDICT, proc.stderr
+    lines = proc.stdout.splitlines()  # a header and a row per call
+    rows = [dict(zip(lines[i].split(","), lines[i + 1].split(",")))
+            for i in (0, 2)]
+    assert [r["delta"] for r in rows] == ["-23", "60"]
+    assert all(r["boundary_after_mu1_trivial"] == "false" for r in rows)
+
+
+# a unit idele with a single irrational component above the split 2 of -15
+# has no rational idele norm; the explicit check must stop verify also
+# under -O, where the old assert vanished
+LOPSIDED_UNIT_IDELE = (
+    "import sys\n"
+    "import qknorm.mv as mv\n"
+    "from qknorm.cli import main\n"
+    "from qknorm.quadfield import QuadNum\n"
+    "def lopsided(disc, rng, primes=None):\n"
+    "    pid = mv.primes_above(disc, 2).primes[0]\n"
+    "    return mv.IdeleFS({pid: QuadNum(1, 1, 1, disc)}, disc)\n"
+    "mv.random_unit_idele = lopsided\n"
+    "sys.exit(main(['verify', '--disc', '-15', '--samples', '5']))\n")
+
+
+def test_idele_norm_check_survives_optimize(src_env):
+    proc = subprocess.run([sys.executable, "-O", "-c", LOPSIDED_UNIT_IDELE],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=120)
+    assert proc.returncode == EXIT_VERDICT, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "verify: idele_norm: D = -15: the components above the split prime "
+        "2 have no rational joint image"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # K0 classes are keyed through principal generators; a read-off that returns
 # 2z names an ideal of four times the norm, which the generator check catches
 BROKEN_GENERATORS = (

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from qknorm.ideals import (DiscMismatch, FracIdeal, ideal_valuation,
-                           primes_above, principal_ideal)
+from qknorm.ideals import (DiscMismatch, FracIdeal, element_valuation,
+                           ideal_valuation, primes_above, principal_ideal,
+                           split_power_product)
 from qknorm.quadfield import QuadNum, is_fundamental, kronecker, \
     make_discriminant
 
@@ -45,7 +46,8 @@ def test_inverse_and_conjugate():
             assert i * i.inverse() == FracIdeal.unit(disc)
             # I * conj(I) = N(I) O_F
             n = i.norm()
-            scaled = FracIdeal.make(n, 1, disc.delta % 2, disc)
+            scaled = FracIdeal.scaled(n.numerator, n.denominator, 1,
+                                      disc.delta % 2, disc)
             assert i * i.conjugate() == scaled
 
 
@@ -99,7 +101,7 @@ def test_primes_above_kinds():
             dec = primes_above(disc, p)
             k = kronecker(disc, p)
             assert dec.kind == {1: "split", -1: "inert", 0: "ramified"}[k]
-            full = FracIdeal.make(p, 1, disc.delta % 2, disc)
+            full = FracIdeal.scaled(p, 1, 1, disc.delta % 2, disc)
             prod = FracIdeal.unit(disc)
             for q in dec.primes:
                 prod = prod * q
@@ -164,6 +166,74 @@ def test_valuation_and_factorization():
             for prime, e in exps.items():
                 assert ideal_valuation(i, prime) == e, (delta, i, prime)
                 assert ideal_valuation(i.inverse(), prime) == -e
+
+
+def test_element_valuation_matches_principal_ideal():
+    # the closed form against v_P(z*O), at every prime above p < 14 of
+    # fields of both signs; 2 splits for -15, -23, -39, 17, 41 and 105
+    rng = random.Random(13)
+    seen = set()
+    for delta in (-15, -23, -39, -4, -8, -84, -120, 5, 8, 12, 17, 41, 60,
+                  105, 229, 316):
+        disc = make_discriminant(delta)
+        primes = [(dec.kind, prime) for p in (2, 3, 5, 7, 11, 13)
+                  for dec in [primes_above(disc, p)] for prime in dec.primes]
+        for _ in range(60):
+            scale = rng.choice([1, 2, 3, 4, 5, 8, 9, 25, 27, 49])
+            z = QuadNum(rng.randint(-60, 60) * scale, rng.randint(-60, 60),
+                        rng.choice([1, 2, 3, 4, 6, 9, 10, 16, 21, 26]), disc)
+            if not z:
+                continue
+            i = principal_ideal(z)
+            for kind, prime in primes:
+                v = element_valuation(z, prime)
+                assert v == ideal_valuation(i, prime), (delta, z, prime)
+                seen.add((kind, prime.a == 2 or prime.n == 2, v > 0, v < 0))
+    for kind in ("split", "inert", "ramified"):
+        for at_two in (False, True):
+            assert (kind, at_two, True, False) in seen, (kind, at_two)
+            assert (kind, at_two, False, True) in seen, (kind, at_two)
+    with pytest.raises(ValueError):
+        element_valuation(QuadNum(0, 0, 1, DISCS[0]), primes[0][1])
+
+
+def test_split_power_product_matches_powers():
+    # the Hensel-lifted P^k against the repeated product, and products
+    # over several split primes with a scale against the ideal products
+    rng = random.Random(14)
+    small = [p for p in range(2, 60) if all(p % q for q in range(2, p))]
+    for delta in (-15, -23, -39, -84, 17, 41, 60, 105, 229):
+        disc = make_discriminant(delta)
+        split = [dec.primes for p in small
+                 for dec in [primes_above(disc, p)] if dec.kind == "split"]
+        for pair in split:
+            for prime in pair:
+                for k in range(1, 9):
+                    assert split_power_product([(prime, k)], 1, 1, disc) \
+                        == prime ** k, (delta, prime, k)
+        for _ in range(20):
+            chosen = rng.sample(split, k=min(len(split), rng.randint(1, 3)))
+            powers = [(rng.choice(pair), rng.randint(1, 5))
+                      for pair in chosen]
+            n, d = rng.randint(1, 30), rng.randint(1, 30)
+            expected = FracIdeal.scaled(n, d, 1, disc.delta % 2, disc)
+            for prime, k in powers:
+                expected = expected * prime ** k
+            assert split_power_product(powers, n, d, disc) == expected
+
+
+def test_integer_scale_is_reduced():
+    disc = DISCS[0]
+    i = FracIdeal.scaled(6, 4, 2, 1, disc)
+    assert (i.n, i.d) == (3, 2) and i.q == Fraction(3, 2)
+    assert i.norm() == Fraction(9, 2) and not i.norm_is_one()
+    assert repr(i) == "FracIdeal(3/2*[2, (1+sqrt(-15))/2])"
+    pid = primes_above(disc, 2).primes[0]
+    for k in range(-3, 4):
+        j = pid ** (2 * k) * FracIdeal.scaled(2 ** max(-k, 0), 2 ** max(k, 0),
+                                              1, 1, disc)
+        assert j.norm_is_one() and j.norm() == 1
+        assert j.is_unit_ideal() == (k == 0)
 
 
 def test_contains():

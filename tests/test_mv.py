@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qknorm.ideals import ideal_valuation, primes_above, principal_ideal
+from qknorm.ideals import FracIdeal, ideal_valuation, primes_above, \
+    principal_ideal
 from qknorm.knorm import K0Elt, k0_context, k0_eq, k0_group, k0_identity, \
     k0_rep
 from qknorm.mv import (IdeleFS, NormKernelViolation, NotInNormKernel,
@@ -80,6 +81,58 @@ def test_boundary_of_hilbert90_diagonal_is_trivial():
             assert idele_norm(d).is_one()
             assert k0_eq(ctx, boundary(d), k0_identity(disc)), (delta, z)
         assert nonempty >= 15, (delta, nonempty)
+
+
+def test_diagonal_idele_sees_z_O():
+    # the support comes from z's own coordinates: the components are those
+    # of the full diagonal, and the boundary of the diagonal is z*O
+    rng = random.Random(44)
+    for delta in (-15, 12, 60, 229, -85159):
+        disc = make_discriminant(delta)
+        nonempty = 0
+        for _ in range(25):
+            z = random_norm_one_element(disc, rng)
+            d = diagonal_idele(z)
+            assert d.components == _full_diagonal_idele(z).components
+            assert boundary(d).ideal == principal_ideal(z), (delta, z)
+            assert bool(d.components) == \
+                (not principal_ideal(z).is_unit_ideal()), (delta, z)
+            nonempty += bool(d.components)
+        assert nonempty >= 15, (delta, nonempty)
+
+
+def _product_boundary_ideal(z):
+    """I_z assembled as a product of prime powers, one per component."""
+    ideal = FracIdeal.unit(z.disc)
+    for prime, comp in z.components.items():
+        ideal = ideal * prime ** ideal_valuation(principal_ideal(comp), prime)
+    return ideal
+
+
+def test_boundary_matches_product_assembly(monkeypatch):
+    # boundary builds I_z without ideal products; the old assembly is the
+    # oracle, run before the product counter goes in
+    rng = random.Random(45)
+    cases = []
+    for delta in (-15, -23, 12, 60, 105, 229, -84):
+        disc = make_discriminant(delta)
+        for _ in range(30):
+            z = random_norm_kernel_idele(disc, rng) \
+                * random_norm_kernel_idele(disc, rng)
+            cases.append((z, _product_boundary_ideal(z)))
+    assert sum(not i.is_unit_ideal() for _, i in cases) >= 100
+    products = [0]
+    mul = FracIdeal.__mul__
+
+    def counted(self, other):
+        products[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(FracIdeal, "__mul__", counted)
+    for z, ideal in cases:
+        e = boundary(z)
+        assert e.sign == 1 and e.ideal == ideal, (z, ideal)
+    assert products[0] == 0
 
 
 def test_boundary_homomorphism():
