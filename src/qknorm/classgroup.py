@@ -33,9 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 
-from sympy import ZZ, Matrix
-from sympy.matrices.normalforms import smith_normal_decomp
-
+from .arith import smith_normal_decomp, unimodular_inverse
 from .ideals import FracIdeal, lattice_product, principal_ideal
 from .quadfield import Discriminant, QuadNum, _ragged
 
@@ -405,19 +403,18 @@ def abelian_closure(gens, mul, identity, budget=None):
     R = [[-c for c in v] + [0] * (r - len(v)) for v, _ in rels]
     for i, (_, m) in enumerate(rels):
         R[i][i] = m
-    S, _, V = smith_normal_decomp(Matrix(R), domain=ZZ)
+    invs, _, V = smith_normal_decomp(R)
     at = {v + (0,) * (r - len(v)): x for x, v in exps.items()}
     divisors, basis = [], []
-    for i, row in enumerate(V.inv().tolist()):
-        if abs(S[i, i]) == 1:
+    for d, x in zip(invs, unimodular_inverse(V)):
+        if abs(d) == 1:
             continue
-        x = [int(e) for e in row]
         for k in reversed(range(r)):  # canonical exponents, last gen first
             v, m = rels[k]
             q, x[k] = divmod(x[k], m)
             for t, c in enumerate(v):
                 x[t] += q * c
-        divisors.append(abs(int(S[i, i])))
+        divisors.append(abs(d))
         basis.append(at[tuple(x)])
     return list(exps), divisors, basis
 

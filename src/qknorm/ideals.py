@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .arith import is_prime
 from .local import _strip
-from .quadfield import (Discriminant, QuadNum, is_prime, kronecker,
-                        sqrt_mod_prime)
+from .quadfield import Discriminant, QuadNum, kronecker, sqrt_mod_prime
 
 
 class DiscMismatch(ValueError):
@@ -201,13 +201,6 @@ class Decomposition:
 def primes_above(disc: Discriminant, p: int) -> Decomposition:
     if not is_prime(p):
         raise ValueError(f"primes_above needs a rational prime, got p = {p}")
-    return decompose(disc, p)
-
-
-def decompose(disc: Discriminant, p: int) -> Decomposition:
-    """``primes_above`` for a p that is prime by construction (a factor
-    from ``factorint`` or a listed small prime): no primality test, which
-    would fill the process-wide cache of ``is_prime``."""
     k = kronecker(disc, p)
     D = disc.delta
     if k == -1:

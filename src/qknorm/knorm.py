@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from sympy import factorint
-
+from .arith import factorint
 # ClosureBudgetExceeded is raised by k0_group and importable from here
 from .classgroup import (ClassGroupData, ClosureBudgetExceeded,
                          GeneratorCheckError, abelian_closure, class_group,
@@ -167,10 +166,10 @@ def bass_sequence_report(disc: Discriminant) -> BassReport:
 
 def _integral_ideals_of_norm(disc: Discriminant, m: int):
     """All integral ideals of norm m > 0."""
-    assert m > 0
+    if m <= 0:
+        raise ValueError(f"integral ideals have positive norm, got m = {m}")
     choices = []
     for p, e in factorint(m).items():
-        p, e = int(p), int(e)
         dec = primes_above(disc, p)
         if dec.kind == "inert":
             if e % 2:
@@ -185,7 +184,10 @@ def _integral_ideals_of_norm(disc: Discriminant, m: int):
         out = FracIdeal.unit(disc)
         for j in combo:
             out = out * j
-        assert out.norm() == m
+        if out.norm() != m:
+            raise GeneratorCheckError(
+                f"_integral_ideals_of_norm: D = {disc.delta}: {out!r} has "
+                f"norm {out.norm()}, not {m}")
         yield out
 
 
@@ -203,7 +205,8 @@ def solve_norm_equation(t, disc: Discriminant,
     N(x) = t raises ``GeneratorCheckError``.
     """
     t = Fraction(t)
-    assert t != 0
+    if t == 0:
+        raise ValueError("the norm equation N(x) = 0 has no solution in F*")
     if disc.delta < 0 and t < 0:
         return None
     if ctx is None:

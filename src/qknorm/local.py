@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint
-
-from .quadfield import Discriminant, is_prime, kronecker
+from .arith import factorint, is_prime, primes
+from .quadfield import Discriminant, kronecker
 
 INFINITY = "oo"
 
@@ -80,7 +79,7 @@ def hilbert_symbol(a, b, v: Place) -> int:
 
 def _primes_of(q) -> set[int]:
     """The primes dividing the numerator or denominator of q."""
-    return {int(p) for n in (abs(q.numerator), q.denominator) if n > 1
+    return {p for n in (abs(q.numerator), q.denominator) if n > 1
             for p in factorint(n)}
 
 
@@ -165,19 +164,6 @@ class SplitPrimeCapExceeded(RuntimeError):
     character space reaches its proven dimension."""
 
 
-_PRIMES = [2, 3]  # the primes in order, grown by ``_prime`` on demand
-
-
-def _prime(i: int) -> int:
-    """The i-th prime, counting from 0."""
-    while i >= len(_PRIMES):
-        n = _PRIMES[-1] + 2
-        while any(n % p == 0 for p in _PRIMES if p * p <= n):
-            n += 2
-        _PRIMES.append(n)
-    return _PRIMES[i]
-
-
 def genus_char_space(disc: Discriminant) -> GenusCharSpace:
     """Image in F2^(ramified primes) of the rationals that are local norms at
     every finite nonsplit unramified place.
@@ -217,14 +203,13 @@ def genus_char_space(disc: Discriminant) -> GenusCharSpace:
 
     for g in (-1, *ram):
         adjoin(g)
-    i = used = 0
+    candidates, used = primes(), 0
     while len(pivots) < bound:
         if used == _SPLIT_PRIME_CAP:
             raise SplitPrimeCapExceeded(
                 f"genus character space of {disc}: span {len(pivots)} after "
                 f"{_SPLIT_PRIME_CAP} split primes, below the bound {bound}")
-        p = _prime(i)
-        i += 1
+        p = next(candidates)
         if kronecker(disc, p) == 1:
             used += 1
             adjoin(p)

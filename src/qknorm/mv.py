@@ -18,15 +18,16 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .arith import PRIMES
 from .classgroup import scan_counts
-from .ideals import Decomposition, FracIdeal, decompose, \
+from .ideals import Decomposition, FracIdeal, \
     element_valuation, ideal_valuation, primes_above, principal_ideal, \
     rational_prime_of, split_power_product
 from .knorm import K0Context, K0Elt, k0_eq, k0_identity, k0_key, k0_mul, \
     solve_norm_equation
 from .local import TateVec, _primes_of, genus_char_space, \
     h0_class_of_rational, hilbert_symbol, is_global_norm, norm_uniformizer
-from .quadfield import Discriminant, QuadNum, is_prime, kronecker
+from .quadfield import Discriminant, QuadNum, kronecker
 
 
 class NotInNormKernel(ValueError):
@@ -109,7 +110,7 @@ class FieldPrimes:
     def above(self, p: int) -> Decomposition:
         dec = self._above.get(p)
         if dec is None:
-            dec = self._above[p] = decompose(self.disc, p)
+            dec = self._above[p] = primes_above(self.disc, p)
         return dec
 
 
@@ -316,7 +317,7 @@ def boundary_preimage(ctx: K0Context, e: K0Elt) -> IdeleFS | None:
 # ---------------------------------------------------------------------------
 # seeded random generators for the sampled exactness checks
 
-_SMALL_PRIMES = tuple(p for p in range(2, 60) if is_prime(p))
+_SMALL_PRIMES = tuple(p for p in PRIMES if p < 60)
 
 
 def _random_quadnum(disc: Discriminant, rng: random.Random,

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 
-from sympy import factorint, isprime
+from .arith import factorint
 
 
 class NotFundamental(ValueError):
@@ -52,7 +51,7 @@ def _fundamental_primes(n: int) -> tuple[int, ...] | None:
     f = factorint(abs(core))
     if any(e > 1 for e in f.values()):
         return None
-    primes = {int(p) for p in f} | ({2} if n % 4 == 0 else set())
+    primes = set(f) | ({2} if n % 4 == 0 else set())
     return tuple(sorted(primes))
 
 
@@ -135,13 +134,6 @@ def fundamental_discriminants(lo: int, hi: int) -> list[Discriminant]:
     ends = np.searchsorted(at, found, side="right").tolist()
     return [_discriminant(lo + i, tuple(p[j:k]))
             for i, j, k in zip(found.tolist(), starts, ends)]
-
-
-@lru_cache(maxsize=1024)
-def is_prime(p: int) -> bool:
-    """Primality, cached: places and primes passed to the local and ideal
-    layers repeat."""
-    return bool(isprime(p))
 
 
 class QuadNum:

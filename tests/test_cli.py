@@ -227,6 +227,34 @@ def test_reports_do_not_import_numpy(src_env):
     assert proc.stdout.split() == ["False"]
 
 
+def test_reports_do_not_import_sympy(src_env):
+    # the runtime is plain ints (qknorm.arith); sympy is a test reference
+    code = (
+        "import contextlib, io, sys\n"
+        "from qknorm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['k0', '--disc', '-85159']) == 0\n"
+        "    assert main(['classgroup', '--disc', '229']) == 0\n"
+        "    assert main(['verify', '--disc', '-15', '--samples', '2']) == 0\n"
+        "print('sympy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=src_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_runtime_dependencies_do_not_name_sympy():
+    import re
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    deps = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S)
+    test = re.search(r"^test = \[(.*?)\]", text, re.M | re.S)
+    assert deps and test
+    assert "sympy" not in deps.group(1).lower()
+    assert '"sympy' in test.group(1)
+
+
 def test_scan_config_validation():
     with pytest.raises(ScanConfigError):
         ScanConfig(min=5, max=1)

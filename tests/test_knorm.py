@@ -185,3 +185,34 @@ def test_wrong_unit_fails_norm_equation(flags, src_env):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("solve_norm_equation: D = 5: "), proc.stdout
+
+
+def test_norm_equation_checks_survive_optimize(src_env):
+    # the three former asserts of the norm equation are explicit raises:
+    # norm 0 for an integral ideal or for x, and an ideal built off its
+    # norm (factorint patched to over-count every exponent)
+    code = (
+        "from qknorm import arith, knorm\n"
+        "from qknorm.quadfield import make_discriminant\n"
+        "D = make_discriminant(-15)\n"
+        "def run(f, *args):\n"
+        "    try:\n"
+        "        f(*args)\n"
+        "    except (ValueError, knorm.GeneratorCheckError) as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+        "    else:\n"
+        "        print('passed')\n"
+        "run(lambda: list(knorm._integral_ideals_of_norm(D, 0)))\n"
+        "run(knorm.solve_norm_equation, 0, D)\n"
+        "knorm.factorint = lambda m: {p: e + 1 for p, e in\n"
+        "                             arith.factorint(m).items()}\n"
+        "run(lambda: list(knorm._integral_ideals_of_norm(D, 5)))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == \
+        ["ValueError", "ValueError", "GeneratorCheckError"], lines
+    assert "m = 0" in lines[0] and "N(x) = 0" in lines[1]
+    assert "norm 25, not 5" in lines[2]
