@@ -17,7 +17,6 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 
 from .classgroup import BLOCK_WIDTH, ClosureBudgetExceeded, \
     GeneratorCheckError, ScanCountError, block_counts, class_group
@@ -34,10 +33,13 @@ EXIT_VERDICT = 1
 EXIT_USAGE = 2
 
 
+_BOOL = {True: "true", False: "false"}
+
+
 def _s(v):
     """Stringify report values: ints as decimal strings, bools as true/false."""
     if isinstance(v, bool):
-        return "true" if v else "false"
+        return _BOOL[v]
     if isinstance(v, int):
         return str(v)
     if isinstance(v, Fraction):
@@ -46,6 +48,14 @@ def _s(v):
     if v is None:
         return ""
     return str(v)
+
+
+def Pool(processes: int):
+    """``multiprocessing.Pool``, imported on first use: only ``run_scan`` at
+    more than one job starts a pool, so no other command pays the import."""
+    from multiprocessing import Pool
+
+    return Pool(processes)
 
 
 def _emit(doc: dict, fmt: str, out_path: str | None,
@@ -149,24 +159,25 @@ def fundamental_range(lo: int, hi: int) -> list[int]:
 
 
 def _row(rep) -> dict:
+    # every column has a fixed type, so each is formatted without ``_s``
     eps_norm = ""
     if rep.delta > 0:
         # N(eps) = -1 exactly when the class of (sqrt(delta)) is trivial,
         # that is when the narrow and wide class numbers agree
-        eps_norm = _s(-1 if rep.h_narrow == rep.h else 1)
+        eps_norm = "-1" if rep.h_narrow == rep.h else "1"
     return {
-        "delta": _s(rep.delta),
-        "t_fin": _s(rep.t_fin),
-        "t_all": _s(rep.t_all),
-        "h": _s(rep.h),
-        "rank2": _s(rep.rank2),
+        "delta": str(rep.delta),
+        "t_fin": str(rep.t_fin),
+        "t_all": str(rep.t_all),
+        "h": str(rep.h),
+        "rank2": str(rep.rank2),
         "eps_norm": eps_norm,
-        "exceptional": _s(rep.exceptional),
-        "dim_v": _s(rep.dim_v),
-        "dim_h": _s(rep.dim_h),
-        "verdict_69": _s(rep.verdict_69),
-        "verdict_67": _s(rep.verdict_67),
-        "verdict_68": _s(rep.verdict_68),
+        "exceptional": _BOOL[rep.exceptional],
+        "dim_v": str(rep.dim_v),
+        "dim_h": str(rep.dim_h),
+        "verdict_69": _BOOL[rep.verdict_69],
+        "verdict_67": _BOOL[rep.verdict_67],
+        "verdict_68": _BOOL[rep.verdict_68],
     }
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qknorm import cli, knorm
+from qknorm import cli, knorm, mv
 from qknorm.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERDICT, ScanConfig,
                         ScanConfigError, fundamental_range, main, run_scan,
                         scan_row)
@@ -132,6 +132,25 @@ def test_verify_class_products_linear_in_h(capsys, monkeypatch):
     assert products[0] <= groups[0].h
 
 
+def test_verify_class_keys_linear_in_samples(capsys, monkeypatch):
+    # k0_eq decides equal representatives without class keys, so the
+    # homomorphism check costs none; the mu1 check keeps one per sample
+    calls = [0]
+    key = knorm.k0_key
+
+    def counted(ctx, e):
+        calls[0] += 1
+        return key(ctx, e)
+
+    monkeypatch.setattr(knorm, "k0_key", counted)
+    monkeypatch.setattr(mv, "k0_key", counted)
+    code, out = _run(capsys, ["verify", "--disc", "-23", "--samples", "80",
+                              "--seed", "0"])
+    assert code == EXIT_OK
+    assert json.loads(out)["boundary_is_homomorphism"] == "true"
+    assert calls[0] <= 80 + 20
+
+
 def test_fundamental_range_contents():
     rng = fundamental_range(-20, 20)
     assert set(rng) == {-20, -19, -15, -11, -8, -7, -4, -3, 5, 8, 12, 13, 17}
@@ -211,36 +230,39 @@ def test_scan_eps_norm_matches_fundamental_unit():
         assert scan_row(delta)["eps_norm"] == str(want), delta
 
 
-def test_reports_do_not_import_numpy(src_env):
-    # numpy is for the scan only; a k0 or classgroup report must not pay
-    # its import and memory
-    code = (
-        "import contextlib, io, sys\n"
-        "from qknorm.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['k0', '--disc', '229']) == 0\n"
-        "    assert main(['classgroup', '--disc', '229']) == 0\n"
-        "print('numpy' in sys.modules)\n")
+def _loaded_after(src_env, calls, module):
+    """Run the CLI calls in a fresh interpreter; "True" or "False" for
+    whether ``module`` was imported."""
+    code = ("import contextlib, io, sys\n"
+            "from qknorm.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            + "".join(f"    assert main({argv!r}) == 0\n" for argv in calls)
+            + f"print({module!r} in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=src_env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    return proc.stdout.strip()
+
+
+def test_reports_do_not_import_numpy(src_env):
+    # numpy is for the scan only; a k0 or classgroup report must not pay
+    # its import and memory
+    calls = [["k0", "--disc", "229"], ["classgroup", "--disc", "229"]]
+    assert _loaded_after(src_env, calls, "numpy") == "False"
+
+
+def test_reports_do_not_import_multiprocessing(src_env):
+    # only run_scan at more than one job starts a Pool
+    calls = [["k0", "--disc", "-23"],
+             ["verify", "--disc", "-23", "--samples", "2"]]
+    assert _loaded_after(src_env, calls, "multiprocessing") == "False"
 
 
 def test_reports_do_not_import_sympy(src_env):
     # the runtime is plain ints (qknorm.arith); sympy is a test reference
-    code = (
-        "import contextlib, io, sys\n"
-        "from qknorm.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['k0', '--disc', '-85159']) == 0\n"
-        "    assert main(['classgroup', '--disc', '229']) == 0\n"
-        "    assert main(['verify', '--disc', '-15', '--samples', '2']) == 0\n"
-        "print('sympy' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=src_env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    calls = [["k0", "--disc", "-85159"], ["classgroup", "--disc", "229"],
+             ["verify", "--disc", "-15", "--samples", "2"]]
+    assert _loaded_after(src_env, calls, "sympy") == "False"
 
 
 def test_runtime_dependencies_do_not_name_sympy():
@@ -332,6 +354,37 @@ def test_broken_boundary_fails_mu1_check(flags, src_env):
             for i in (0, 2)]
     assert [r["delta"] for r in rows] == ["-23", "60"]
     assert all(r["boundary_after_mu1_trivial"] == "false" for r in rows)
+
+
+# boundary_is_homomorphism compares boundary(z * z2) with the product of
+# the boundaries; a boundary that keeps norm one but drops every idele with
+# components above two or more rational primes is not multiplicative, and
+# the representatives it gives differ, so k0_eq must compare their classes
+NONMULTIPLICATIVE_BOUNDARY = (
+    "import sys\n"
+    "import qknorm.mv as mv\n"
+    "from qknorm.cli import main\n"
+    "from qknorm.knorm import k0_identity\n"
+    "boundary = mv.boundary\n"
+    "def local_only(z):\n"
+    "    if len(z.support_primes()) > 1:\n"
+    "        return k0_identity(z.disc)\n"
+    "    return boundary(z)\n"
+    "mv.boundary = local_only\n"
+    "sys.exit(main(['verify', '--disc', '-23', '--samples', '80', '--csv']))\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_nonmultiplicative_boundary_fails_homomorphism(flags, src_env):
+    proc = subprocess.run([sys.executable, *flags, "-c",
+                           NONMULTIPLICATIVE_BOUNDARY],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=120)
+    assert proc.returncode == EXIT_VERDICT, proc.stderr
+    header, row = proc.stdout.splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert row["delta"] == "-23"
+    assert row["boundary_is_homomorphism"] == "false"
 
 
 # a unit idele with a single irrational component above the split 2 of -15

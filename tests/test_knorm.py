@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qknorm import knorm
 from qknorm.ideals import FracIdeal, primes_above, principal_ideal
 from qknorm.knorm import (K0Elt, bass_sequence_report, k0_eq, k0_context,
                           k0_group, k0_identity, k0_key, k0_mul, k0_rep, rho,
@@ -68,6 +69,51 @@ def test_class_invariance_under_twist():
             assert twisted.t == e.t * z.norm()
             assert k0_eq(ctx, e, twisted)
             assert k0_key(ctx, e) == k0_key(ctx, twisted)
+
+
+def _counting_k0_key(monkeypatch):
+    calls = [0]
+    key = knorm.k0_key
+
+    def counted(ctx, e):
+        calls[0] += 1
+        return key(ctx, e)
+
+    monkeypatch.setattr(knorm, "k0_key", counted)
+    return calls
+
+
+def test_k0_eq_on_equal_representatives_computes_no_key(monkeypatch):
+    rng = random.Random(35)
+    calls = _counting_k0_key(monkeypatch)
+    for delta in (-23, 60, 229):
+        disc = make_discriminant(delta)
+        ctx = k0_context(disc)
+        for _ in range(10):
+            e = _random_elt(disc, rng)
+            # the same pair built again: an equal object, not the same one
+            same = K0Elt(e.sign, e.ideal * FracIdeal.unit(disc))
+            assert same == e and k0_eq(ctx, e, same)
+    assert calls[0] == 0
+
+
+def test_k0_eq_compares_classes_of_different_representatives(monkeypatch):
+    calls = _counting_k0_key(monkeypatch)
+    d23, d12 = make_discriminant(-23), make_discriminant(12)
+    ctx23, ctx12 = k0_context(d23), k0_context(d12)
+    p2 = primes_above(d23, 2).primes[0]
+    p3 = primes_above(d12, 3).primes[0]
+    # P against P * (z): one class on two ideals, N(z) = 6 > 0 keeps the sign
+    z = QuadNum(1, 1, 1, d23)
+    assert k0_eq(ctx23, K0Elt(1, p2), K0Elt(1, p2 * principal_ideal(z)))
+    # N(sqrt 3) = -3 moves the sign, and 12 has no unit of norm -1
+    s3 = QuadNum(0, 1, 1, d12)
+    assert k0_eq(ctx12, K0Elt(1, p3), K0Elt(-1, p3 * principal_ideal(s3)))
+    # a prime above 2 is not principal at -23 (h = 3)
+    assert not k0_eq(ctx23, K0Elt(1, p2), k0_identity(d23))
+    # one ideal with two signs: sigma(-1) is not trivial at 12
+    assert not k0_eq(ctx12, sigma(ctx12, -1), k0_identity(d12))
+    assert calls[0] == 8
 
 
 def test_group_laws():

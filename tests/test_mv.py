@@ -6,7 +6,7 @@ import pytest
 from qknorm.ideals import FracIdeal, ideal_valuation, primes_above, \
     principal_ideal
 from qknorm.knorm import K0Elt, k0_context, k0_eq, k0_group, k0_identity, \
-    k0_rep
+    k0_mul, k0_rep
 from qknorm.mv import (IdeleFS, NormKernelViolation, NotInNormKernel,
                        boundary, boundary_preimage, diagonal_idele,
                        genus_engine, i_is_trivial, idele_norm, map_i, mu, mu1,
@@ -136,13 +136,20 @@ def test_boundary_matches_product_assembly(monkeypatch):
 
 
 def test_boundary_homomorphism():
+    # v_P(z * z2) = v_P(z) + v_P(z2) at every P, so I_{z z2} = I_z * I_{z2}
+    # as ideals and the two sides agree as (sign, ideal) pairs, which is
+    # what lets k0_eq decide verify's homomorphism check without class keys
     rng = random.Random(41)
-    for _ in range(30):
-        z1 = random_norm_kernel_idele(D15, rng)
-        z2 = random_norm_kernel_idele(D15, rng)
-        e1, e2 = boundary(z1), boundary(z2)
-        e12 = boundary(z1 * z2)
-        assert e12.ideal == e1.ideal * e2.ideal
+    for delta in (-23, -15, 12, 60, 229, -85159):
+        disc = make_discriminant(delta)
+        nontrivial = 0
+        for _ in range(30):
+            z1 = random_norm_kernel_idele(disc, rng)
+            z2 = random_norm_kernel_idele(disc, rng)
+            e12 = boundary(z1 * z2)
+            assert e12 == k0_mul(boundary(z1), boundary(z2)), (delta, z1, z2)
+            nontrivial += not e12.ideal.is_unit_ideal()
+        assert nontrivial >= 10, (delta, nontrivial)
 
 
 def test_map_i_well_defined_across_presentations():
