@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -48,14 +49,6 @@ def _s(v):
     if v is None:
         return ""
     return str(v)
-
-
-def Pool(processes: int):
-    """``multiprocessing.Pool``, imported on first use: only ``run_scan`` at
-    more than one job starts a pool, so no other command pays the import."""
-    from multiprocessing import Pool
-
-    return Pool(processes)
 
 
 def _emit(doc: dict, fmt: str, out_path: str | None,
@@ -193,9 +186,86 @@ def scan_block(bounds: tuple[int, int]) -> list[dict]:
     return [_row(genus_engine(d, c)) for d, c in zip(discs, counts)]
 
 
+class ScanWorkerDied(RuntimeError):
+    """A stripe worker of a scan ended before it sent all its rows."""
+
+
+def _stripe_worker(blocks: list[tuple[int, int]], conn) -> None:
+    """Scan ``blocks`` in order in a forked worker: ``(True, rows)`` down
+    ``conn`` per block, or ``(False, exc)`` once if a block raises."""
+    try:
+        for bounds in blocks:
+            conn.send((True, scan_block(bounds)))
+    except Exception as exc:
+        conn.send((False, exc))
+    finally:
+        conn.close()
+
+
+def _scan_parallel(blocks: list[tuple[int, int]], jobs: int):
+    """The rows of each block, in block order, over ``jobs`` stripes.
+
+    Block i belongs to stripe i mod jobs.  The calling process scans stripe
+    0 itself; every other stripe runs in one forked worker that sends its
+    blocks' rows down a one-way pipe.  Reading the blocks in order makes the
+    first failure in block order the one raised, as at one job.  Workers
+    are forked, so they inherit the loaded modules and any state patched
+    before the scan (the scan starts no threads, so forking is safe);
+    ``multiprocessing`` is imported here, on first use.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    workers, conns = [], []
+    try:
+        for k in range(1, jobs):
+            conn, send = ctx.Pipe(duplex=False)
+            conns.append(conn)
+            worker = ctx.Process(target=_stripe_worker, daemon=True,
+                                 args=(blocks[k::jobs], send))
+            try:
+                worker.start()
+            finally:
+                # the worker holds the only write end, so its exit reads
+                # as EOF here
+                send.close()
+            workers.append(worker)
+        for i, bounds in enumerate(blocks):
+            k = i % jobs
+            if k == 0:
+                yield scan_block(bounds)
+                continue
+            try:
+                ok, value = conns[k - 1].recv()
+            except (EOFError, OSError):
+                worker = workers[k - 1]
+                worker.join()
+                raise ScanWorkerDied(
+                    f"stripe worker {k} ended with exit code "
+                    f"{worker.exitcode} before sending the rows of "
+                    f"{bounds[0]}..{bounds[1]}") from None
+            if not ok:
+                raise value
+            yield value
+        for k, worker in enumerate(workers, 1):
+            worker.join()
+            if worker.exitcode:
+                raise ScanWorkerDied(f"stripe worker {k} ended with exit "
+                                     f"code {worker.exitcode}")
+    except BaseException:
+        for worker in workers:
+            worker.terminate()
+        for worker in workers:
+            worker.join()
+        raise
+    finally:
+        for conn in conns:
+            conn.close()
+
+
 def run_scan(cfg: ScanConfig) -> tuple[list[dict], dict]:
     # blocks of BLOCK_WIDTH integers, each sieved and counted in one numpy
-    # pass; the pool maps blocks, with no more workers than CPUs or blocks
+    # pass; striped over no more workers than CPUs or blocks
     blocks = [(lo, min(lo + BLOCK_WIDTH - 1, cfg.max))
               for lo in range(cfg.min, cfg.max + 1, BLOCK_WIDTH)]
     jobs = min(cfg.jobs, os.cpu_count() or 1, len(blocks))
@@ -204,8 +274,7 @@ def run_scan(cfg: ScanConfig) -> tuple[list[dict], dict]:
         # worker inherit it instead of importing it again
         import numpy  # noqa: F401
 
-        with Pool(jobs) as pool:
-            parts = pool.map(scan_block, blocks, chunksize=1)
+        parts = _scan_parallel(blocks, jobs)
     else:
         parts = map(scan_block, blocks)
     # blocks are in order and each block's rows are too
@@ -271,6 +340,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERDICT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qknorm",
@@ -313,13 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GeneratorCheckError, IdeleCheckError) as exc:
+    except (GeneratorCheckError, IdeleCheckError, ScanWorkerDied) as exc:
         # the K0 classes of k0 and verify rest on checked generators, and
-        # verify's samples on checked idele norms and boundaries
+        # verify's samples on checked idele norms and boundaries; the rows
+        # of a dead scan worker's blocks were never checked
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_VERDICT
     except (SplitPrimeCapExceeded, ScanCountError,

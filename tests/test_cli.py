@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import subprocess
 import sys
 
@@ -44,6 +45,19 @@ def test_bad_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first = _run(capsys, ["k0", "--disc", "-15"])
+    with pytest.raises(SystemExit) as exc:
+        main(["k0"])  # --disc is required
+    assert exc.value.code == EXIT_USAGE
+    assert "--disc" in capsys.readouterr().err
+    assert main(["scan", "--min", "10", "--max", "5"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert _run(capsys, ["k0", "--disc", "-15"]) == first
+    assert first[0] == EXIT_OK and json.loads(first[1])["k0_order"] == "4"
 
 
 def test_k0_report(capsys):
@@ -193,22 +207,12 @@ def test_scan_edge_ranges(lo, hi, deltas):
 def test_jobs_clamped_to_cpus_and_blocks(monkeypatch):
     started = []
 
-    class Recorder:
-        """Stands in for multiprocessing.Pool and starts no process."""
+    def recorder(blocks, jobs):
+        """Stands in for cli._scan_parallel and starts no process."""
+        started.append(jobs)
+        return map(cli.scan_block, blocks)
 
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=None):
-            return [fn(x) for x in items]
-
-    monkeypatch.setattr(cli, "Pool", Recorder)
+    monkeypatch.setattr(cli, "_scan_parallel", recorder)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     w = cli.BLOCK_WIDTH
     for blocks, want in ((3, [3]), (10, [4]), (1, [])):
@@ -221,6 +225,28 @@ def test_jobs_clamped_to_cpus_and_blocks(monkeypatch):
     started.clear()
     run_scan(ScanConfig(min=1000, max=1000 + 3 * w - 1, jobs=64))
     assert started == []
+
+
+def test_scan_leaves_no_process_behind(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    w = cli.BLOCK_WIDTH
+    cfg = ScanConfig(min=-4 * w, max=-1, jobs=2)
+    rows = run_scan(cfg)[0]
+    assert rows == run_scan(ScanConfig(min=cfg.min, max=cfg.max))[0]
+    assert multiprocessing.active_children() == []
+    # the second block is the first of the worker's stripe; the fork
+    # inherits the patched scan_block
+    scan_block = cli.scan_block
+
+    def failing(bounds):
+        if bounds[0] >= cfg.min + w:
+            raise ValueError(f"block {bounds[0]}")
+        return scan_block(bounds)
+
+    monkeypatch.setattr(cli, "scan_block", failing)
+    with pytest.raises(ValueError, match=f"block {cfg.min + w}$"):
+        run_scan(cfg)
+    assert multiprocessing.active_children() == []
 
 
 def test_scan_eps_norm_matches_fundamental_unit():
@@ -439,22 +465,35 @@ def test_broken_generator_fails_k0_and_verify(flags, src_env):
         assert f"{command}: principal_generator: D = -23: " in proc.stderr
 
 
+def _capped_scan(lo, hi, jobs):
+    """A scan of lo..hi with no split prime allowed for any genus space; at
+    two jobs on two CPUs, so that a worker takes every other block."""
+    return ("import os, sys\n"
+            "import qknorm.local as local\n"
+            "from qknorm.cli import main\n"
+            "local._SPLIT_PRIME_CAP = 0\n"
+            "os.cpu_count = lambda: 2\n"
+            f"sys.exit(main(['scan', '--min', '{lo}', '--max', '{hi}', "
+            f"'--jobs', '{jobs}']))\n")
+
+
 # a cap or budget hit leaves the verdict open: no split prime allowed for
-# the genus space of -56 in the scan, and a K0 closure budget of two classes
+# the genus space of -56 in the scan, and a K0 closure budget of two classes;
+# over several blocks the first failure in block order is the one reported,
+# at any job count
 INCONCLUSIVE = {
     "scan": (
-        "import sys\n"
-        "import qknorm.local as local\n"
-        "from qknorm.cli import main\n"
-        "local._SPLIT_PRIME_CAP = 0\n"
-        "sys.exit(main(['scan', '--min', '-60', '--max', '-50']))\n",
+        [_capped_scan(-60, -50, 1)],
         "scan: inconclusive: genus character space of Discriminant(-56)"),
+    "scan_blocks": (
+        [_capped_scan(-1200, -50, jobs) for jobs in (1, 2)],
+        "scan: inconclusive: genus character space of Discriminant(-1195)"),
     "k0": (
-        "import sys\n"
-        "import qknorm.knorm as knorm\n"
-        "from qknorm.cli import main\n"
-        "knorm.k0_group.__defaults__ = (2,)\n"
-        "sys.exit(main(['k0', '--disc', '-23']))\n",
+        ["import sys\n"
+         "import qknorm.knorm as knorm\n"
+         "from qknorm.cli import main\n"
+         "knorm.k0_group.__defaults__ = (2,)\n"
+         "sys.exit(main(['k0', '--disc', '-23']))\n"],
         "k0: inconclusive: more than 2 classes generated"),
 }
 
@@ -462,11 +501,70 @@ INCONCLUSIVE = {
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 @pytest.mark.parametrize("command", sorted(INCONCLUSIVE))
 def test_cap_hit_is_inconclusive(command, flags, src_env):
-    code, message = INCONCLUSIVE[command]
-    proc = subprocess.run([sys.executable, *flags, "-c", code],
+    codes, message = INCONCLUSIVE[command]
+    stderrs = []
+    for code in codes:
+        proc = subprocess.run([sys.executable, *flags, "-c", code],
+                              capture_output=True, text=True, env=src_env,
+                              timeout=120)
+        assert proc.returncode == EXIT_VERDICT, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(message), proc.stderr
+        assert "Traceback" not in proc.stderr
+        stderrs.append(proc.stderr)
+    assert stderrs == stderrs[:1] * len(codes)
+
+
+# a stripe worker that dies inside a block must fail the scan, not hang it
+DYING_WORKER = (
+    "import os, sys\n"
+    "from qknorm import cli\n"
+    "parent = os.getpid()\n"
+    "scan_block = cli.scan_block\n"
+    "def dying(bounds):\n"
+    "    if os.getpid() != parent:\n"
+    "        os._exit(3)\n"
+    "    return scan_block(bounds)\n"
+    "cli.scan_block = dying\n"
+    "os.cpu_count = lambda: 2\n"
+    "sys.exit(cli.main(['scan', '--min', '-1200', '--max', '-1', "
+    "'--jobs', '2']))\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_dead_worker_fails_scan(flags, src_env):
+    proc = subprocess.run([sys.executable, *flags, "-c", DYING_WORKER],
                           capture_output=True, text=True, env=src_env,
-                          timeout=120)
+                          timeout=60)
     assert proc.returncode == EXIT_VERDICT, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr.startswith(message), proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("scan: stripe worker 1 ended with exit code 3 "
+                           "before sending the rows of -1050..-901\n")
+
+
+# a fault patched before the scan reaches the forked workers: a genus space
+# one dimension too large fails verdict (67) on every row at any job count
+WIDE_GENUS_SPACE = (
+    "import os, sys\n"
+    "import qknorm.mv as mv\n"
+    "from qknorm.cli import main\n"
+    "from types import SimpleNamespace\n"
+    "space = mv.genus_char_space\n"
+    "mv.genus_char_space = lambda d: SimpleNamespace(dim=space(d).dim + 1)\n"
+    "os.cpu_count = lambda: 2\n"
+    "sys.exit(main(['scan', '--min', '-1200', '--max', '1200', "
+    "'--jobs', sys.argv[1]]))\n")
+
+
+def test_patched_fault_reaches_workers(src_env):
+    outs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", WIDE_GENUS_SPACE, jobs],
+                              capture_output=True, text=True, env=src_env,
+                              timeout=120)
+        assert proc.returncode == EXIT_VERDICT, proc.stderr
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert len(rows) == 729
+        assert all(r["verdict_67"] == "false" for r in rows)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
