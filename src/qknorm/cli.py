@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .classgroup import BLOCK_WIDTH, ClosureBudgetExceeded, \
     GeneratorCheckError, ScanCountError, block_counts, class_group
@@ -37,18 +36,9 @@ EXIT_USAGE = 2
 _BOOL = {True: "true", False: "false"}
 
 
-def _s(v):
+def _s(v: int) -> str:
     """Stringify report values: ints as decimal strings, bools as true/false."""
-    if isinstance(v, bool):
-        return _BOOL[v]
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 \
-            else str(v.numerator)
-    if v is None:
-        return ""
-    return str(v)
+    return _BOOL[v] if isinstance(v, bool) else str(v)
 
 
 def _emit(doc: dict, fmt: str, out_path: str | None,
@@ -136,8 +126,6 @@ class ScanConfig:
     min: int
     max: int
     jobs: int = 1
-    out: str | None = None
-    fmt: str = "csv"
 
     def __post_init__(self):
         if self.min > self.max:
@@ -295,16 +283,15 @@ def run_scan(cfg: ScanConfig) -> tuple[list[dict], dict]:
 
 def cmd_scan(args) -> int:
     try:
-        cfg = ScanConfig(min=args.min, max=args.max, jobs=args.jobs,
-                         out=args.out, fmt=args.fmt)
+        cfg = ScanConfig(min=args.min, max=args.max, jobs=args.jobs)
     except ScanConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows, summary = run_scan(cfg)
-    if cfg.fmt == "json":
-        _emit({"summary": summary, "rows": rows}, "json", cfg.out)
+    if args.fmt == "json":
+        _emit({"summary": summary, "rows": rows}, "json", args.out)
     else:
-        _emit({"rows": rows}, "csv", cfg.out, rows_key="rows")
+        _emit({"rows": rows}, "csv", args.out, rows_key="rows")
     return EXIT_OK if summary["violations"] == "0" else EXIT_VERDICT
 
 

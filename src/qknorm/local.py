@@ -1,15 +1,16 @@
-"""Local norm data: Hilbert symbols, the Hasse norm test, norm
-uniformizers, and the genus-character subspace.
+"""Local norm data: Hilbert symbols, the Hasse norm test, and the
+genus-character subspace.
 
-Places are labelled by rational primes together with the symbol "oo".
-Coordinate vectors over places are F2-valued with finite support.
+Places are labelled by rational primes together with the symbol "oo".  An
+F2 vector over places is a ``frozenset`` of primes, those whose coordinate
+is 1: the sum is ``^`` and the zero vector is the empty set.
 
 The Hilbert symbol has one formula, ``_hilbert_core``, on arguments already
 split as p^alpha u with u prime to p.  ``hilbert_symbol`` is the checked
 entry for ints and Fractions.  ``is_global_norm`` and ``genus_char_space``
 pass places that are primes by construction straight to the core;
 ``genus_char_space`` strips Delta once per ramified prime and keeps its F2
-span as int bitmasks over the ramified primes.
+span as int bitmasks over the ramified primes, one per pivot.
 """
 
 from __future__ import annotations
@@ -32,11 +33,6 @@ def _strip(n: int, p: int) -> tuple[int, int]:
         n //= p
         v += 1
     return v, n
-
-
-def _valuation(q, p: int) -> int:
-    """v_p of a nonzero rational (int or Fraction)."""
-    return _strip(q.numerator, p)[0] - _strip(q.denominator, p)[0]
 
 
 def _hilbert_core(alpha: int, u: int, beta: int, w: int, p: int) -> int:
@@ -102,58 +98,39 @@ def is_global_norm(q, disc: Discriminant) -> bool:
                for p in _norm_test_primes(q, disc))
 
 
-@dataclass(frozen=True)
-class TateVec:
-    """F2 coordinate vector over places; absent coordinates are 0."""
-    coords: frozenset[Place]
-    support_rule: str  # "ramified_only" | "nonsplit_finite" | "all"
-
-    @classmethod
-    def make(cls, places, support_rule: str) -> "TateVec":
-        return cls(frozenset(places), support_rule)
-
-    def __bool__(self):
-        return bool(self.coords)
-
-    def __add__(self, other: "TateVec") -> "TateVec":
-        assert self.support_rule == other.support_rule
-        return TateVec(self.coords ^ other.coords, self.support_rule)
-
-    def get(self, v: Place) -> int:
-        return 1 if v in self.coords else 0
-
-
-def is_nonsplit(disc: Discriminant, p: int) -> bool:
-    return kronecker(disc, p) != 1
-
-
-def norm_uniformizer(disc: Discriminant, p: int) -> Fraction:
-    """A rational of valuation 1 at p that is a local norm from F at p.
-
-    At a ramified place the obvious uniformizer p need not be a norm, and
-    unit classes extracted with a non-norm uniformizer depend on the chosen
-    presentation; always dividing by a norm removes that ambiguity.
-    """
-    for n in (1, -1, 3, 5, 7, -3, -5, -7, 11, -11):
-        if n % p and hilbert_symbol(n * p, disc.delta, p) == 1:
-            return Fraction(n * p)
-    raise AssertionError(f"no small norm uniformizer at {p} for {disc}")
-
-
-def h0_class_of_rational(q, disc: Discriminant) -> TateVec:
+def h0_class_of_rational(q, disc: Discriminant) -> frozenset[int]:
     """Image of a rational in the sum of local norm-residue groups at
-    nonsplit finite places (coordinate 1 where q fails to be a local norm)."""
-    on = [p for p in _norm_test_primes(q, disc)
-          if is_nonsplit(disc, p) and hilbert_symbol(q, disc.delta, p) == -1]
-    return TateVec.make(on, "nonsplit_finite")
+    nonsplit finite places: the primes where q fails to be a local norm."""
+    return frozenset(p for p in _norm_test_primes(q, disc)
+                     if kronecker(disc, p) != 1
+                     and hilbert_symbol(q, disc.delta, p) == -1)
 
 
 @dataclass(frozen=True)
 class GenusCharSpace:
+    """The genus character space of ``disc`` as its pivots: lowest set bit
+    -> (vec, q), vec a bitmask over the ramified primes (bit i for the i-th)
+    and q the product of the candidates that were xored into it.
+
+    The witness, ``basis`` and ``generating_rationals`` in pivot order, is
+    derived from the pivots when it is read.
+    """
     disc: Discriminant
     dim: int
-    basis: tuple[TateVec, ...]
-    generating_rationals: tuple[Fraction, ...]
+    pivots: dict[int, tuple[int, int]]
+
+    def _in_order(self) -> list[tuple[int, int]]:
+        return [self.pivots[bit] for bit in sorted(self.pivots)]
+
+    @property
+    def basis(self) -> tuple[frozenset[int], ...]:
+        ram = self.disc.ramified_primes
+        return tuple(frozenset(p for i, p in enumerate(ram) if vec >> i & 1)
+                     for vec, _ in self._in_order())
+
+    @property
+    def generating_rationals(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(q) for _, q in self._in_order())
 
 
 _SPLIT_PRIME_CAP = 25
@@ -213,11 +190,4 @@ def genus_char_space(disc: Discriminant) -> GenusCharSpace:
         if kronecker(disc, p) == 1:
             used += 1
             adjoin(p)
-    basis, rationals = [], []
-    for bit, _, _, _ in places:
-        if bit in pivots:
-            vec, q = pivots[bit]
-            basis.append(TateVec(frozenset([p for b, p, _, _ in places
-                                            if vec & b]), "ramified_only"))
-            rationals.append(Fraction(q))
-    return GenusCharSpace(disc, len(basis), tuple(basis), tuple(rationals))
+    return GenusCharSpace(disc, len(pivots), pivots)

@@ -6,7 +6,9 @@ split prime the pair of components must multiply (one against the conjugate
 of the other) to a rational so the idele norm stays exact.  The boundary map
 sends a norm-kernel idele to the class [1, I_z] built from the component
 valuations; i and mu unpack a K0 class into a rational modulo norms plus
-unit classes at the ramified places.
+unit classes at the ramified places.  Those classes, and mu's values at the
+nonsplit places, are F2 vectors over places: frozensets of the primes whose
+coordinate is 1, added by ``^``.
 
 The genus engine at the end assembles the 2-rank comparisons that the scan
 over fundamental discriminants certifies.
@@ -25,8 +27,8 @@ from .ideals import Decomposition, FracIdeal, \
     rational_prime_of, split_power_product
 from .knorm import K0Context, K0Elt, k0_eq, k0_identity, k0_key, k0_mul, \
     solve_norm_equation
-from .local import TateVec, _primes_of, genus_char_space, \
-    h0_class_of_rational, hilbert_symbol, is_global_norm, norm_uniformizer
+from .local import _primes_of, genus_char_space, h0_class_of_rational, \
+    hilbert_symbol, is_global_norm
 from .quadfield import Discriminant, QuadNum, kronecker
 
 
@@ -86,17 +88,6 @@ class IdeleFS:
                        self.disc)
 
 
-@dataclass
-class IdeleQ:
-    components: dict[int, Fraction]
-
-    def is_one(self) -> bool:
-        return all(v == 1 for v in self.components.values())
-
-    def component(self, p: int) -> Fraction:
-        return self.components.get(p, Fraction(1))
-
-
 class FieldPrimes:
     """Prime data of one field for one ``sampled_exactness`` run: the split
     primes below 60 that the samplers draw from, and the decomposition of
@@ -154,8 +145,9 @@ def split_pair_idele(disc: Discriminant, p: int, u) -> IdeleFS:
     return _pair_idele(dec, u)
 
 
-def idele_norm(z: IdeleFS) -> IdeleQ:
-    """Componentwise norm down to rational ideles, exact in this model.
+def idele_norm(z: IdeleFS) -> dict[int, Fraction]:
+    """Componentwise norm down to rational ideles, exact in this model: the
+    component at each rational prime under the support (absent ones are 1).
 
     Raises ``IdeleCheckError`` when a nonsplit p carries more than one
     component, or when the components above a split p are not at conjugate
@@ -189,7 +181,7 @@ def idele_norm(z: IdeleFS) -> IdeleQ:
                 f"idele_norm: D = {disc.delta}: the components above the "
                 f"split prime {p} have no rational joint image")
         out[p] = prod.as_rational()
-    return IdeleQ(out)
+    return out
 
 
 def boundary(z: IdeleFS) -> K0Elt:
@@ -224,35 +216,31 @@ def boundary(z: IdeleFS) -> K0Elt:
     return K0Elt(1, ideal)
 
 
-def map_i(e: K0Elt) -> tuple[Fraction, TateVec]:
+def map_i(e: K0Elt) -> tuple[Fraction, frozenset[int]]:
     """A K0 class as (rational modulo global norms, ramified unit classes).
 
-    The unit part at each ramified p divides out a uniformizer that is itself
-    a local norm; with any other uniformizer the vector would depend on the
-    chosen presentation [t, I] of the class.  Mod squares, t = sign*a for I
-    = (n/d)*[a, ...], and a has v_p(a) = v_p(t) mod 2 (0 or 1), so the unit
-    at p is sign*a, times the uniformizer when p | a.
+    Mod squares, t = sign*a for I = (n/d)*[a, ...], and the unit part is the
+    set of ramified p with (sign*a, Delta)_p = -1.  Dividing sign*a by a
+    uniformizer pi that is a local norm at p would change nothing: the
+    symbol is bimultiplicative, so (a*pi, Delta)_p = (a, Delta)_p when
+    (pi, Delta)_p = 1.  The set does not depend on the presentation [t, I]
+    of the class: another one is [N(z)*t, z*I], and N(z) is a norm at every
+    place, so (N(z), Delta)_p = 1.
     """
     disc = e.disc
     a = e.sign * e.ideal.a
-    on = []
-    for p in disc.ramified_primes:
-        u = a * norm_uniformizer(disc, p) if a % p == 0 else a
-        if hilbert_symbol(u, disc.delta, p) == -1:
-            on.append(p)
-    return e.t, TateVec.make(on, "ramified_only")
+    return e.t, frozenset(p for p in disc.ramified_primes
+                          if hilbert_symbol(a, disc.delta, p) == -1)
 
 
-def mu(disc: Discriminant, t: Fraction, y: TateVec) -> TateVec:
+def mu(disc: Discriminant, t: Fraction, y: frozenset[int]) -> frozenset[int]:
     """F2 difference of the global class of t and the embedded unit classes,
     spread over the nonsplit finite places."""
-    assert y.support_rule == "ramified_only"
-    h0 = h0_class_of_rational(t, disc)
-    j0 = TateVec(y.coords, "nonsplit_finite")
-    return h0 + j0
+    return h0_class_of_rational(t, disc) ^ y
 
 
-def i_is_trivial(disc: Discriminant, pair: tuple[Fraction, TateVec]) -> bool:
+def i_is_trivial(disc: Discriminant,
+                 pair: tuple[Fraction, frozenset[int]]) -> bool:
     t, y = pair
     return is_global_norm(t, disc) and not y
 
@@ -262,7 +250,7 @@ def mu1(z: QuadNum, u: IdeleFS,
     """The idele z/u for a norm-one z and a norm-trivial unit idele u."""
     if z.norm() != 1:
         raise NormKernelViolation(f"N(z) = {z.norm()} != 1")
-    if not idele_norm(u).is_one():
+    if not all(v == 1 for v in idele_norm(u).values()):
         raise NormKernelViolation("u does not have trivial idele norm")
     return diagonal_idele(z, primes) * u.inverse()
 

@@ -1,7 +1,8 @@
 """Independent oracles the test suite compares the library against.
 
-Everything here is written from first principles on purpose: no imports from
-the package, different algorithms, different conventions where possible.
+Everything here is written from first principles on purpose, apart from
+factoring, which is sympy's: no imports from the package, different
+algorithms, different conventions where possible.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
+from sympy import primefactors
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -95,16 +97,8 @@ def _strip_square_part(n: int) -> int:
 
 
 def _prime_factors(n: int) -> set[int]:
-    """The primes dividing n > 0, by trial division."""
-    primes, d = set(), 2
-    while d * d <= n:
-        while n % d == 0:
-            primes.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        primes.add(n)
-    return primes
+    """The primes dividing n > 0, by sympy's factoring."""
+    return set(primefactors(n))
 
 
 def relevant_places(a, b) -> list:
