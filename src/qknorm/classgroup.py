@@ -549,21 +549,40 @@ def _counts_imag(ns) -> dict[int, tuple[int, int, int]]:
     return out
 
 
+def _stable_argsort(keys):
+    """``np.argsort(keys, kind="stable")`` for non-negative int64 keys.
+
+    Below 2^32 it is two stable passes on 16-bit digits, low digit first,
+    which numpy sorts by radix; from 2^32 on (past |D| ~ 5*10^7 in
+    ``_counts_real``) it is the int64 argsort itself.
+    """
+    import numpy as np
+
+    if not len(keys) or int(keys.max()) >> 32:
+        return np.argsort(keys, kind="stable")
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    high = (keys >> 16).astype(np.uint16)[order]
+    return order[np.argsort(high, kind="stable")]
+
+
 def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
     """Counts for the D > 0 in the sorted array ``Ds`` from the reduced forms
     with a > 0.
 
     A reduced form of D is (a, b, -k) or its partner (k, b, -a) with
     D = b^2 + 4ak, a <= k, b <= s = isqrt(D) and 2a > s - b; the triples
-    (b, a, k) of the whole range are enumerated at once and keyed by
-    (index of D, b, a), and every array is put in key order.  rho alternates
-    the sign of the first coefficient, and (a, b, c) -> (-a, b, -c) (the
-    class c0 of (sqrt(delta))) commutes with it, so tau = negation after rho
-    maps the forms with a > 0 onto themselves: its cycles are the wide
-    classes, labelled by their least index through min-label pointer
-    jumping, and tau^2 = rho^2 splits a cycle of even length into two narrow
-    classes.  The reversal (a, b, c) -> (c, b, a) inverts the class, so
-    (-c, b, -a) lies in the inverse wide class.
+    (b, a, k) of the whole range are enumerated at once, and each form is
+    keyed by (index of D, b, a).  rho alternates the sign of the first
+    coefficient, and (a, b, c) -> (-a, b, -c) (the class c0 of
+    (sqrt(delta))) commutes with it, so tau = negation after rho maps the
+    forms with a > 0 onto themselves.  Its index permutation is read off two
+    sorts: the keys of the forms and those of their tau-images must agree
+    term by term, which checks that tau is a bijection of the enumerated
+    forms.  The cycles of tau are the wide classes, labelled by their least
+    index through min-label pointer jumping, and tau^2 = rho^2 splits a
+    cycle of even length into two narrow classes.  The reversal
+    (a, b, c) -> (c, b, a) inverts the class, so (-c, b, -a), the partner
+    each form was built with, lies in the inverse wide class.
     """
     import numpy as np
 
@@ -591,39 +610,44 @@ def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
     s = S[J]
     keep = wanted[J] & (b <= s) & (a >= (s + 2 - b) // 2)
     b, a, k, J = b[keep], a[keep], k[keep], J[keep]
-    pair = a != k
+    pair = np.flatnonzero(a != k)
     A = np.concatenate((a, k[pair]))
     B = np.concatenate((b, b[pair]))
     C = np.concatenate((k, a[pair]))  # |c|
     J = np.concatenate((J, J[pair]))
-    top = int(A.max(initial=0)) + 1
-    key = (J * (s_hi + 1) + B) * top + A
-    order = np.argsort(key, kind="stable")
-    A, B, C, J, key = A[order], B[order], C[order], J[order], key[order]
+    # the partner of each form: the other one of its pair, or itself
+    inv = np.arange(len(A))
+    inv[pair] = np.arange(len(a), len(A))
+    inv[len(a):] = pair
     s = S[J]
-
-    def index_of(b2, a2, ok, what):
-        q = (J * (s_hi + 1) + b2) * top + a2
-        i = np.minimum(np.searchsorted(key, q), len(key) - 1)
-        miss = ~ok | (key[i] != q)
-        if miss.any():
-            m = int(np.flatnonzero(miss)[0])
-            raise ScanCountError(
-                f"D = {lo + int(J[m])}: {what} of ({A[m]}, {B[m]}, "
-                f"{-C[m]}) is not an enumerated reduced form")
-        return i
-
     # tau(a, b, -|c|) = (|c|, b', .), b' = 2|c| * ((s + b) // 2|c|) - b
     b2 = 2 * C * ((s + B) // (2 * C)) - B
-    P = index_of(b2, C, (b2 >= 1) & (b2 <= s) & (C < top), "rho")
-    inv = index_of(B, C, C < top, "the reversal")
-    # L[i] = min over i, P(i), ..., P^(2^r - 1)(i) after r rounds; once L
-    # is constant along tau it is the least index of each cycle
+    top = int(A.max(initial=0)) + 1  # > every |c|, the a of a partner
+    row = J * (s_hi + 1)
+    key = (row + B) * top + A
+    image = (row + b2) * top + C
+    in_range = (b2 >= 1) & (b2 <= s)
+    bijective = in_range.all()
+    if bijective:
+        order, hit = _stable_argsort(key), _stable_argsort(image)
+        bijective = (key[order] == image[hit]).all()
+    if not bijective:
+        _raise_rho_miss(lo, key, image, in_range, A, B, C, J)
+    # P[i] is the index of tau(form i)
+    P = np.empty_like(order)
+    P[hit] = order
+    # L[i] = min over i, P(i), ..., P^(2^r - 1)(i) after r rounds.  A cycle
+    # stays within one D, so once 2^r reaches the most forms of one D, L is
+    # the least index of each cycle; then it is constant along tau
     index = np.arange(len(A))
     L, Q = index, P
-    while not (L[P] == L).all():
+    for _ in range((int(np.bincount(J).max(initial=1)) - 1).bit_length()):
         L = np.minimum(L, L[Q])
         Q = Q[Q]
+    unsettled = np.flatnonzero(L[P] != L)
+    if len(unsettled):
+        raise ScanCountError(f"D = {lo + int(J[unsettled[0]])}: the labels "
+                             "of the tau-cycles did not settle")
     own = L == index
     even = np.bincount(L, minlength=len(A)) % 2 == 0
     h = np.bincount(J[own], minlength=width)
@@ -635,3 +659,21 @@ def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
         out[D] = (int(h[j]), int(h_narrow[j]),
                   _exact_log2(int(torsion[j]), D, "self-inverse classes"))
     return out
+
+
+def _raise_rho_miss(lo, key, image, in_range, A, B, C, J):
+    """Name the form of least key whose tau-image is not an enumerated form,
+    or, when every image is one, a form that two forms map to."""
+    import numpy as np
+
+    miss = ~in_range | ~np.isin(image, key)
+    if miss.any():
+        m = int(np.flatnonzero(miss)[np.argmin(key[miss])])
+        raise ScanCountError(
+            f"D = {lo + int(J[m])}: rho of ({A[m]}, {B[m]}, {-C[m]}) is not "
+            "an enumerated reduced form")
+    _, first, twice = np.unique(image, return_index=True, return_counts=True)
+    m = int(first[np.argmax(twice)])
+    raise ScanCountError(
+        f"D = {lo + int(J[m])}: rho maps two forms to the image of "
+        f"({A[m]}, {B[m]}, {-C[m]})")

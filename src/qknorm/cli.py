@@ -16,7 +16,9 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .classgroup import BLOCK_WIDTH, ClosureBudgetExceeded, \
     GeneratorCheckError, ScanCountError, block_counts, class_group
@@ -267,17 +269,19 @@ def run_scan(cfg: ScanConfig) -> tuple[list[dict], dict]:
         parts = map(scan_block, blocks)
     # blocks are in order and each block's rows are too
     rows = [row for part in parts for row in part]
+    # one pass over the rows: how many show each (exceptional, verdicts)
     verdicts = ("verdict_67", "verdict_68", "verdict_69")
-    violations = sum(1 for r in rows if "false" in map(r.get, verdicts))
+    tally = Counter(map(itemgetter("exceptional", *verdicts), rows)).items()
     summary = {
         "count": _s(len(rows)),
-        "violations": _s(violations),
+        "violations": _s(sum(n for k, n in tally if "false" in k[1:])),
         "min": _s(cfg.min),
         "max": _s(cfg.max),
-        "exceptional": _s(sum(r["exceptional"] == "true" for r in rows)),
+        "exceptional": _s(sum(n for k, n in tally if k[0] == "true")),
     }
-    for v in verdicts:  # rows that fail this verdict
-        summary[f"{v}_violations"] = _s(sum(r[v] == "false" for r in rows))
+    for i, v in enumerate(verdicts, 1):  # rows that fail this verdict
+        summary[f"{v}_violations"] = _s(sum(n for k, n in tally
+                                            if k[i] == "false"))
     return rows, summary
 
 

@@ -5,20 +5,24 @@ Places are labelled by rational primes together with the symbol "oo".  An
 F2 vector over places is a ``frozenset`` of primes, those whose coordinate
 is 1: the sum is ``^`` and the zero vector is the empty set.
 
-The Hilbert symbol has one formula, ``_hilbert_core``, on arguments already
-split as p^alpha u with u prime to p.  ``hilbert_symbol`` is the checked
-entry for ints and Fractions.  ``is_global_norm`` and ``genus_char_space``
-pass places that are primes by construction straight to the core;
-``genus_char_space`` strips Delta once per ramified prime and keeps its F2
-span as int bitmasks over the ramified primes, one per pivot.
+The Hilbert symbol has one formula (Serre, A Course in Arithmetic, III.1.2),
+on arguments already split as p^alpha u with u prime to p, and every
+Legendre symbol in it is ``arith.legendre``.  ``_hilbert_core`` evaluates
+it; ``hilbert_symbol`` is the checked entry for ints and Fractions, and
+``is_global_norm`` passes places that are primes by construction straight
+to the core.  ``genus_char_space`` writes the formula out for its
+candidates, each -1 or a prime q, so that v_p(q) = [q = p]: it strips Delta
+once per ramified prime and keeps its F2 span as int bitmasks over the
+ramified primes, one per pivot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import NamedTuple
 
-from .arith import factorint, is_prime, primes
+from .arith import factorint, is_prime, legendre, primes
 from .quadfield import Discriminant, kronecker
 
 INFINITY = "oo"
@@ -45,13 +49,12 @@ def _hilbert_core(alpha: int, u: int, beta: int, w: int, p: int) -> int:
         e ^= alpha & ((w & 7) in (3, 5))
         e ^= beta & ((u & 7) in (3, 5))
         return -1 if e else 1
-    # (-1)^(alpha beta (p-1)/2) (u/p)^beta (w/p)^alpha, each Legendre
-    # symbol by Euler's criterion
+    # (-1)^(alpha beta (p-1)/2) (u/p)^beta (w/p)^alpha
     e = alpha & beta & (p >> 1)  # (p-1)/2 is odd iff p = 3 mod 4
     if beta & 1:
-        e ^= pow(u, p >> 1, p) != 1
+        e ^= legendre(u, p) < 0
     if alpha & 1:
-        e ^= pow(w, p >> 1, p) != 1
+        e ^= legendre(w, p) < 0
     return -1 if e & 1 else 1
 
 
@@ -106,8 +109,7 @@ def h0_class_of_rational(q, disc: Discriminant) -> frozenset[int]:
                      and hilbert_symbol(q, disc.delta, p) == -1)
 
 
-@dataclass(frozen=True)
-class GenusCharSpace:
+class GenusCharSpace(NamedTuple):
     """The genus character space of ``disc`` as its pivots: lowest set bit
     -> (vec, q), vec a bitmask over the ramified primes (bit i for the i-th)
     and q the product of the candidates that were xored into it.
@@ -153,41 +155,56 @@ def genus_char_space(disc: Discriminant) -> GenusCharSpace:
     dimension at most t_all - 1; split primes are adjoined until it gets
     there.  Running out of them first raises SplitPrimeCapExceeded.
 
-    Vectors are int bitmasks, bit i for the i-th ramified prime.  Each
-    candidate q is -1 or a prime, so v_p(q) = [q = p], and the symbols
-    (q, Delta)_p go straight to ``_hilbert_core`` with Delta stripped once.
-    The span keeps one vector per pivot, its lowest set bit; a new vector
-    is reduced against the pivots in increasing order.
+    Vectors are int bitmasks, bit i for the i-th ramified prime p, with
+    Delta = p^beta w.  One loop runs over the candidates q: -1, the
+    ramified primes, then the split primes.  Each q is -1 or a prime, so
+    (q, Delta)_p is ``_hilbert_core``'s formula with v_p(q) = [q = p],
+    written out: (q/p)^beta at an odd p != q, a sign read off q and w mod 8
+    at p = 2 != q, and at p = q the symbol (p, Delta)_p, computed once per
+    field.  The span keeps one vector per pivot, its lowest set bit; a new
+    vector is reduced against the pivots in increasing order.
     """
+    D = disc.delta
     ram = disc.ramified_primes
     bound = len(ram) - disc.is_real  # = t_all - 1
-    places = [(1 << i, p, *_strip(disc.delta, p)) for i, p in enumerate(ram)]
+    places = []  # (bit, p, beta mod 2, w, bit of (p, Delta)_p)
+    for i, p in enumerate(ram):
+        beta, w = _strip(D, p)
+        if p == 2:
+            own = (w & 7) in (3, 5)  # omega(w)
+        else:
+            own = (beta & p >> 1 ^ (legendre(w, p) < 0)) & 1
+        places.append((1 << i, p, beta & 1, w, own))
     pivots: dict[int, tuple[int, int]] = {}  # lowest set bit -> (vec, q)
-
-    def adjoin(q: int) -> None:
+    fixed, used = len(ram), 0
+    for n, q in enumerate(chain((-1,), ram, primes())):
+        if n > fixed:  # past -1 and the ramified primes
+            if len(pivots) == bound:
+                break
+            if (D & 7 != 1) if q == 2 else legendre(D, q) != 1:
+                continue  # q does not split
+            if used == _SPLIT_PRIME_CAP:
+                raise SplitPrimeCapExceeded(
+                    f"genus character space of {disc}: span {len(pivots)} "
+                    f"after {_SPLIT_PRIME_CAP} split primes, below the "
+                    f"bound {bound}")
+            used += 1
         vec = 0
-        for bit, p, beta, w in places:
-            if (_hilbert_core(1, 1, beta, w, p) if q == p
-                    else _hilbert_core(0, q, beta, w, p)) < 0:
+        for bit, p, odd_beta, w, own in places:
+            if q == p:
+                e = own
+            elif p == 2:
+                # eps(q) eps(w) + beta omega(q), as in _hilbert_core
+                e = (q & w & 2) >> 1 ^ (odd_beta and (q & 7) in (3, 5))
+            else:
+                e = odd_beta and legendre(q, p) < 0
+            if e:
                 vec |= bit
-        for bit, _, _, _ in places:  # the pivots in increasing order
+        for bit, _, _, _, _ in places:  # the pivots in increasing order
             if vec & bit and bit in pivots:
                 bvec, bq = pivots[bit]
                 vec ^= bvec
                 q *= bq
         if vec:
             pivots[vec & -vec] = (vec, q)
-
-    for g in (-1, *ram):
-        adjoin(g)
-    candidates, used = primes(), 0
-    while len(pivots) < bound:
-        if used == _SPLIT_PRIME_CAP:
-            raise SplitPrimeCapExceeded(
-                f"genus character space of {disc}: span {len(pivots)} after "
-                f"{_SPLIT_PRIME_CAP} split primes, below the bound {bound}")
-        p = next(candidates)
-        if kronecker(disc, p) == 1:
-            used += 1
-            adjoin(p)
     return GenusCharSpace(disc, len(pivots), pivots)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import PRIMES
 from .classgroup import scan_counts
@@ -428,8 +429,7 @@ def sampled_exactness(disc: Discriminant, samples: int,
 # ---------------------------------------------------------------------------
 # the genus engine
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(NamedTuple):
     delta: int
     t_fin: int
     t_all: int

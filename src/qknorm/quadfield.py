@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import factorint
+from .arith import factorint, legendre
 
 
 class NotFundamental(ValueError):
@@ -270,14 +270,6 @@ class QuadNum:
         return diff.sign_real()
 
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
 def kronecker(disc: Discriminant, p: int) -> int:
     """0 if p ramifies, +1 if p splits, -1 if p is inert."""
     D = disc.delta
@@ -285,9 +277,7 @@ def kronecker(disc: Discriminant, p: int) -> int:
         if D % 2 == 0:
             return 0
         return 1 if D % 8 == 1 else -1
-    if D % p == 0:
-        return 0
-    return _legendre(D, p)
+    return legendre(D, p)
 
 
 def sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -295,7 +285,7 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     a %= p
     if a == 0:
         return 0
-    if _legendre(a, p) != 1:
+    if legendre(a, p) != 1:
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -305,7 +295,7 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
         q //= 2
         s += 1
     z = 2
-    while _legendre(z, p) != -1:
+    while legendre(z, p) != -1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:

@@ -135,7 +135,12 @@ def hilbert2_oracle(a, b) -> int:
 
 
 def hilbert_odd_oracle(a, b, p: int) -> int:
-    """(a, b)_p for odd p by exhaustive search mod p^3 (p-free square parts)."""
+    """(a, b)_p for odd p by exhaustive search mod p^3 (p-free square parts).
+
+    Every (x, y) mod p^3 is tried; whether a x^2 + b y^2 is a z^2 (with z a
+    unit when x and y are not) is read from boolean tables indexed by the
+    residues mod p^3.
+    """
     a, b = Fraction(a), Fraction(b)
     a = _strip_square_part(a.numerator * a.denominator)
     b = _strip_square_part(b.numerator * b.denominator)
@@ -145,13 +150,15 @@ def hilbert_odd_oracle(a, b, p: int) -> int:
     ax = (a * sq) % m
     by = (b * sq) % m
     unit = r % p != 0
-    zsq_all = set(sq.tolist())
-    zsq_unit = set(((r[unit] * r[unit]) % m).tolist())
+    is_square = np.zeros(m, dtype=bool)
+    is_square[sq] = True
+    is_unit_square = np.zeros(m, dtype=bool)
+    is_unit_square[sq[unit]] = True
     vals = (ax[:, None] + by[None, :]) % m
     prim_xy = unit[:, None] | unit[None, :]
-    if np.isin(vals[prim_xy], sorted(zsq_all)).any():
+    if (is_square[vals] & prim_xy).any():
         return 1
-    if np.isin(vals[~prim_xy], sorted(zsq_unit)).any():
+    if (is_unit_square[vals] & ~prim_xy).any():
         return 1
     return -1
 

@@ -5,6 +5,7 @@ from math import prod, sqrt
 
 import pytest
 
+from qknorm import classgroup
 from qknorm.classgroup import (block_counts, class_group, compose_forms,
                                cycle_of, enumerate_reduced_definite,
                                enumerate_reduced_indefinite, principal_form,
@@ -198,6 +199,45 @@ def test_scan_counts_agree_with_class_group():
     order = random.Random(5).sample(range(len(deltas)), len(deltas))
     assert block_counts([deltas[i] for i in order]) == \
         [want[i] for i in order]
+
+
+def test_scan_counts_agree_with_class_group_near_a_million():
+    # the widest sort keys the scan uses are at the top of its largest range
+    deltas = [d for d in (*range(-999_999, -999_849),
+                          *range(999_850, 1_000_000)) if is_fundamental(d)]
+    want = []
+    for delta in deltas:
+        cg = class_group(make_discriminant(delta))
+        want.append((cg.h, cg.h_narrow, cg.rank2))
+    assert len(deltas) == 88
+    assert block_counts(deltas) == want
+
+
+def test_stable_argsort_matches_numpy(monkeypatch):
+    import numpy as np
+
+    rng = np.random.default_rng(8)
+    seen = []
+    argsort = np.argsort
+
+    def record(keys, **kwargs):
+        seen.append(keys.dtype)
+        return argsort(keys, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", record)
+    for top in (2, 300, 1 << 16, 1 << 20, 1 << 32):
+        keys = rng.integers(0, top, size=5000, dtype=np.int64)
+        keys[::7] = keys[3]  # ties
+        seen.clear()
+        got = classgroup._stable_argsort(keys)
+        assert (got == argsort(keys, kind="stable")).all(), top
+        assert seen == [np.uint16] * 2, top
+    # a key past 2^32: one int64 argsort
+    keys = np.array([1 << 40, 5, 1 << 32, 5, 0, (1 << 32) - 1],
+                    dtype=np.int64)
+    seen.clear()
+    assert classgroup._stable_argsort(keys).tolist() == [4, 1, 3, 5, 2, 0]
+    assert seen == [np.int64]
 
 
 def test_scan_count_checks_raise_under_optimize(src_env):
