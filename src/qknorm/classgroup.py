@@ -480,8 +480,8 @@ def _exact_log2(count: int, D: int, what: str) -> int:
 
 
 # block_counts counts at most this many consecutive integers per numpy pass;
-# the width bounds the pass's arrays (some 10^4 forms near |D| = 10^5)
-BLOCK_WIDTH = 150
+# the width bounds the pass's arrays (a few 10^4 forms near |D| = 10^5)
+BLOCK_WIDTH = 300
 
 
 def scan_counts(disc: Discriminant) -> tuple[int, int, int]:
@@ -519,24 +519,38 @@ def _counts_imag(ns) -> dict[int, tuple[int, int, int]]:
     """Counts for D = -n, n in the sorted array ``ns``, from the reduced
     forms (a, b, c) with 0 <= b <= a <= c and 4ac - b^2 = n.
 
-    A form on the boundary of the fundamental domain (b = 0, b = a or
-    a = c) is one ambiguous class; any other stands for the two classes
-    (a, +-b, c).  h is one bincount on n and the ambiguous classes a second.
+    The forms are enumerated over the pairs (a, c) that hold one: c runs
+    from max(a, lo/4a) up to (hi + a^2)/4a, and b over the square roots of
+    4ac - hi .. 4ac - lo that are at most a.  A form on the boundary of the
+    fundamental domain (b = 0, b = a or a = c) is one ambiguous class; any
+    other stands for the two classes (a, +-b, c).  h is one bincount on n
+    and the ambiguous classes a second.
     """
     import numpy as np
 
     lo, hi = int(ns[0]), int(ns[-1])
     a_vals = np.arange(1, isqrt(hi // 3) + 1, dtype=np.int64)
-    # b = n mod 2 for every form of n: one parity when all n share it
-    step, b0 = (1, 0) if (ns % 2 != lo % 2).any() else (2, lo % 2)
-    b, a = _ragged((a_vals - b0) // step + 1, a_vals)
-    b = b0 + step * b
-    # c from max(a, (lo + b^2)/4a) up to (hi + b^2)/4a
-    c_lo = np.maximum(a, -((-lo - b * b) // (4 * a)))
-    off, a, b, c = _ragged(np.maximum((hi + b * b) // (4 * a) - c_lo + 1, 0),
-                           a, b, c_lo)
+    c_lo = np.maximum(a_vals, -(-lo // (4 * a_vals)))
+    off, a, c = _ragged(
+        np.maximum((hi + a_vals * a_vals) // (4 * a_vals) - c_lo + 1, 0),
+        a_vals, c_lo)
     c += off
-    n = 4 * a * c - b * b - lo
+    four_ac = 4 * a * c
+    # b from the ceiling of sqrt(4ac - hi) up to min(a, isqrt(4ac - lo))
+    low = np.maximum(four_ac - hi, 0)
+    b_lo = _isqrt_array(low)
+    b_lo += b_lo * b_lo < low
+    b_hi = np.minimum(a, _isqrt_array(four_ac - lo))
+    # b = n mod 2 for every form of n: one parity when all n share it
+    if (ns % 2 != lo % 2).any():
+        step = 1
+    else:
+        step = 2
+        b_lo += (b_lo - lo) % 2
+    off, a, c, four_ac, b = _ragged(
+        np.maximum((b_hi - b_lo) // step + 1, 0), a, c, four_ac, b_lo)
+    b += step * off
+    n = four_ac - b * b - lo
     width = hi - lo + 1
     forms = np.bincount(n, minlength=width)
     ambiguous = np.bincount(n[(b == 0) | (b == a) | (a == c)],
@@ -547,6 +561,19 @@ def _counts_imag(ns) -> dict[int, tuple[int, int, int]]:
         h = 2 * int(forms[m - lo]) - amb
         out[-m] = (h, h, _exact_log2(amb, -m, "ambiguous classes"))
     return out
+
+
+def _isqrt_array(x):
+    """``math.isqrt`` of each entry of a non-negative int64 array: the float
+    square root, corrected by one either way.  The float root is within one
+    of the true root for every int64, and the largest root, 3037000499,
+    squares without overflow."""
+    import numpy as np
+
+    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    r -= r * r > x
+    r += x - r * r > 2 * r
+    return r
 
 
 def _stable_argsort(keys):
@@ -590,15 +617,14 @@ def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
     width = hi - lo + 1
     wanted = np.zeros(width, dtype=bool)
     wanted[Ds - lo] = True
-    S = np.array([isqrt(D) for D in range(lo, hi + 1)], dtype=np.int64)
-    s_lo, s_hi = isqrt(lo), isqrt(hi)
+    S = _isqrt_array(np.arange(lo, hi + 1, dtype=np.int64))
+    s_lo, s_hi = int(S[0]), int(S[-1])
     # (b, a) with b <= s_hi and (s_lo + 2 - b)//2 <= a, 4a^2 <= hi - b^2
     # b = D mod 2 for every form of D: one parity when all D share it
     step, b0 = (1, 1) if (Ds % 2 != lo % 2).any() else (2, 2 - lo % 2)
     b_vals = np.arange(b0, s_hi + 1, step, dtype=np.int64)
     a_lo = np.maximum((s_lo + 2 - b_vals) // 2, 1)
-    a_hi = np.array([isqrt((hi - b * b) // 4) for b in b_vals.tolist()],
-                    dtype=np.int64)
+    a_hi = _isqrt_array((hi - b_vals * b_vals) // 4)
     off, b, a = _ragged(np.maximum(a_hi - a_lo + 1, 0), b_vals, a_lo)
     a += off
     # k from max(a, (lo - b^2)/4a) up to (hi - b^2)/4a
@@ -608,7 +634,7 @@ def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
     k += off
     J = b * b + 4 * a * k - lo
     s = S[J]
-    keep = wanted[J] & (b <= s) & (a >= (s + 2 - b) // 2)
+    keep = np.flatnonzero(wanted[J] & (b <= s) & (a >= (s + 2 - b) // 2))
     b, a, k, J = b[keep], a[keep], k[keep], J[keep]
     pair = np.flatnonzero(a != k)
     A = np.concatenate((a, k[pair]))

@@ -44,19 +44,24 @@ def _s(v: int) -> str:
 
 
 def _emit(doc: dict, fmt: str, out_path: str | None,
-          rows_key: str | None = None) -> None:
+          columns: tuple[str, ...] | None = None) -> None:
+    """Write ``doc`` as JSON, or as CSV: with ``columns``, the rows of
+    ``doc["rows"]`` under that header, which is written even when there are
+    no rows; without, ``doc`` as one row."""
     if fmt == "json":
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        rows = doc[rows_key] if rows_key else [doc]
-        # flatten list-valued fields to semicolon-joined cells
-        rows = [{k: ";".join(v) if isinstance(v, list) else v
-                 for k, v in row.items()} for row in rows]
+        if columns is None:
+            # flatten list-valued fields to semicolon-joined cells
+            rows = [{k: ";".join(v) if isinstance(v, list) else v
+                     for k, v in doc.items()}]
+            columns = list(doc)
+        else:
+            rows = doc["rows"]
         buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        writer = csv.DictWriter(buf, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
         text = buf.getvalue()
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -139,6 +144,13 @@ class ScanConfig:
 
 def fundamental_range(lo: int, hi: int) -> list[int]:
     return [d.delta for d in fundamental_discriminants(lo, hi)]
+
+
+# the columns of a scan row, in the order ``_row`` builds them: the CSV
+# header, written also for a scan without rows
+SCAN_COLUMNS = ("delta", "t_fin", "t_all", "h", "rank2", "eps_norm",
+                "exceptional", "dim_v", "dim_h", "verdict_69", "verdict_67",
+                "verdict_68")
 
 
 def _row(rep) -> dict:
@@ -295,7 +307,7 @@ def cmd_scan(args) -> int:
     if args.fmt == "json":
         _emit({"summary": summary, "rows": rows}, "json", args.out)
     else:
-        _emit({"rows": rows}, "csv", args.out, rows_key="rows")
+        _emit({"rows": rows}, "csv", args.out, columns=SCAN_COLUMNS)
     return EXIT_OK if summary["violations"] == "0" else EXIT_VERDICT
 
 

@@ -1,15 +1,18 @@
 """Acceptance gate: the eight headline verdicts, one test each.
 
 The full-range scan is computed once per session, in the scan's blocks, and
-shared by the four criteria that consume it.
+shared by the four criteria that consume it and by the check of its CSV
+against the pinned sha256.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from math import prod
 
 import pytest
 
+from qknorm.cli import SCAN_COLUMNS, _emit, _row
 from qknorm.classgroup import BLOCK_WIDTH, block_counts, class_group, \
     scan_counts
 from qknorm.knorm import bass_sequence_report, k0_context, k0_group, k0_rep
@@ -23,6 +26,9 @@ from qknorm.units import fundamental_unit
 from oracle import hilbert2_oracle, pell_min, relevant_places
 
 SCAN_BOUND = 100_000
+# sha256 of the CSV of `qknorm scan --min -100000 --max 100000`
+SCAN_CSV_SHA256 = \
+    "1664ed2ce9a3c091fee30fc245657f1424dc9f54de7c77e37cb3ccdcd80e36ed"
 
 VERIFICATION_DISCS = [-15, 12, 60, -23, 8, 40, -56, 105, -120, 136,
                       229, 316, -231, -84, -47, 904, 469, -95, 140, -39]
@@ -70,6 +76,15 @@ def test_criterion_8_hasse_for_minus_one(full_scan_reports):
     for r in full_scan_reports:
         if r.delta > 0:
             assert (r.dim_h == 1) == r.exceptional, r.delta
+
+
+def test_scan_csv_is_pinned(full_scan_reports, tmp_path):
+    """The CSV of the scan over |Delta| <= 100000 is byte for byte the pinned
+    one, written from the fixture's reports as ``qknorm scan`` writes it."""
+    path = tmp_path / "scan.csv"
+    _emit({"rows": [_row(r) for r in full_scan_reports]}, "csv", str(path),
+          columns=SCAN_COLUMNS)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SCAN_CSV_SHA256
 
 
 def _verification_set_200():

@@ -1,7 +1,7 @@
 import random
 import subprocess
 import sys
-from math import prod, sqrt
+from math import isqrt, prod, sqrt
 
 import pytest
 
@@ -213,6 +213,40 @@ def test_scan_counts_agree_with_class_group_near_a_million():
     assert block_counts(deltas) == want
 
 
+def test_imaginary_scan_block_near_a_million():
+    # the scan's first block of the range -10^6..10^6, where few pairs
+    # (a, c) hold more than one b: counted whole, in blocks of 7 and one
+    # field at a time (scan_counts is a block of one), and against
+    # class_group on a sample
+    lo = -1_000_000
+    deltas = [d for d in range(lo, lo + classgroup.BLOCK_WIDTH)
+              if is_fundamental(d)]
+    per_field = [scan_counts(make_discriminant(d)) for d in deltas]
+    assert block_counts(deltas) == per_field
+    sevens = []
+    for start in range(lo, lo + classgroup.BLOCK_WIDTH, 7):
+        sevens += block_counts([d for d in deltas if start <= d < start + 7])
+    assert sevens == per_field
+    for i in range(0, len(deltas), 9):
+        cg = class_group(make_discriminant(deltas[i]))
+        assert per_field[i] == (cg.h, cg.h_narrow, cg.rank2), deltas[i]
+
+
+def test_isqrt_array_matches_isqrt():
+    import numpy as np
+
+    rng = np.random.default_rng(12)
+    roots = np.concatenate((np.arange(0, 5000), rng.integers(
+        0, 1 << 31, size=20000), [(1 << 31) - 1, 1 << 31]))
+    squares = roots * roots
+    top = np.iinfo(np.int64).max
+    x = np.concatenate((squares, squares + 1, squares[squares > 0] - 1,
+                        rng.integers(0, top, size=50000, endpoint=True),
+                        [0, top, top - 1, 1 << 62])).astype(np.int64)
+    assert classgroup._isqrt_array(x).tolist() == \
+        [isqrt(v) for v in x.tolist()]
+
+
 def test_stable_argsort_matches_numpy(monkeypatch):
     import numpy as np
 
@@ -241,12 +275,13 @@ def test_stable_argsort_matches_numpy(monkeypatch):
 
 
 def test_scan_count_checks_raise_under_optimize(src_env):
-    # D = 25 is a square, whose reduced forms rho leaves; D = 80 is not
-    # fundamental, and its non-primitive forms give three self-inverse
-    # classes.  Both must raise, not return counts, with asserts stripped.
+    # D = 25 is a square, whose reduced forms rho leaves; D = 80 and
+    # D = -32 are not fundamental, and their non-primitive forms give three
+    # self-inverse or ambiguous classes.  All must raise, not return
+    # counts, with asserts stripped.
     code = (
         "from qknorm.classgroup import ScanCountError, block_counts\n"
-        "for D in (25, 80):\n"
+        "for D in (25, 80, -32):\n"
         "    try:\n"
         "        block_counts([D])\n"
         "    except ScanCountError as exc:\n"
@@ -256,9 +291,10 @@ def test_scan_count_checks_raise_under_optimize(src_env):
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert lines[0].startswith("D = 25: rho of")
     assert lines[1] == "D = 80: 3 self-inverse classes, not a power of 2"
+    assert lines[2] == "D = -32: 3 ambiguous classes, not a power of 2"
 
 
 def test_square_roots_match_squaring():

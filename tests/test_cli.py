@@ -80,9 +80,17 @@ def test_scan_range(capsys):
 
 
 def test_scan_empty_range(capsys):
-    code, out = _run(capsys, ["scan", "--min", "2", "--max", "4"])
+    # a range without fundamental discriminants: the CSV is its header alone
+    header = ",".join(cli.SCAN_COLUMNS) + "\r\n"
+    for argv in (["--min", "2", "--max", "4"],
+                 ["--csv", "--min", "2", "--max", "3"]):
+        code, out = _run(capsys, ["scan", *argv])
+        assert code == EXIT_OK
+        assert out == header
+    code, out = _run(capsys, ["scan", "--json", "--min", "2", "--max", "3"])
     assert code == EXIT_OK
-    assert out.strip() == ""
+    doc = json.loads(out)
+    assert doc["summary"]["count"] == "0" and doc["rows"] == []
 
 
 def test_scan_json_csv_agree(capsys):
@@ -94,6 +102,10 @@ def test_scan_json_csv_agree(capsys):
     rows_csv = list(csv.DictReader(io.StringIO(out_csv)))
     rows_json = json.loads(out_json)["rows"]
     assert rows_csv == rows_json
+    # the rows of both signs follow the CSV header's column order
+    assert out_csv.startswith(",".join(cli.SCAN_COLUMNS) + "\r\n")
+    assert {r["eps_norm"] == "" for r in rows_json} == {True, False}
+    assert all(tuple(r) == cli.SCAN_COLUMNS for r in rows_json)
 
 
 def test_scan_out_file(tmp_path, capsys):
@@ -538,8 +550,12 @@ def test_dead_worker_fails_scan(flags, src_env):
                           timeout=60)
     assert proc.returncode == EXIT_VERDICT, proc.stderr
     assert proc.stdout == ""
+    # the worker dies in its first block, the second block of the scan
+    w = cli.BLOCK_WIDTH
+    assert 2 * w <= 1200
     assert proc.stderr == ("scan: stripe worker 1 ended with exit code 3 "
-                           "before sending the rows of -1050..-901\n")
+                           f"before sending the rows of {-1200 + w}.."
+                           f"{-1201 + 2 * w}\n")
 
 
 # a fault patched before the scan reaches the forked workers: a genus space
