@@ -25,7 +25,11 @@ corresponding ideals (``ideals.lattice_product``, the same product as
 ``FracIdeal``'s) with the content dropped, which is Gauss composition at
 class level.  A principal ideal's generator is read off the transform that
 takes its form to one with |a| = 1 (``principal_generator``), for D > 0 by
-the walk (``rho_walk``) that also gives ``units`` the fundamental unit.
+the walk (``rho_walk``) that also gives ``units`` the fundamental unit.  The
+same read-off gives any ideal's class together with a generator over the
+class's representative ideal, from the one reduction (D < 0) or walk
+(D > 0) that finds the class (``ClassGroupData.class_and_generator``, on
+which K0 keys rest); the representatives are built once per group.
 """
 
 from __future__ import annotations
@@ -210,6 +214,10 @@ def enumerate_reduced_indefinite(D: int) -> list[Form]:
     return out
 
 
+class ClassGroupCheckError(ArithmeticError):
+    """A consistency check behind the class number h failed."""
+
+
 def _partition_cycles(forms: list[Form], D: int) -> dict[Form, Form]:
     """Map each reduced form to its cycle anchor (lexicographic minimum)."""
     form_set = set(forms)
@@ -218,7 +226,10 @@ def _partition_cycles(forms: list[Form], D: int) -> dict[Form, Form]:
         if f in anchor:
             continue
         cyc = cycle_of(f, D)
-        assert form_set.issuperset(cyc), f"cycle of {f} left the enumerated set"
+        if not form_set.issuperset(cyc):
+            raise ClassGroupCheckError(
+                f"class_group: D = {D}: the cycle of {f} leaves the "
+                "enumerated reduced forms")
         a0 = min(cyc)
         for h in cyc:
             anchor[h] = a0
@@ -261,6 +272,24 @@ class _NarrowClasses:
         return self.anchor_of(
             compose_forms(self.pos_rep(k1), self.pos_rep(k2), self.D))
 
+    def walk_to_rep(self, f: Form) -> tuple[Form, Form, Mat]:
+        """(k, h, M): the wide key k of f and f o M = h, from the reduction
+        of f and a walk along its cycle.  h is pos_rep(k) when f is in the
+        narrow class k, else its negation (-a, b, -c): f is then in k*c0,
+        and negation maps the cycle of k onto that of k*c0."""
+        g, m = reduce_indef_t(f, self.D)
+        anchor = self.anchors[g]
+        key = self.wide_of[anchor]
+        r = self.pos_rep(key)
+        target = r if anchor == key else (-r[0], r[1], -r[2])
+        if g != target:
+            g, m = rho_walk(g, m, self.s, target)
+        if g != target:
+            raise GeneratorCheckError(
+                f"walk_to_rep: D = {self.D}: the rho-walk from {f} did not "
+                f"reach {target}")
+        return key, g, m
+
 
 # ---------------------------------------------------------------------------
 # principality with explicit generator
@@ -270,27 +299,33 @@ class GeneratorCheckError(ArithmeticError):
 
 
 def _generator_from_transform(i: FracIdeal, m: Mat, g: Form) -> QuadNum:
-    """The z = (n/d)*(a*u + ((b+sqrt(D))/2)*v) of i = (n/d)*[a, (b+sqrt(D))/2],
-    with (u, v) the first column of m and f o m = g for the form f of i; its
-    norm is g[0]*N(i)."""
+    """The z = (n/d)*alpha/|g[0]|, alpha = a*u + ((b+sqrt(D))/2)*v, with
+    i = z * [|g[0]|, (g[1]+sqrt(D))/2] for i = (n/d)*[a, (b+sqrt(D))/2],
+    (u, v) the first column of a proper m and f o m = g for the form f of i.
+
+    The columns of m take the basis of [a, (b+sqrt(D))/2] to one (alpha,
+    beta) with beta/alpha = (g[1]+sqrt(D))/(2*g[0]), a root of g; so z
+    generates i when |g[0]| = 1.  The norm of alpha, g[0]*a, is checked
+    here, the ideal by the caller (``_checked_generator``)."""
     u, v = m[0], m[2]
     z0 = QuadNum(2 * i.a * u + i.b * v, v, 1, i.disc)
     if z0.x * z0.x - i.disc.delta * v * v != 4 * g[0] * i.a:
         raise GeneratorCheckError(
             f"generator read-off: D = {i.disc.delta}: N({z0!r}) is not "
             f"{g[0]} * {i.a}")
-    return QuadNum(z0.x * i.n, z0.y * i.n, i.d, i.disc)
+    return QuadNum(z0.x * i.n, z0.y * i.n, i.d * abs(g[0]), i.disc)
 
 
-def rho_walk(g: Form, m: Mat, s: int) -> tuple[Form, Mat]:
-    """From the reduced form g = f o m, follow rho to the next form with
-    |a| = 1 on the cycle, or back to g; returns that form h and the M with
-    f o M = h."""
+def rho_walk(g: Form, m: Mat, s: int,
+             target: Form | None = None) -> tuple[Form, Mat]:
+    """From the reduced form g = f o m, follow rho to ``target``, or when
+    it is None to the next form with |a| = 1 on the cycle, or back to g;
+    returns that form h and the M with f o M = h."""
     start = g
     while True:
         g, step = rho_t(g, s)
         m = _mat_mul(m, step)
-        if abs(g[0]) == 1 or g == start:
+        if g == start or (abs(g[0]) == 1 if target is None else g == target):
             return g, m
 
 
@@ -312,10 +347,19 @@ def principal_generator(i: FracIdeal) -> QuadNum | None:
             g, m = rho_walk(g, m, isqrt(D))
     if abs(g[0]) != 1:
         return None
+    return _checked_generator(i, m, g, None, "principal_generator")
+
+
+def _checked_generator(i: FracIdeal, m: Mat, g: Form, rep: FracIdeal | None,
+                       where: str) -> QuadNum:
+    """The z of ``_generator_from_transform``, checked by one product:
+    z*rep = i, where rep is the ideal of g (None for O_F, when |g[0]| = 1)."""
     z = _generator_from_transform(i, m, g)
-    if principal_ideal(z) != i:
+    zi = principal_ideal(z) if rep is None else principal_ideal(z) * rep
+    if zi != i:
         raise GeneratorCheckError(
-            f"principal_generator: D = {D}: {z!r} does not generate {i!r}")
+            f"{where}: D = {i.disc.delta}: {z!r} times "
+            f"{'O_F' if rep is None else rep} is not {i!r}")
     return z
 
 
@@ -336,8 +380,12 @@ class ClassGroupData:
     _identity: object = field(repr=False, default=None)
     _key_of_form: object = field(repr=False, default=None)
     _rep_form: object = field(repr=False, default=None)
+    # the narrow classes of a real field (None for D < 0)
+    _narrow: _NarrowClasses | None = field(repr=False, default=None)
     # {c^2: [c, ...]} in elements() order, built by the first square_roots
     _roots: dict | None = field(repr=False, compare=False, default=None)
+    # {key: rep_ideal(key)}, filled by rep_ideal as keys are asked for
+    _reps: dict = field(repr=False, compare=False, default_factory=dict)
 
     def key_of_ideal(self, i: FracIdeal):
         return self._key_of_form(form_of_ideal(i))
@@ -352,7 +400,38 @@ class ClassGroupData:
         return list(self._elements)
 
     def rep_ideal(self, key) -> FracIdeal:
-        return ideal_of_form(self._rep_form(key), self.disc)
+        """The ideal of the class's representative form, built once."""
+        rep = self._reps.get(key)
+        if rep is None:
+            rep = self._reps[key] = ideal_of_form(self._rep_form(key),
+                                                  self.disc)
+        return rep
+
+    def class_and_generator(self, i: FracIdeal):
+        """(key, z) with i = z * rep_ideal(key), the class of i and a
+        generator of i over its class's representative.
+
+        For D < 0 the key is the reduced form g = f o M of the form f of i,
+        and the representative is the ideal of g; z is read off the first
+        column of M (``_generator_from_transform``, Cohen, A Course in
+        Computational Algebraic Number Theory, 5.2) and checked by one
+        product, z * rep = i.  So one reduction gives both.
+
+        For D > 0 the representative is the ideal of the first form r with
+        a > 0 on the wide key's cycle, and M comes from the reduction of f
+        and a walk along its cycle to r, or to r's negation when the narrow
+        class of f differs from r's by the class of (sqrt(delta))
+        (``_NarrowClasses.walk_to_rep``); z is read off and checked as for
+        D < 0.
+        """
+        f = form_of_ideal(i)
+        if self._narrow is None:
+            key, m = reduce_definite_t(f)
+            g = key
+        else:
+            key, g, m = self._narrow.walk_to_rep(f)
+        return key, _checked_generator(i, m, g, self.rep_ideal(key),
+                                       "class_and_generator")
 
     def square_roots(self, key) -> list:
         """The classes c with c^2 = key, in elements() order ([] when key is
@@ -434,13 +513,14 @@ def class_group(disc: Discriminant) -> ClassGroupData:
         def mul(k1, k2):
             return reduce_definite(compose_forms(k1, k2, D))
 
+        narrow = None
         narrow_keys = list(reduced)
         h_narrow = len(narrow_keys)
         wide_keys = narrow_keys
         wide_mul = mul
         wide_identity = identity
     else:
-        nc = _NarrowClasses(disc)
+        narrow = nc = _NarrowClasses(disc)
         h_narrow = len(nc.keys)
         wide_keys = sorted(set(nc.wide_of.values()))
         wide_identity = nc.wide_of[nc.identity]
@@ -454,13 +534,16 @@ def class_group(disc: Discriminant) -> ClassGroupData:
 
     elements, divisors, gen_keys = abelian_closure(wide_keys, wide_mul,
                                                    wide_identity)
-    assert len(elements) == len(wide_keys)
+    if len(elements) != len(wide_keys):
+        raise ClassGroupCheckError(
+            f"class_group: D = {D}: the {len(wide_keys)} enumerated classes "
+            f"generate a group of order {len(elements)}")
     data = ClassGroupData(
         h=len(wide_keys), h_narrow=h_narrow, divisors=divisors,
         generators=[], rank2=sum(1 for d in divisors if d % 2 == 0),
         disc=disc, _elements=wide_keys, _mul=wide_mul,
         _identity=wide_identity, _key_of_form=key_of_form,
-        _rep_form=rep_form)
+        _rep_form=rep_form, _narrow=narrow)
     data.generators = [data.rep_ideal(k) for k in gen_keys]
     return data
 

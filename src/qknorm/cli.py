@@ -20,8 +20,9 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .classgroup import BLOCK_WIDTH, ClosureBudgetExceeded, \
-    GeneratorCheckError, ScanCountError, block_counts, class_group
+from .classgroup import BLOCK_WIDTH, ClassGroupCheckError, \
+    ClosureBudgetExceeded, GeneratorCheckError, ScanCountError, \
+    block_counts, class_group
 from .knorm import bass_sequence_report, k0_group, k0_rep
 from .local import SplitPrimeCapExceeded
 from .mv import IdeleCheckError, KernelPreimageError, boundary_preimage, \
@@ -389,10 +390,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GeneratorCheckError, IdeleCheckError, ScanWorkerDied) as exc:
-        # the K0 classes of k0 and verify rest on checked generators, and
-        # verify's samples on checked idele norms and boundaries; the rows
-        # of a dead scan worker's blocks were never checked
+    except (GeneratorCheckError, ClassGroupCheckError, IdeleCheckError,
+            ScanWorkerDied) as exc:
+        # the K0 classes of k0 and verify rest on checked generators, h on
+        # checked class enumerations, and verify's samples on checked idele
+        # norms and boundaries; the rows of a dead scan worker's blocks
+        # were never checked
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_VERDICT
     except (SplitPrimeCapExceeded, ScanCountError,

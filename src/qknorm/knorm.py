@@ -5,6 +5,12 @@ and |t| = N(I), stored as (sign, I) with t = sign * N(I); two pairs are
 identified when [t', I'] = [N(z)*t, z*I] for some z in F*.  The group sits
 in an exact sequence between the units-mod-norms group of the field and its
 class group, verified here by explicit enumeration.
+
+A class is keyed by (sign, wide class of I) (``k0_key``): one class lookup
+gives the class and a checked z with I = z * i0 for the class's
+representative i0, and the sign, where it is an invariant of the class, is
+that of t0 in [t, I] = [N(z)*t0, z*i0].  The representatives [t0, i0] of
+the keys are built once per context (``k0_rep``).
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ class K0Context:
     disc: Discriminant
     cg: ClassGroupData
     units: UnitData
+    # {key: k0_rep(key)}, filled by k0_rep as keys are asked for
+    _reps: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def sign_is_invariant(self) -> bool:
@@ -69,24 +77,26 @@ def k0_context(disc: Discriminant) -> K0Context:
 
 
 def k0_key(ctx: K0Context, e: K0Elt):
-    """Canonical key (sign, wide class key); equal keys iff equal classes."""
-    key = ctx.cg.key_of_ideal(e.ideal)
-    i0 = ctx.cg.rep_ideal(key)
-    z = principal_generator(e.ideal * i0.inverse())
-    if z is None:
-        raise GeneratorCheckError(
-            f"k0_key: D = {ctx.disc.delta}: {e.ideal!r} is not in the class "
-            f"of its representative {i0!r}")
+    """Canonical key (sign, wide class key); equal keys iff equal classes.
+
+    One class lookup gives the wide class of I and a checked generator z
+    of I over the class's representative i0
+    (``ClassGroupData.class_and_generator``)."""
+    key, z = ctx.cg.class_and_generator(e.ideal)
+    if not ctx.sign_is_invariant:
+        return (1, key)
     # e = [N(z) * t0, z * i0]; the key keeps the sign of t0
     sign = e.sign if z.x * z.x > ctx.disc.delta * z.y * z.y else -e.sign
-    if not ctx.sign_is_invariant:
-        sign = 1
     return (sign, key)
 
 
 def k0_rep(ctx: K0Context, key) -> K0Elt:
-    sign, ckey = key
-    return K0Elt(sign, ctx.cg.rep_ideal(ckey))
+    """The representative [sign * N(i0), i0] of a K0 key, built once."""
+    rep = ctx._reps.get(key)
+    if rep is None:
+        sign, ckey = key
+        rep = ctx._reps[key] = K0Elt(sign, ctx.cg.rep_ideal(ckey))
+    return rep
 
 
 def k0_eq(ctx: K0Context, e1: K0Elt, e2: K0Elt) -> bool:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qknorm import cli, knorm, mv
+from qknorm import classgroup, cli, knorm, mv
 from qknorm.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERDICT, ScanConfig,
                         ScanConfigError, fundamental_range, main, run_scan,
                         scan_row)
@@ -175,6 +175,34 @@ def test_verify_class_keys_linear_in_samples(capsys, monkeypatch):
     assert code == EXIT_OK
     assert json.loads(out)["boundary_is_homomorphism"] == "true"
     assert calls[0] <= 80 + 20
+
+
+def test_k0_key_reduces_once(capsys, monkeypatch):
+    # the reduction that finds a class also gives its generator, so each
+    # key of the K0 closure costs one reduction
+    counts = {"keys": 0, "reductions": 0}
+    in_key = [False]
+    reduce_t = classgroup.reduce_definite_t
+    key = knorm.k0_key
+
+    def counted_reduce(f):
+        counts["reductions"] += in_key[0]
+        return reduce_t(f)
+
+    def counted_key(ctx, e):
+        counts["keys"] += 1
+        in_key[0] = True
+        try:
+            return key(ctx, e)
+        finally:
+            in_key[0] = False
+
+    monkeypatch.setattr(classgroup, "reduce_definite_t", counted_reduce)
+    monkeypatch.setattr(knorm, "k0_key", counted_key)
+    code, out = _run(capsys, ["k0", "--disc", "-85159"])
+    assert code == EXIT_OK and json.loads(out)["k0_order"] == "278"
+    assert counts["keys"] >= 278
+    assert 0 < counts["reductions"] <= counts["keys"]
 
 
 def test_fundamental_range_contents():
@@ -452,7 +480,7 @@ def test_idele_norm_check_survives_optimize(src_env):
     assert "Traceback" not in proc.stderr
 
 
-# K0 classes are keyed through principal generators; a read-off that returns
+# K0 classes are keyed through checked generators; a read-off that returns
 # 2z names an ideal of four times the norm, which the generator check catches
 BROKEN_GENERATORS = (
     "import sys\n"
@@ -474,7 +502,60 @@ def test_broken_generator_fails_k0_and_verify(flags, src_env):
     assert proc.returncode == EXIT_VERDICT, proc.stderr
     assert proc.stdout.split() == [str(EXIT_VERDICT)] * 2
     for command in ("k0", "verify"):
-        assert f"{command}: principal_generator: D = -23: " in proc.stderr
+        assert f"{command}: class_and_generator: D = -23: " in proc.stderr
+
+
+# h rests on two checks of the class enumeration: the enumerated classes
+# must be closed under products, and every rho-cycle must stay inside the
+# enumerated forms; an enumerator that drops a form fails one of them
+DROPPED_FORM = (
+    "import sys\n"
+    "import qknorm.classgroup as cg\n"
+    "from qknorm.cli import main\n"
+    "enum = cg.{0}\n"
+    "cg.{0} = lambda D: enum(D)[:-1]\n"
+    "sys.exit(main(['classgroup', '--disc', '{1}']))\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("enumerator,delta,message", [
+    ("enumerate_reduced_definite", -23,
+     "the 2 enumerated classes generate a group of order 3"),
+    ("enumerate_reduced_indefinite", 60,
+     "the cycle of (1, 6, -6) leaves the enumerated reduced forms"),
+])
+def test_class_enumeration_checks_survive_optimize(enumerator, delta,
+                                                   message, flags, src_env):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", DROPPED_FORM.format(enumerator, delta)],
+        capture_output=True, text=True, env=src_env, timeout=120)
+    assert proc.returncode == EXIT_VERDICT, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == \
+        f"classgroup: class_group: D = {delta}: {message}\n"
+
+
+# k0's exact compares the enumerated K0 with units-mod-norms times Cl; a
+# context that drops the sign from every key at -23 (where it is part of
+# the class) halves K0, which exact must report without any check raising
+SIGNLESS_KEYS = (
+    "import sys\n"
+    "import qknorm.knorm as knorm\n"
+    "from qknorm.cli import main\n"
+    "knorm.K0Context.sign_is_invariant = False\n"
+    "sys.exit(main(['k0', '--disc', '-23']))\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_k0_exact_fails_on_a_halved_group(flags, src_env):
+    proc = subprocess.run([sys.executable, *flags, "-c", SIGNLESS_KEYS],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=120)
+    assert proc.returncode == EXIT_VERDICT, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["h"], doc["k0_order"]) == ("3", "3")
+    assert doc["exact"] == "false"
+    assert proc.stderr == ""
 
 
 def _capped_scan(lo, hi, jobs):

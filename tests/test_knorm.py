@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qknorm import knorm
+from qknorm.classgroup import principal_generator
 from qknorm.ideals import FracIdeal, primes_above, principal_ideal
 from qknorm.knorm import (K0Elt, bass_sequence_report, k0_eq, k0_context,
                           k0_group, k0_identity, k0_key, k0_mul, k0_rep, rho,
@@ -163,6 +164,39 @@ def test_structure_matches_torsion_oracle():
         grp = k0_group(ctx)
         assert grp.divisors == invariant_factors_by_torsion(grp.keys, mul), \
             delta
+
+
+def _quotient_key(ctx, e):
+    """k0_key by the quotient route: the class of I, then a generator of
+    I * rep^-1 by principal_generator."""
+    key = ctx.cg.key_of_ideal(e.ideal)
+    z = principal_generator(e.ideal * ctx.cg.rep_ideal(key).inverse())
+    assert z is not None
+    if not ctx.sign_is_invariant:
+        return (1, key)
+    return (e.sign if z.norm() > 0 else -e.sign, key)
+
+
+@pytest.mark.parametrize("delta", [-3, -4, -23, -56, -420, -5460, -85159,
+                                   12, 60, 136, 229])
+def test_class_and_generator_matches_quotient_route(delta):
+    disc = make_discriminant(delta)
+    ctx = k0_context(disc)
+    cg = ctx.cg
+    rng = random.Random(delta)
+    primes = [p for p in range(2, 40) if all(p % q for q in range(2, p))]
+    for _ in range(40):
+        i = FracIdeal.scaled(rng.randint(1, 30), rng.randint(1, 30), 1,
+                             delta % 2, disc)
+        for p in rng.sample(primes, k=rng.randint(0, 4)):
+            i = i * rng.choice(primes_above(disc, p).primes) ** \
+                rng.randint(-2, 2)
+        key, z = cg.class_and_generator(i)
+        assert key == cg.key_of_ideal(i)
+        assert principal_ideal(z) * cg.rep_ideal(key) == i
+        for sign in (1, -1):
+            e = K0Elt(sign, i)
+            assert k0_key(ctx, e) == _quotient_key(ctx, e), (delta, i)
 
 
 def test_canonical_rep_roundtrip():
