@@ -1,14 +1,16 @@
 """Class groups of quadratic fields via binary quadratic forms.
 
-The narrow group is computed first from proper equivalence classes of
-primitive forms: the unique reduced form for negative discriminants, the
-rho-cycle of reduced forms for positive ones.  The wide group is the quotient
-by the narrow class of the principal ideal generated by sqrt(delta).
-``class_group`` has one enumerator per sign of the discriminant, one
-reduction loop per kind of form, and one narrow-class builder for real fields
-(``_NarrowClasses``), all in plain Python.  The abelian structure, of the wide
-group here and of K0 in ``knorm``, is read off one coset enumeration and the
-Smith form of its relation matrix (``abelian_closure``).
+A class is keyed by a reduced form with a > 0 for both signs of the
+discriminant, and its representative ideal is that form's ideal.  For
+D < 0 the key is the unique reduced form of the class.  For D > 0 a form
+and its negation (-a, b, -c) span the same lattice, so the wide class is
+read off the forms with a > 0 of a rho-cycle of reduced forms: the key is
+the least of them (``_real_class_keys``), and h_narrow is the number of
+cycles.  ``class_group`` has one enumerator per sign of the discriminant
+and one reduction loop per kind of form, all in plain Python.  The abelian
+structure, of the class group here and of K0 in ``knorm``, is read off one
+coset enumeration and the Smith form of its relation matrix
+(``abelian_closure``).
 
 The scan's ``block_counts`` shares no logic with ``class_group``, so for both
 signs it is an independent second path.  It counts a whole block of
@@ -27,8 +29,8 @@ class level.  A principal ideal's generator is read off the transform that
 takes its form to one with |a| = 1 (``principal_generator``), for D > 0 by
 the walk (``rho_walk``) that also gives ``units`` the fundamental unit.  The
 same read-off gives any ideal's class together with a generator over the
-class's representative ideal, from the one reduction (D < 0) or walk
-(D > 0) that finds the class (``ClassGroupData.class_and_generator``, on
+class's representative ideal, from the one reduction (D < 0) or walk to the
+key (D > 0) that finds the class (``ClassGroupData.class_and_generator``, on
 which K0 keys rest); the representatives are built once per group.
 """
 
@@ -218,77 +220,36 @@ class ClassGroupCheckError(ArithmeticError):
     """A consistency check behind the class number h failed."""
 
 
-def _partition_cycles(forms: list[Form], D: int) -> dict[Form, Form]:
-    """Map each reduced form to its cycle anchor (lexicographic minimum)."""
+def _positive(f: Form) -> Form:
+    """The one of f and its negation (-a, b, -c) with a > 0.  Both span the
+    lattice [|a|, (b+sqrt(D))/2], so they lie in one wide class."""
+    return f if f[0] > 0 else (-f[0], f[1], -f[2])
+
+
+def _real_class_keys(D: int) -> tuple[dict[Form, Form], int]:
+    """({reduced form: its wide class key}, number of rho-cycles) for D > 0.
+
+    Each rho-cycle of reduced forms is one narrow class.  Negation commutes
+    with rho, so it maps the cycle of a narrow class onto that of the class
+    times the class of (sqrt(delta)), with the same forms _positive(g).  So
+    the forms _positive(g) of one cycle are those of its wide class, and the
+    least of them is the class key: a reduced form with a > 0.
+    """
+    forms = enumerate_reduced_indefinite(D)
     form_set = set(forms)
-    anchor: dict[Form, Form] = {}
+    keys: dict[Form, Form] = {}
+    cycles = 0
     for f in forms:
-        if f in anchor:
+        if f in keys:
             continue
         cyc = cycle_of(f, D)
         if not form_set.issuperset(cyc):
             raise ClassGroupCheckError(
                 f"class_group: D = {D}: the cycle of {f} leaves the "
                 "enumerated reduced forms")
-        a0 = min(cyc)
-        for h in cyc:
-            anchor[h] = a0
-    return anchor
-
-
-class _NarrowClasses:
-    """Narrow class group of a real field.
-
-    Each class is keyed by the lexicographic minimum of its rho-cycle of
-    reduced forms.  The wide group is the quotient by the class c0 of the
-    ideal (sqrt(delta)); ``wide_of`` sends a narrow key to the smaller key of
-    its coset {k, k*c0}, which keys the wide class.
-    """
-
-    def __init__(self, disc: Discriminant):
-        D = disc.delta
-        self.D, self.s = D, isqrt(D)
-        self.anchors = _partition_cycles(enumerate_reduced_indefinite(D), D)
-        self.keys = sorted(set(self.anchors.values()))
-        self.identity = self.anchor_of(principal_form(D))
-        sqrt_delta = QuadNum(0, 2, 1, disc)
-        c0 = self.anchor_of(form_of_ideal(principal_ideal(sqrt_delta)))
-        if c0 == self.identity:
-            self.wide_of = {k: k for k in self.keys}
-        else:
-            self.wide_of = {k: min(k, self.mul(k, c0)) for k in self.keys}
-
-    def anchor_of(self, f: Form) -> Form:
-        return self.anchors[reduce_indef_t(f, self.D)[0]]
-
-    def pos_rep(self, k: Form) -> Form:
-        """The first form with a > 0 on the cycle from k."""
-        g = k
-        while g[0] < 0:
-            g = rho(g, self.s)
-        return g
-
-    def mul(self, k1: Form, k2: Form) -> Form:
-        return self.anchor_of(
-            compose_forms(self.pos_rep(k1), self.pos_rep(k2), self.D))
-
-    def walk_to_rep(self, f: Form) -> tuple[Form, Form, Mat]:
-        """(k, h, M): the wide key k of f and f o M = h, from the reduction
-        of f and a walk along its cycle.  h is pos_rep(k) when f is in the
-        narrow class k, else its negation (-a, b, -c): f is then in k*c0,
-        and negation maps the cycle of k onto that of k*c0."""
-        g, m = reduce_indef_t(f, self.D)
-        anchor = self.anchors[g]
-        key = self.wide_of[anchor]
-        r = self.pos_rep(key)
-        target = r if anchor == key else (-r[0], r[1], -r[2])
-        if g != target:
-            g, m = rho_walk(g, m, self.s, target)
-        if g != target:
-            raise GeneratorCheckError(
-                f"walk_to_rep: D = {self.D}: the rho-walk from {f} did not "
-                f"reach {target}")
-        return key, g, m
+        keys.update(dict.fromkeys(cyc, min(map(_positive, cyc))))
+        cycles += 1
+    return keys, cycles
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +279,15 @@ def _generator_from_transform(i: FracIdeal, m: Mat, g: Form) -> QuadNum:
 
 def rho_walk(g: Form, m: Mat, s: int,
              target: Form | None = None) -> tuple[Form, Mat]:
-    """From the reduced form g = f o m, follow rho to ``target``, or when
-    it is None to the next form with |a| = 1 on the cycle, or back to g;
-    returns that form h and the M with f o M = h."""
+    """From the reduced form g = f o m, follow rho to the next form h on
+    the cycle with _positive(h) = ``target``, or when it is None with
+    |a| = 1, or back to g; returns h and the M with f o M = h."""
     start = g
     while True:
         g, step = rho_t(g, s)
         m = _mat_mul(m, step)
-        if g == start or (abs(g[0]) == 1 if target is None else g == target):
+        if g == start or (abs(g[0]) == 1 if target is None
+                          else _positive(g) == target):
             return g, m
 
 
@@ -374,62 +336,66 @@ class ClassGroupData:
     generators: list[FracIdeal]
     rank2: int
     disc: Discriminant
-    # internal handles (wide group as canonical keys)
+    # the class keys (elements()), reduced forms with a > 0
     _elements: list = field(repr=False, default_factory=list)
-    _mul: object = field(repr=False, default=None)
-    _identity: object = field(repr=False, default=None)
-    _key_of_form: object = field(repr=False, default=None)
-    _rep_form: object = field(repr=False, default=None)
-    # the narrow classes of a real field (None for D < 0)
-    _narrow: _NarrowClasses | None = field(repr=False, default=None)
+    # D > 0: {reduced form: its class key} (``_real_class_keys``); None for
+    # D < 0, where the reduced form is the key
+    _keys: dict | None = field(repr=False, default=None)
     # {c^2: [c, ...]} in elements() order, built by the first square_roots
     _roots: dict | None = field(repr=False, compare=False, default=None)
     # {key: rep_ideal(key)}, filled by rep_ideal as keys are asked for
     _reps: dict = field(repr=False, compare=False, default_factory=dict)
 
-    def key_of_ideal(self, i: FracIdeal):
-        return self._key_of_form(form_of_ideal(i))
+    def key_of_form(self, f: Form) -> Form:
+        if self._keys is None:
+            return reduce_definite(f)
+        return self._keys[reduce_indef_t(f, self.disc.delta)[0]]
 
-    def mul(self, k1, k2):
-        return self._mul(k1, k2)
+    def key_of_ideal(self, i: FracIdeal) -> Form:
+        return self.key_of_form(form_of_ideal(i))
 
-    def identity_key(self):
-        return self._identity
+    def mul(self, k1: Form, k2: Form) -> Form:
+        return self.key_of_form(compose_forms(k1, k2, self.disc.delta))
+
+    def identity_key(self) -> Form:
+        return self.key_of_form(principal_form(self.disc.delta))
 
     def elements(self):
         return list(self._elements)
 
-    def rep_ideal(self, key) -> FracIdeal:
-        """The ideal of the class's representative form, built once."""
+    def rep_ideal(self, key: Form) -> FracIdeal:
+        """The ideal of the key, built once."""
         rep = self._reps.get(key)
         if rep is None:
-            rep = self._reps[key] = ideal_of_form(self._rep_form(key),
-                                                  self.disc)
+            rep = self._reps[key] = ideal_of_form(key, self.disc)
         return rep
 
     def class_and_generator(self, i: FracIdeal):
         """(key, z) with i = z * rep_ideal(key), the class of i and a
         generator of i over its class's representative.
 
-        For D < 0 the key is the reduced form g = f o M of the form f of i,
-        and the representative is the ideal of g; z is read off the first
-        column of M (``_generator_from_transform``, Cohen, A Course in
-        Computational Algebraic Number Theory, 5.2) and checked by one
-        product, z * rep = i.  So one reduction gives both.
-
-        For D > 0 the representative is the ideal of the first form r with
-        a > 0 on the wide key's cycle, and M comes from the reduction of f
-        and a walk along its cycle to r, or to r's negation when the narrow
-        class of f differs from r's by the class of (sqrt(delta))
-        (``_NarrowClasses.walk_to_rep``); z is read off and checked as for
-        D < 0.
+        The reduction of the form f of i gives g = f o M.  For D < 0 g is
+        the key.  For D > 0 the walk follows g's rho-cycle on to the form
+        g' = f o M' with _positive(g') = key, the key or its negation, which
+        spans the same lattice.  z is read off the first column of M
+        (``_generator_from_transform``, Cohen, A Course in Computational
+        Algebraic Number Theory, 5.2) and checked by one product,
+        z * rep = i.  So one reduction (D < 0) or walk (D > 0) gives both.
         """
         f = form_of_ideal(i)
-        if self._narrow is None:
+        if self._keys is None:
             key, m = reduce_definite_t(f)
             g = key
         else:
-            key, g, m = self._narrow.walk_to_rep(f)
+            D = self.disc.delta
+            g, m = reduce_indef_t(f, D)
+            key = self._keys[g]
+            if _positive(g) != key:
+                g, m = rho_walk(g, m, isqrt(D), key)
+            if _positive(g) != key:
+                raise GeneratorCheckError(
+                    f"class_and_generator: D = {D}: the rho-walk from {f} "
+                    f"did not reach {key}")
         return key, _checked_generator(i, m, g, self.rep_ideal(key),
                                        "class_and_generator")
 
@@ -501,49 +467,22 @@ def abelian_closure(gens, mul, identity, budget=None):
 def class_group(disc: Discriminant) -> ClassGroupData:
     D = disc.delta
     if D < 0:
-        reduced = enumerate_reduced_definite(D)
-        identity = reduce_definite(principal_form(D))
-
-        def key_of_form(f: Form):
-            return reduce_definite(f)
-
-        def rep_form(k: Form) -> Form:
-            return k
-
-        def mul(k1, k2):
-            return reduce_definite(compose_forms(k1, k2, D))
-
-        narrow = None
-        narrow_keys = list(reduced)
-        h_narrow = len(narrow_keys)
-        wide_keys = narrow_keys
-        wide_mul = mul
-        wide_identity = identity
+        keys = None
+        elements = enumerate_reduced_definite(D)
+        h_narrow = len(elements)
     else:
-        narrow = nc = _NarrowClasses(disc)
-        h_narrow = len(nc.keys)
-        wide_keys = sorted(set(nc.wide_of.values()))
-        wide_identity = nc.wide_of[nc.identity]
-        rep_form = nc.pos_rep
-
-        def key_of_form(f: Form):
-            return nc.wide_of[nc.anchor_of(f)]
-
-        def wide_mul(k1, k2):
-            return nc.wide_of[nc.mul(k1, k2)]
-
-    elements, divisors, gen_keys = abelian_closure(wide_keys, wide_mul,
-                                                   wide_identity)
-    if len(elements) != len(wide_keys):
+        keys, h_narrow = _real_class_keys(D)
+        elements = sorted(set(keys.values()))
+    data = ClassGroupData(h=len(elements), h_narrow=h_narrow, divisors=[],
+                          generators=[], rank2=0, disc=disc,
+                          _elements=elements, _keys=keys)
+    closure, data.divisors, gen_keys = abelian_closure(elements, data.mul,
+                                                       data.identity_key())
+    if len(closure) != len(elements):
         raise ClassGroupCheckError(
-            f"class_group: D = {D}: the {len(wide_keys)} enumerated classes "
-            f"generate a group of order {len(elements)}")
-    data = ClassGroupData(
-        h=len(wide_keys), h_narrow=h_narrow, divisors=divisors,
-        generators=[], rank2=sum(1 for d in divisors if d % 2 == 0),
-        disc=disc, _elements=wide_keys, _mul=wide_mul,
-        _identity=wide_identity, _key_of_form=key_of_form,
-        _rep_form=rep_form, _narrow=narrow)
+            f"class_group: D = {D}: the {len(elements)} enumerated classes "
+            f"generate a group of order {len(closure)}")
+    data.rank2 = sum(1 for d in data.divisors if d % 2 == 0)
     data.generators = [data.rep_ideal(k) for k in gen_keys]
     return data
 

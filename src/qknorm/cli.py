@@ -23,7 +23,8 @@ from operator import itemgetter
 from .classgroup import BLOCK_WIDTH, ClassGroupCheckError, \
     ClosureBudgetExceeded, GeneratorCheckError, ScanCountError, \
     block_counts, class_group
-from .knorm import bass_sequence_report, k0_group, k0_rep
+from .knorm import bass_sequence_report, k0_group, k0_identity, k0_key, \
+    k0_rep
 from .local import SplitPrimeCapExceeded
 from .mv import IdeleCheckError, KernelPreimageError, boundary_preimage, \
     genus_engine, sampled_exactness
@@ -37,6 +38,10 @@ EXIT_USAGE = 2
 
 
 _BOOL = {True: "true", False: "false"}
+
+
+class OutputPathError(ValueError):
+    """An --out path that cannot be written: a usage error."""
 
 
 def _s(v: int) -> str:
@@ -65,8 +70,12 @@ def _emit(doc: dict, fmt: str, out_path: str | None,
         writer.writerows(rows)
         text = buf.getvalue()
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputPathError(
+                f"cannot write --out {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -323,9 +332,15 @@ def cmd_verify(args) -> int:
     ctx = rep.ctx
     kernel_ok = True
     try:
+        identity = k0_key(ctx, k0_identity(disc))
         for key in k0_group(ctx).keys:
             # None off the kernel of i; a preimage that fails its check raises
-            boundary_preimage(ctx, k0_rep(ctx, key))
+            if boundary_preimage(ctx, k0_rep(ctx, key)) is None \
+                    and key == identity:
+                # the identity lies in the kernel of every homomorphism
+                raise KernelPreimageError(
+                    f"D = {disc.delta}: the identity class has no boundary "
+                    "preimage")
     except KernelPreimageError as exc:
         print(f"constructive_kernel: {exc}", file=sys.stderr)
         kernel_ok = False
@@ -390,6 +405,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except OutputPathError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (GeneratorCheckError, ClassGroupCheckError, IdeleCheckError,
             ScanWorkerDied) as exc:
         # the K0 classes of k0 and verify rest on checked generators, h on

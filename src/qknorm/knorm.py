@@ -135,16 +135,20 @@ class K0Group:
     ctx: K0Context
 
 
-def k0_group(ctx: K0Context, budget: int = 1_000_000) -> K0Group:
+# k0_group raises ClosureBudgetExceeded past this many K0 classes
+K0_BUDGET = 1_000_000
+
+
+def k0_group(ctx: K0Context) -> K0Group:
     """All classes, enumerated from sigma(-1) and the class-group basis,
-    with the abelian structure; ClosureBudgetExceeded past ``budget``."""
+    with the abelian structure; ClosureBudgetExceeded past ``K0_BUDGET``."""
     def mul(k1, k2):
         return k0_key(ctx, k0_mul(k0_rep(ctx, k1), k0_rep(ctx, k2)))
 
     gens = [k0_key(ctx, sigma(ctx, -1))]
     gens += [k0_key(ctx, K0Elt(1, g)) for g in ctx.cg.generators]
     elements, divisors, _ = abelian_closure(
-        gens, mul, k0_key(ctx, k0_identity(ctx.disc)), budget)
+        gens, mul, k0_key(ctx, k0_identity(ctx.disc)), K0_BUDGET)
     keys = sorted(elements)
     return K0Group(order=len(keys), divisors=divisors, keys=keys, ctx=ctx)
 

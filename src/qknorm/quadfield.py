@@ -8,11 +8,12 @@ constraint x = y*D mod 2), for both D = 0 and D = 1 mod 4.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import factorint, legendre
+from .arith import PRIMES, TABLE_BOUND, _sieve, factorint, legendre
 
 
 class NotFundamental(ValueError):
@@ -83,27 +84,15 @@ def _ragged(lens, *cols):
     return (off, *(np.repeat(col, lens) for col in cols))
 
 
-def _odd_primes_to(root: int):
-    """The odd primes up to root, as a numpy array (sieve of Eratosthenes)."""
-    import numpy as np
-
-    table = np.ones(root + 1, dtype=bool)
-    table[:3] = False
-    table[4::2] = False
-    for p in range(3, isqrt(root) + 1, 2):
-        if table[p]:
-            table[p * p::2 * p] = False
-    return np.flatnonzero(table)
-
-
 def fundamental_discriminants(lo: int, hi: int) -> list[Discriminant]:
     """Every fundamental discriminant in lo..hi, in order, by a sieve.
 
     For n = 1 mod 4, or n = 4m with m = 2, 3 mod 4, the core is squarefree
     exactly when no odd p^2 divides n (the power of 2 is fixed by the
-    residue).  Every odd prime p <= sqrt(max |n|) is sieved over the range
-    at once; the odd part of |n| divided by the sieved primes that divide it
-    is 1 or one more prime.  numpy is imported here only, for the scan.
+    residue).  Every odd prime p <= sqrt(max |n|), read from ``arith``'s
+    prime table for |n| < 1024^2, is sieved over the range at once; the odd
+    part of |n| divided by the sieved primes that divide it is 1 or one more
+    prime.  numpy is imported here only, for the scan.
     """
     import numpy as np
 
@@ -113,7 +102,10 @@ def fundamental_discriminants(lo: int, hi: int) -> list[Discriminant]:
     r = n % 16  # n = 4m with m = 2, 3 mod 4 is n = 8, 12 mod 16
     ok = (r % 4 == 1) & (n != 1) | (r == 8) | (r == 12)
     rest = np.abs(n) >> np.where(r == 8, 3, np.where(r == 12, 2, 0))
-    primes = _odd_primes_to(isqrt(max(-lo, hi)))
+    root = isqrt(max(-lo, hi))
+    odd = (PRIMES[1:bisect_right(PRIMES, root)] if root < TABLE_BOUND
+           else _sieve(root + 1)[1:])
+    primes = np.array(odd, dtype=np.int64)
     first = -lo % primes
     off, p, at = _ragged(np.maximum(len(n) - first + primes - 1, 0)
                          // primes, primes, first)

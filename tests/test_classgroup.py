@@ -339,3 +339,59 @@ def test_reduce_definite_idempotent_and_equivalent():
     for D in (-15, -84, -120, -231):
         for f in enumerate_reduced_definite(D):
             assert reduce_definite(f) == f
+
+
+
+# real fields with N(eps) = -1 and +1, and h from 1 to 7
+REAL_FIELDS = (8, 12, 40, 60, 136, 229, 316, 904, 2024, 2029, 2120)
+
+
+def test_real_key_is_the_same_for_a_form_and_its_negation():
+    for D in REAL_FIELDS:
+        cg = class_group(make_discriminant(D))
+        for a, b, c in enumerate_reduced_indefinite(D):
+            assert cg.key_of_form((a, b, c)) == cg.key_of_form((-a, b, -c))
+
+
+def test_every_key_is_a_reduced_form_with_a_positive():
+    for D in (-23, -420, -5460) + REAL_FIELDS:
+        disc = make_discriminant(D)
+        cg = class_group(disc)
+        for k in cg.elements():
+            assert k[0] > 0 and k[1] * k[1] - 4 * k[0] * k[2] == D
+            if D > 0:
+                assert classgroup.is_reduced_indef(k, isqrt(D)), (D, k)
+            else:
+                assert reduce_definite(k) == k, (D, k)
+            assert cg.rep_ideal(k) == classgroup.ideal_of_form(k, disc)
+            assert cg.key_of_ideal(cg.rep_ideal(k)) == k, (D, k)
+
+
+def test_real_walk_ends_on_the_key_and_on_its_negation(monkeypatch):
+    # the walk stops at the first form g on the cycle that is the key or
+    # its negation; both read-offs must check out, and both occur
+    ends = []
+    checked = classgroup._checked_generator
+
+    def record(i, m, g, rep, where):
+        ends.append(g)
+        return checked(i, m, g, rep, where)
+
+    monkeypatch.setattr(classgroup, "_checked_generator", record)
+    rng = random.Random(7)
+    signs = set()
+    for D in REAL_FIELDS:
+        disc = make_discriminant(D)
+        cg = class_group(disc)
+        for _ in range(30):
+            i = FracIdeal.unit(disc)
+            for p in rng.sample([2, 3, 5, 7, 11, 13], k=3):
+                i = i * rng.choice(primes_above(disc, p).primes) ** \
+                    rng.randint(-2, 2)
+            ends.clear()
+            key, z = cg.class_and_generator(i)
+            (g,) = ends
+            assert g in (key, (-key[0], key[1], -key[2])), (D, i)
+            assert principal_ideal(z) * cg.rep_ideal(key) == i
+            signs.add(g[0] > 0)
+    assert signs == {True, False}

@@ -36,6 +36,16 @@ def test_classgroup_real(capsys):
     assert doc["h"] == "1" and doc["eps_norm"] == "1"
 
 
+def test_classgroup_real_generators(capsys):
+    # a real class's generator is the ideal of its key: the least form
+    # with a > 0 on its rho-cycle, here (2, 4, -3)
+    code, out = _run(capsys, ["classgroup", "--disc", "40"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["h"], doc["h_narrow"]) == ("2", "2")
+    assert doc["generators"] == ["FracIdeal(1*[2, (0+sqrt(40))/2])"]
+
+
 def test_invalid_disc_usage_error(capsys):
     code, _ = _run(capsys, ["classgroup", "--disc", "45"])
     assert code == EXIT_USAGE
@@ -140,12 +150,12 @@ def test_verify_class_products_linear_in_h(capsys, monkeypatch):
 
     def counting_context(disc):
         ctx = k0_context(disc)
-        mul = ctx.cg._mul
+        mul = ctx.cg.mul
 
         def counted(k1, k2):
             products[0] += 1
             return mul(k1, k2)
-        ctx.cg._mul = counted
+        ctx.cg.mul = counted
         groups.append(ctx.cg)
         return ctx
 
@@ -372,6 +382,27 @@ def test_usage_errors_survive_optimize(argv, src_env):
     assert proc.stdout == "" and "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("argv", [
+    ["k0", "--disc", "-23"],
+    ["classgroup", "--disc", "40", "--csv"],
+    ["scan", "--min", "-20", "--max", "20"],
+    ["verify", "--disc", "-23", "--samples", "2"],
+])
+def test_unwritable_out_is_a_usage_error(argv, flags, src_env, tmp_path):
+    # a missing directory and a directory in place of the file
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "qknorm.cli", *argv, "--out",
+             str(out)], capture_output=True, text=True, env=src_env,
+            timeout=120)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot write --out {out}: ")
+        assert "Traceback" not in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
 # the constructive-kernel preimages are built from split-prime pairs; with
 # every pair replaced by the identity idele, no preimage maps back
 BROKEN_PREIMAGES = (
@@ -585,7 +616,7 @@ INCONCLUSIVE = {
         ["import sys\n"
          "import qknorm.knorm as knorm\n"
          "from qknorm.cli import main\n"
-         "knorm.k0_group.__defaults__ = (2,)\n"
+         "knorm.K0_BUDGET = 2\n"
          "sys.exit(main(['k0', '--disc', '-23']))\n"],
         "k0: inconclusive: more than 2 classes generated"),
 }

@@ -1,0 +1,83 @@
+"""Fault rows: a minimal fault, patched in at start-up of a subprocess, must
+turn the verdicts it breaks false and make the command exit 1, under
+default Python and ``-O``.  Each row names its fault, the command, and the
+number of rows (scan) or reports (verify) in which each verdict reads
+false; every other verdict must stay true."""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+from qknorm.cli import EXIT_VERDICT, SCAN_COLUMNS
+
+VERIFY_VERDICTS = ("i_after_boundary_trivial", "mu_after_i_trivial",
+                   "boundary_after_mu1_trivial", "boundary_is_homomorphism",
+                   "constructive_kernel")
+SCAN_VERDICTS = tuple(c for c in SCAN_COLUMNS if c.startswith("verdict_"))
+
+# the scan's 2-ranks one too high: verdict_69 (rank2 = t - 1 - exceptional)
+# fails on every row, verdict_67 (dim V = dim H + rank2) too, and
+# verdict_68 (rank2 = t - 1, or <= t - 1 for real fields) on every row but
+# the real ones that are exceptional
+RANK2_OFF_BY_ONE = (
+    "import sys\n"
+    "from qknorm import cli\n"
+    "counts = cli.block_counts\n"
+    "cli.block_counts = lambda deltas: [(h, hn, r + 1)\n"
+    "                                   for h, hn, r in counts(deltas)]\n"
+    "sys.exit(cli.main(['scan', '--min', '-200', '--max', '200',\n"
+    "                   '--json']))\n")
+
+# mu with the first ramified prime flipped: mu(i(e)) is no longer 0
+MU_FLIPS_A_RAMIFIED_PRIME = (
+    "import sys\n"
+    "import qknorm.mv as mv\n"
+    "from qknorm.cli import main\n"
+    "mu = mv.mu\n"
+    "mv.mu = lambda disc, t, y: mu(disc, t, y) ^ {disc.ramified_primes[0]}\n"
+    "sys.exit(main(['verify', '--disc', '-23', '--samples', '20']))\n")
+
+# i with the first ramified prime flipped in the unit part: i kills no
+# boundary, mu no longer kills the image of i, and the kernel of i is
+# empty, so even the identity class has no boundary preimage
+MAP_I_FLIPS_A_RAMIFIED_PRIME = (
+    "import sys\n"
+    "import qknorm.mv as mv\n"
+    "from qknorm.cli import main\n"
+    "map_i = mv.map_i\n"
+    "def flipped(e):\n"
+    "    t, y = map_i(e)\n"
+    "    return t, y ^ {e.disc.ramified_primes[0]}\n"
+    "mv.map_i = flipped\n"
+    "sys.exit(main(['verify', '--disc', '-23', '--samples', '20']))\n")
+
+FAULT_ROWS = {
+    "rank2_off_by_one": (RANK2_OFF_BY_ONE, {
+        "verdict_69": 122, "verdict_67": 122, "verdict_68": 91}, ""),
+    "mu_flips_a_ramified_prime": (MU_FLIPS_A_RAMIFIED_PRIME, {
+        "mu_after_i_trivial": 1}, ""),
+    "map_i_flips_a_ramified_prime": (MAP_I_FLIPS_A_RAMIFIED_PRIME, {
+        "i_after_boundary_trivial": 1, "mu_after_i_trivial": 1,
+        "constructive_kernel": 1},
+        "constructive_kernel: D = -23: the identity class has no boundary "
+        "preimage\n"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("fault", sorted(FAULT_ROWS))
+def test_fault_turns_its_verdicts_false(fault, flags, src_env):
+    code, false_counts, stderr = FAULT_ROWS[fault]
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=120)
+    assert proc.returncode == EXIT_VERDICT, proc.stderr
+    assert proc.stderr == stderr
+    doc = json.loads(proc.stdout)
+    rows, verdicts = ((doc["rows"], SCAN_VERDICTS) if "rows" in doc
+                      else ([doc], VERIFY_VERDICTS))
+    got = {v: sum(row[v] == "false" for row in rows) for v in verdicts}
+    assert got == {v: false_counts.get(v, 0) for v in verdicts}
+

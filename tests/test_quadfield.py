@@ -63,7 +63,12 @@ def test_make_discriminant_raises_exactly_off_fundamentals():
 
 @pytest.mark.parametrize("lo,hi", [(-3000, 3000), (99000, 100000),
                                    (-100000, -99000), (2, 3), (5, 5),
-                                   (-4, -3), (-1, 1), (0, 0)])
+                                   (-4, -3), (-1, 1), (0, 0),
+                                   # past the prime table, |n| >= 1024^2:
+                                   # 1031^2 and -1031*1033 need primes
+                                   # above the table's largest, 1021
+                                   (1062800, 1063100),
+                                   (-1065100, -1064800)])
 def test_sieve_matches_make_discriminant(lo, hi):
     got = fundamental_discriminants(lo, hi)
     assert got == [make_discriminant(n) for n in range(lo, hi + 1)
