@@ -31,7 +31,9 @@ the walk (``rho_walk``) that also gives ``units`` the fundamental unit.  The
 same read-off gives any ideal's class together with a generator over the
 class's representative ideal, from the one reduction (D < 0) or walk to the
 key (D > 0) that finds the class (``ClassGroupData.class_and_generator``, on
-which K0 keys rest); the representatives are built once per group.
+which K0 keys rest); the representatives are built once per group.  Every
+read-off generator is checked by its norm and by membership
+(``_checked_generator``), with no ideal product.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from .arith import smith_normal_decomp, unimodular_inverse
-from .ideals import FracIdeal, lattice_product, principal_ideal
+from .ideals import FracIdeal, lattice_product
 from .quadfield import Discriminant, QuadNum, _ragged
 
 Form = tuple[int, int, int]
@@ -267,7 +269,8 @@ def _generator_from_transform(i: FracIdeal, m: Mat, g: Form) -> QuadNum:
     The columns of m take the basis of [a, (b+sqrt(D))/2] to one (alpha,
     beta) with beta/alpha = (g[1]+sqrt(D))/(2*g[0]), a root of g; so z
     generates i when |g[0]| = 1.  The norm of alpha, g[0]*a, is checked
-    here, the ideal by the caller (``_checked_generator``)."""
+    here; the caller (``_checked_generator``) checks that z times the
+    ideal of g is i."""
     u, v = m[0], m[2]
     z0 = QuadNum(2 * i.a * u + i.b * v, v, 1, i.disc)
     if z0.x * z0.x - i.disc.delta * v * v != 4 * g[0] * i.a:
@@ -314,11 +317,12 @@ def principal_generator(i: FracIdeal) -> QuadNum | None:
 
 def _checked_generator(i: FracIdeal, m: Mat, g: Form, rep: FracIdeal | None,
                        where: str) -> QuadNum:
-    """The z of ``_generator_from_transform``, checked by one product:
-    z*rep = i, where rep is the ideal of g (None for O_F, when |g[0]| = 1)."""
+    """The z of ``_generator_from_transform``, checked to give z*rep = i,
+    where rep is the ideal of g (None for O_F, when |g[0]| = 1), by its norm
+    and two membership tests with no ideal product (``FracIdeal.is_product``).
+    """
     z = _generator_from_transform(i, m, g)
-    zi = principal_ideal(z) if rep is None else principal_ideal(z) * rep
-    if zi != i:
+    if not i.is_product(z, FracIdeal.unit(i.disc) if rep is None else rep):
         raise GeneratorCheckError(
             f"{where}: D = {i.disc.delta}: {z!r} times "
             f"{'O_F' if rep is None else rep} is not {i!r}")
@@ -379,8 +383,10 @@ class ClassGroupData:
         g' = f o M' with _positive(g') = key, the key or its negation, which
         spans the same lattice.  z is read off the first column of M
         (``_generator_from_transform``, Cohen, A Course in Computational
-        Algebraic Number Theory, 5.2) and checked by one product,
-        z * rep = i.  So one reduction (D < 0) or walk (D > 0) gives both.
+        Algebraic Number Theory, 5.2) and checked to give z * rep = i by
+        its norm and two membership tests, with no ideal product
+        (``_checked_generator``).  So one reduction (D < 0) or walk (D > 0)
+        gives both.
         """
         f = form_of_ideal(i)
         if self._keys is None:

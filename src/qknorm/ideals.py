@@ -4,8 +4,11 @@ An ideal is stored as (n/d) * (a*Z + ((b+sqrt(D))/2)*Z) with coprime ints
 n, d > 0, a > 0 and -a < b <= a.  Products are Z-module products on the
 integral basis {1, w}, w = (D+sqrt(D))/2, followed by Hermite normalization
 (``lattice_product``, shared with the composition of forms), which keeps
-everything exact.  Valuations of ideals are read off (n, d, a, b)
-(``ideal_valuation``) and those of elements off their coordinates
+everything exact.  Membership of an element is two divisibility tests on
+its coordinates (``FracIdeal.contains``), with no product; with norms, it
+decides whether an ideal is z times another (``FracIdeal.is_product``),
+which is how generators are checked.  Valuations of ideals are read off (n, d, a,
+b) (``ideal_valuation``) and those of elements off their coordinates
 (``element_valuation``); products of split prime powers are built by Hensel
 lifting and the Chinese remainder theorem (``split_power_product``).
 """
@@ -168,9 +171,45 @@ class FracIdeal:
         return result
 
     def contains(self, z: QuadNum) -> bool:
-        if not z:
-            return True
-        return (principal_ideal(z) * self.inverse()).is_integral()
+        """z in self, by two divisibility tests and no ideal product."""
+        if z.disc.delta != self.disc.delta:
+            raise DiscMismatch(
+                f"discriminants {self.disc.delta} and {z.disc.delta} differ")
+        return self._contains(z.x, z.y, z.d)
+
+    def _contains(self, x: int, y: int, e: int) -> bool:
+        """(x + y*sqrt(D))/(2e) in self, for any ints x, y and e > 0.
+
+        (d/n)*(x + y*sqrt(D))/(2e) = s*a + t*(b+sqrt(D))/2 has t = d*y/(e*n)
+        and s = (d*x - t*b*e*n)/(2a*e*n), which must be ints.
+        """
+        en = e * self.n
+        t, r = divmod(self.d * y, en)
+        return not r and \
+            (self.d * x - t * self.b * en) % (2 * self.a * en) == 0
+
+    def is_product(self, z: QuadNum, j: "FracIdeal") -> bool:
+        """Whether self = z*j, decided with no ideal product.
+
+        z*j lies in self when z times each Z-basis element of j, (n/d)*a and
+        (n/d)*(b+sqrt(D))/2, does; and for fractional ideals J in I,
+        [I : J] = N(J)/N(I) (Cohen, A Course in Computational Algebraic
+        Number Theory, 4.6-5.2), so then |N(z)|*N(j) = N(self) makes z*j
+        all of self.  Both are compared on integers.
+        """
+        D = self.disc.delta
+        if not z.disc.delta == j.disc.delta == D:
+            raise DiscMismatch(
+                f"discriminants {D}, {z.disc.delta} and {j.disc.delta} differ")
+        x, y, e = z.x, z.y, z.d
+        # N(z) = (x^2 - D*y^2)/(4e^2) and N(j) = j.n^2*j.a/j.d^2
+        if (abs(x * x - D * y * y) * j.n * j.n * j.a * self.d * self.d
+                != 4 * e * e * self.n * self.n * self.a * j.d * j.d):
+            return False
+        na = j.n * j.a
+        return (self._contains(x * na, y * na, e * j.d)
+                and self._contains(j.n * (x * j.b + y * D),
+                                   j.n * (x + y * j.b), 2 * e * j.d))
 
 
 def _omega_coords(z: QuadNum) -> tuple[int, int]:

@@ -3,10 +3,10 @@ units mod norms.
 
 The walk (``classgroup.rho_walk``) from the principal form (1, b, c) stops
 at (-1, b, -c) after half the period if the fundamental unit has norm -1,
-else back at (1, b, c), and the unit is read off its transform like any
-principal generator.  The order-2 Tate group of units is determined by the
-norm of the fundamental unit (real case) or is always of order 2 (imaginary
-case, where every unit norm is +1).
+else back at (1, b, c), and the unit is read off its transform and checked
+(eps*O_F = O_F) like any principal generator.  The order-2 Tate group of
+units is determined by the norm of the fundamental unit (real case) or is
+always of order 2 (imaginary case, where every unit norm is +1).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .classgroup import (GeneratorCheckError, _generator_from_transform,
+from .classgroup import (GeneratorCheckError, _checked_generator,
                          principal_form, reduce_indef_t, rho_walk)
 from .ideals import FracIdeal
 from .quadfield import Discriminant, QuadNum
@@ -39,7 +39,8 @@ def fundamental_unit(disc: Discriminant) -> UnitData:
     if abs(g[0]) != 1:
         raise GeneratorCheckError(
             f"fundamental_unit: D = {D}: the rho-walk stopped at {g}")
-    eps = _generator_from_transform(FracIdeal.unit(disc), m, g)
+    eps = _checked_generator(FracIdeal.unit(disc), m, g, None,
+                             "fundamental_unit")
     candidates = [eps, -eps, eps.inverse(), -eps.inverse()]
     eps = next(e for e in candidates if e.compare_rational(1) > 0)
     return UnitData(eps=eps, eps_norm=g[0], torsion_order=2,

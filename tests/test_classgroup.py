@@ -149,6 +149,38 @@ def test_generator_exactly_for_principal_class():
                 assert principal_ideal(z) == i, delta
 
 
+@pytest.mark.parametrize("delta", [-23, -15, 60, 229])
+def test_generator_check_is_the_product_check(delta, monkeypatch):
+    # norm and membership accept z exactly when z * rep = i: on i = z*rep,
+    # on its conjugate, and on i*P/conj(P) and 2i, where P is above a split
+    # prime (same norm but another ideal, or the same lattice twice over)
+    disc = make_discriminant(delta)
+    cg = class_group(disc)
+    split = next(primes_above(disc, p) for p in (2, 3, 5, 7, 11)
+                 if primes_above(disc, p).kind == "split")
+    P, Pc = split.primes
+    rng = random.Random(delta)
+    outcomes = set()
+    for _ in range(30):
+        rep = cg.rep_ideal(rng.choice(cg.elements()))
+        z = QuadNum(rng.randint(-40, 40), rng.randint(1, 9),
+                    rng.randint(1, 5), disc)
+        zi = principal_ideal(z) * rep
+        monkeypatch.setattr(classgroup, "_generator_from_transform",
+                            lambda i, m, g: z)
+        for i in (zi, zi.conjugate(), zi * P * Pc.inverse(),
+                  zi * FracIdeal.scaled(2, 1, 1, delta % 2, disc)):
+            try:
+                classgroup._checked_generator(i, None, None, rep, "check")
+                accepted = True
+            except classgroup.GeneratorCheckError as exc:
+                assert str(exc).startswith(f"check: D = {delta}: ")
+                accepted = False
+            assert accepted == (i == zi), (z, rep, i)
+            outcomes.add(accepted)
+    assert outcomes == {True, False}
+
+
 def test_narrow_vs_wide():
     # real: h_narrow = 2h exactly when the fundamental unit has norm +1
     from qknorm.units import fundamental_unit

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qknorm import classgroup, cli, knorm, mv
+from qknorm import classgroup, cli, ideals, knorm, mv
 from qknorm.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERDICT, ScanConfig,
                         ScanConfigError, fundamental_range, main, run_scan,
                         scan_row)
@@ -213,6 +213,23 @@ def test_k0_key_reduces_once(capsys, monkeypatch):
     assert code == EXIT_OK and json.loads(out)["k0_order"] == "278"
     assert counts["keys"] >= 278
     assert 0 < counts["reductions"] <= counts["keys"]
+
+
+def test_k0_checks_generators_without_products(capsys, monkeypatch):
+    # generators are checked by norm and membership, so the Hermite forms
+    # of k0 are those of the K0 and class products alone (986 when each
+    # check was an ideal product)
+    calls = [0]
+    hnf2 = ideals._hnf2
+
+    def counted(vectors):
+        calls[0] += 1
+        return hnf2(vectors)
+
+    monkeypatch.setattr(ideals, "_hnf2", counted)
+    code, out = _run(capsys, ["k0", "--disc", "-85159"])
+    assert code == EXIT_OK and json.loads(out)["k0_order"] == "278"
+    assert 0 < calls[0] <= 420
 
 
 def test_fundamental_range_contents():
@@ -534,6 +551,62 @@ def test_broken_generator_fails_k0_and_verify(flags, src_env):
     assert proc.stdout.split() == [str(EXIT_VERDICT)] * 2
     for command in ("k0", "verify"):
         assert f"{command}: class_and_generator: D = -23: " in proc.stderr
+
+
+# a conjugated read-off has the right norm but names the conjugate ideal,
+# which only the membership half of the generator check catches
+CONJUGATED_GENERATORS = (
+    "import sys\n"
+    "import qknorm.classgroup as cg\n"
+    "from qknorm.cli import main\n"
+    "read_off = cg._generator_from_transform\n"
+    "cg._generator_from_transform = lambda *a: read_off(*a).conj()\n"
+    "codes = [main(['k0', '--disc', '-23']),\n"
+    "         main(['k0', '--disc', '-85159']),\n"
+    "         main(['verify', '--disc', '-23', '--samples', '5'])]\n"
+    "print(*codes)\n"
+    "sys.exit(max(codes))\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_conjugated_generator_fails_k0_and_verify(flags, src_env):
+    proc = subprocess.run([sys.executable, *flags, "-c",
+                           CONJUGATED_GENERATORS],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=120)
+    assert proc.returncode == EXIT_VERDICT, proc.stderr
+    assert proc.stdout.split() == [str(EXIT_VERDICT)] * 3
+    for command, delta in (("k0", -23), ("k0", -85159), ("verify", -23)):
+        assert f"{command}: class_and_generator: D = {delta}: " \
+            in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# the unit read-off times x/conj(x), x = (3+sqrt(229))/2 of norm -55: an
+# element of norm one that is no unit, which the check eps*O_F = O_F catches
+SKEWED_UNIT = (
+    "import sys\n"
+    "import qknorm.classgroup as cg\n"
+    "from qknorm.cli import main\n"
+    "from qknorm.quadfield import QuadNum\n"
+    "read_off = cg._generator_from_transform\n"
+    "def skewed(i, m, g):\n"
+    "    x = QuadNum(3, 1, 1, i.disc)\n"
+    "    return read_off(i, m, g) * x / x.conj()\n"
+    "cg._generator_from_transform = skewed\n"
+    "sys.exit(main(['classgroup', '--disc', '229']))\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_skewed_unit_fails_classgroup(flags, src_env):
+    proc = subprocess.run([sys.executable, *flags, "-c", SKEWED_UNIT],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=120)
+    assert proc.returncode == EXIT_VERDICT, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "classgroup: fundamental_unit: D = 229: "), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # h rests on two checks of the class enumeration: the enumerated classes

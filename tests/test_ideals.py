@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qknorm.arith import is_prime
 from qknorm.ideals import (DiscMismatch, FracIdeal, element_valuation,
                            ideal_valuation, primes_above, principal_ideal,
                            split_power_product)
@@ -243,3 +244,38 @@ def test_contains():
     assert p3.contains(z) or p3.conjugate().contains(z)
     assert not p3.contains(QuadNum(2, 0, 3, disc))  # 1/3
     assert p3.contains(QuadNum(6, 0, 1, disc))  # 3
+
+
+@pytest.mark.parametrize("delta", [-23, -15, 60, 229, -85159])
+def test_contains_matches_the_product_test(delta):
+    # z in I iff z * I^-1 is integral; random ideals are products of prime
+    # powers above p < 40 times n/d, elements are members of I, members
+    # over a small integer, and random (x + y*sqrt(D))/(2e)
+    disc = make_discriminant(delta)
+    primes = [p for p in range(2, 40) if is_prime(p)]
+    rng = random.Random(delta)
+    seen = set()
+    for _ in range(40):
+        i = FracIdeal.scaled(rng.randint(1, 6), rng.randint(1, 6), 1,
+                             delta % 2, disc)
+        for _ in range(rng.randint(1, 3)):
+            dec = primes_above(disc, rng.choice(primes))
+            i = i * rng.choice(dec.primes) ** rng.randint(-2, 2)
+        e1 = QuadNum(2 * i.n * i.a, 0, i.d, disc)
+        e2 = QuadNum(i.n * i.b, i.n, i.d, disc)
+        for _ in range(6):
+            member = e1 * rng.randint(-5, 5) + e2 * rng.randint(-5, 5)
+            x, y = rng.randint(-60, 60), rng.randint(-60, 60)
+            for z in (member, member.scale(Fraction(1, rng.randint(2, 9))),
+                      QuadNum(x, y, rng.randint(1, 30), disc)):
+                expected = (not z or
+                            (principal_ideal(z) * i.inverse()).is_integral())
+                assert i.contains(z) == expected, (i, z)
+                seen.add(expected)
+                if z:
+                    # is_product, on the j with i = z*j and on its conjugate
+                    j = principal_ideal(z).inverse() * i
+                    for k in (j, j.conjugate()):
+                        assert i.is_product(z, k) == \
+                            (principal_ideal(z) * k == i), (i, z, k)
+    assert seen == {True, False}
