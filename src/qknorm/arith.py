@@ -1,6 +1,6 @@
 """Integer arithmetic on plain ints: one table of small primes, Legendre
-symbols, primality, factoring, and the Smith normal form with its
-transforms.
+symbols, primality, factoring, and the Smith form of a square matrix with
+the inverse of its column transform.
 
 Primality is deterministic Miller-Rabin on the first k prime bases, with k
 read off the smallest strong pseudoprime to those bases, which makes the
@@ -215,155 +215,46 @@ def factorint(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-# ---------------------------------------------------------------------------
-# the Smith normal form: SymPy 1.14's ``_smith_normal_decomp`` over ZZ, step
-# for step, so that its transforms (and the class-group generators read off
-# them) are the same
+def smith_form(m: list[list[int]]) -> tuple[tuple[int, ...], list[list[int]]]:
+    """(invariants, w) for a square integer matrix m of nonzero determinant:
+    U*m*V = diag(invariants) for some unimodular U and V, with positive
+    invariants d1 | d2 | ..., and w = V^-1.
 
-
-def _gcdex(a: int, b: int) -> tuple[int, int, int]:
-    """(x, y, g) with x*a + y*b = g = gcd(a, b), as ``ZZ.gcdex`` gives."""
-    if not a or not b:
-        g = abs(a) or abs(b)
-        return (a // g, b // g, g) if g else (0, 0, 0)
-    x_sign, a = (-1, -a) if a < 0 else (1, a)
-    y_sign, b = (-1, -b) if b < 0 else (1, b)
-    x, r, y, s = 1, 0, 0, 1
-    while b:
-        q, c = divmod(a, b)
-        a, b = b, c
-        x, r = r, x - q * r
-        y, s = s, y - q * s
-    return x * x_sign, y * y_sign, a
-
-
-def _eye(n: int) -> list[list[int]]:
-    return [[int(i == j) for i in range(n)] for j in range(n)]
-
-
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
-            for row in a]
-
-
-def _add_rows(m, i, j, a, b, c, d):
-    # m[i] <- a*m[i] + b*m[j] and m[j] <- c*m[i] + d*m[j]
-    for k in range(len(m[0])):
-        e = m[i][k]
-        m[i][k] = a * e + b * m[j][k]
-        m[j][k] = c * e + d * m[j][k]
-
-
-def _add_columns(m, i, j, a, b, c, d):
-    # m[:, i] <- a*m[:, i] + b*m[:, j] and m[:, j] <- c*m[:, i] + d*m[:, j]
-    for row in m:
-        e = row[i]
-        row[i] = a * e + b * row[j]
-        row[j] = c * e + d * row[j]
-
-
-def smith_normal_decomp(m: list[list[int]]):
-    """(invariants, s, t) with s*m*t the diagonal matrix of the invariants,
-    s and t unimodular, for an integer matrix m given as a list of rows."""
-    m = [list(row) for row in m]
-    rows, cols = len(m), len(m[0]) if m else 0
-    if not rows or not cols:
-        return (), _eye(rows), _eye(cols)
-    s, t = _eye(rows), _eye(cols)
-
-    def clear(line, other, ops, n):
-        # make the first column (row) of m zero below (right of) m[0][0]
-        pivot = line(0)
-        for j in range(1, n):
-            if line(j) == 0:
-                continue
-            d, r = divmod(line(j), pivot)
-            if r == 0:
-                ops(m, 0, j, 1, 0, -d, 1)
-                ops(other, 0, j, 1, 0, -d, 1)
-            else:
-                a, b, g = _gcdex(pivot, line(j))
-                d_0, d_j = line(j) // g, pivot // g
-                ops(m, 0, j, a, b, d_0, -d_j)
-                ops(other, 0, j, a, b, d_0, -d_j)
-                pivot = g
-
-    # bring a nonzero entry to m[0][0], if there is one (the index test is
-    # SymPy's: a nonzero m[0][0] is left in place)
-    ind = [i for i in range(rows) if m[i][0]]
-    if ind and ind[0] != 0:
-        m[0], m[ind[0]] = m[ind[0]], m[0]
-        s[0], s[ind[0]] = s[ind[0]], s[0]
-    else:
-        ind = [j for j in range(cols) if m[0][j]]
-        if ind and ind[0] != 0:
-            for row in m + t:
-                row[0], row[ind[0]] = row[ind[0]], row[0]
-
-    while (any(m[0][j] for j in range(1, cols))
-           or any(m[i][0] for i in range(1, rows))):
-        clear(lambda j: m[j][0], s, _add_rows, rows)
-        clear(lambda j: m[0][j], t, _add_columns, cols)
-
-    if m[0][0] < 0:
-        m[0][0] = -m[0][0]
-        s[0] = [-e for e in s[0]]
-
-    invs = ()
-    if rows > 1 and cols > 1:
-        invs, s_small, t_small = smith_normal_decomp(
-            [r[1:] for r in m[1:]])
-        s = _matmul([[1] + [0] * (rows - 1)] + [[0] + r for r in s_small], s)
-        t = _matmul(t, [[1] + [0] * (cols - 1)] + [[0] + r for r in t_small])
-
-    if not m[0][0]:
-        if rows > 1:
-            s = s[1:] + [s[0]]
-        if cols > 1:
-            t = [row[1:] + [row[0]] for row in t]
-        return invs + (m[0][0],), s, t
-    result = [m[0][0], *invs]
-    # in case m[0][0] does not divide the invariants of the rest
-    for i in range(len(result) - 1):
-        a, b = result[i], result[i + 1]
-        if not b or b % a == 0:
-            break
-        x, y, d = _gcdex(a, b)
-        alpha, beta = a // d, b // d
-        _add_rows(s, i, i + 1, 1, 0, x, 1)
-        _add_columns(t, i, i + 1, 1, y, 0, 1)
-        _add_rows(s, i, i + 1, 1, -alpha, 0, 1)
-        _add_columns(t, i, i + 1, 1, 0, -beta, 1)
-        _add_rows(s, i, i + 1, 0, 1, -1, 0)
-        result[i + 1] = b * alpha
-        result[i] = d
-    return tuple(result), s, t
-
-
-def unimodular_inverse(v: list[list[int]]) -> list[list[int]]:
-    """The inverse of a square integer matrix of determinant +-1, by
-    integer row reduction of [v | 1]."""
-    n = len(v)
-    a = [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(v)]
-    for c in range(n):
-        while True:  # Euclid down column c
-            nz = [r for r in range(c, n) if a[r][c]]
+    The pivot is the least nonzero |entry| left; its column and row are
+    cleared by division, and an entry it does not divide is brought into its
+    row by adding that entry's row.  Row operations are not kept; each column
+    operation is applied inversely to w, so no inverse is taken (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4.14).
+    """
+    a = [list(row) for row in m]
+    n = len(a)
+    w = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        while True:
+            nz = [(abs(a[i][j]), i, j) for i in range(k, n)
+                  for j in range(k, n) if a[i][j]]
             if not nz:
-                raise ValueError("unimodular_inverse: singular matrix")
-            p = min(nz, key=lambda r: abs(a[r][c]))
-            a[c], a[p] = a[p], a[c]
-            if len(nz) == 1:
+                raise ValueError("smith_form: singular matrix")
+            _, i, j = min(nz)
+            a[k], a[i] = a[i], a[k]
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+            w[k], w[j] = w[j], w[k]
+            p = a[k][k]
+            for i in range(k + 1, n):
+                q = a[i][k] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+            for j in range(k + 1, n):
+                q = a[k][j] // p
+                for row in a:
+                    row[j] -= q * row[k]
+                w[k] = [x + q * y for x, y in zip(w[k], w[j])]
+            if any(a[i][k] or a[k][i] for i in range(k + 1, n)):
+                continue
+            bad = [row for row in a[k + 1:] if any(x % p for x in row)]
+            if not bad:
                 break
-            for r in range(c + 1, n):
-                q = a[r][c] // a[c][c]
-                a[r] = [x - q * y for x, y in zip(a[r], a[c])]
-        if abs(a[c][c]) != 1:
-            raise ValueError("unimodular_inverse: determinant is not +-1")
-        if a[c][c] < 0:
-            a[c] = [-x for x in a[c]]
-    for c in reversed(range(n)):
-        for r in range(c):
-            q = a[r][c]
-            a[r] = [x - q * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
+            a[k] = [x + y for x, y in zip(a[k], bad[0])]
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
+    return tuple(a[k][k] for k in range(n)), w

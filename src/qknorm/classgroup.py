@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .arith import smith_normal_decomp, unimodular_inverse
+from .arith import smith_form
 from .ideals import FracIdeal, lattice_product
 from .quadfield import Discriminant, QuadNum, _ragged
 
@@ -429,9 +429,10 @@ def abelian_closure(gens, mul, identity, budget=None):
     H*g^(m-1) are added, where g^m is the first power back in H.  Every
     element keeps its exponent vector over the gens used, and each step gives
     the relation m*e_g = exps(g^m).  The relation matrix is lower-triangular
-    with determinant |G|; its Smith form U*R*V gives the invariant factors,
-    and row i of V^-1 the exponents of the i-th basis element (Cohen, A
-    Course in Computational Algebraic Number Theory, 2.4).
+    with determinant |G|; its Smith form U*R*V (``smith_form``) gives the
+    invariant factors, and row i of V^-1 the exponents of the i-th basis
+    element (Cohen, A Course in Computational Algebraic Number Theory,
+    2.4.3).  The basis is the one that reduction finds, not otherwise fixed.
     """
     exps = {identity: ()}
     rels = []  # (exps(g^m), m), one per gen used
@@ -454,18 +455,18 @@ def abelian_closure(gens, mul, identity, budget=None):
     R = [[-c for c in v] + [0] * (r - len(v)) for v, _ in rels]
     for i, (_, m) in enumerate(rels):
         R[i][i] = m
-    invs, _, V = smith_normal_decomp(R)
+    invs, w = smith_form(R)
     at = {v + (0,) * (r - len(v)): x for x, v in exps.items()}
     divisors, basis = [], []
-    for d, x in zip(invs, unimodular_inverse(V)):
-        if abs(d) == 1:
+    for d, x in zip(invs, w):
+        if d == 1:
             continue
         for k in reversed(range(r)):  # canonical exponents, last gen first
             v, m = rels[k]
             q, x[k] = divmod(x[k], m)
             for t, c in enumerate(v):
                 x[t] += q * c
-        divisors.append(abs(d))
+        divisors.append(d)
         basis.append(at[tuple(x)])
     return list(exps), divisors, basis
 

@@ -26,8 +26,8 @@ from .classgroup import BLOCK_WIDTH, ClassGroupCheckError, \
 from .knorm import bass_sequence_report, k0_group, k0_identity, k0_key, \
     k0_rep
 from .local import SplitPrimeCapExceeded
-from .mv import IdeleCheckError, KernelPreimageError, boundary_preimage, \
-    genus_engine, sampled_exactness
+from .mv import IdeleCheckError, KernelPreimageError, NormKernelViolation, \
+    NotInNormKernel, boundary_preimage, genus_engine, sampled_exactness
 from .quadfield import NotFundamental, fundamental_discriminants, \
     make_discriminant
 from .units import fundamental_unit
@@ -106,9 +106,6 @@ def cmd_classgroup(args) -> int:
         "torsion_order": _s(units.torsion_order),
         "h0_units_order": _s(units.h0_units_order),
     }
-    if args.fmt == "csv":
-        doc["divisors"] = " ".join(_s(d) for d in cg.divisors)
-        doc["generators"] = " ".join(repr(g) for g in cg.generators)
     _emit(doc, args.fmt, args.out)
     return EXIT_OK
 
@@ -409,11 +406,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (GeneratorCheckError, ClassGroupCheckError, IdeleCheckError,
-            ScanWorkerDied) as exc:
+            NotInNormKernel, NormKernelViolation, ScanWorkerDied) as exc:
         # the K0 classes of k0 and verify rest on checked generators, h on
         # checked class enumerations, and verify's samples on checked idele
-        # norms and boundaries; the rows of a dead scan worker's blocks
-        # were never checked
+        # norms, norm-kernel samples and boundaries; the rows of a dead
+        # scan worker's blocks were never checked
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_VERDICT
     except (SplitPrimeCapExceeded, ScanCountError,

@@ -123,23 +123,18 @@ def test_make_discriminant_with_large_prime_factors():
         make_discriminant(-p * p * q)
 
 
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
-            for row in a]
-
-
 def _check_smith(m):
-    # the diagonal and both transforms equal sympy's, s*m*t is the diagonal
-    # and the inverse of t is exact
+    # the diagonal equals sympy's, w is unimodular, and m * w^-1 * diag^-1
+    # is an integer matrix of determinant +-1 (it is U^-1 for the row
+    # transform U that smith_form does not keep)
     n = len(m)
-    invs, s, t = arith.smith_normal_decomp(m)
-    S, U, V = smith_normal_decomp(Matrix(m), domain=ZZ)
+    invs, w = arith.smith_form(m)
+    S = smith_normal_decomp(Matrix(m), domain=ZZ)[0]
     assert list(invs) == [S[i, i] for i in range(n)], m
-    assert (s, t) == (U.tolist(), V.tolist()), m
-    assert _matmul(_matmul(s, m), t) == \
-        [[invs[i] if i == j else 0 for j in range(n)] for i in range(n)], m
-    assert _matmul(t, arith.unimodular_inverse(t)) == \
-        [[int(i == j) for j in range(n)] for i in range(n)], m
+    W = Matrix(w)
+    assert W.det() in (1, -1), m
+    u = Matrix(m) * W.inv() * Matrix.diag(*invs).inv()
+    assert all(x.is_integer for x in u) and u.det() in (1, -1), m
     return invs
 
 
@@ -149,19 +144,19 @@ def test_smith_form_on_relation_matrices(monkeypatch):
     # the diagonal); test_classgroup and test_knorm check the invariants
     # against torsion counts, which share nothing with either Smith form
     mats = []
-    snf = classgroup.smith_normal_decomp
+    snf = classgroup.smith_form
 
     def record(m):
         mats.append([list(row) for row in m])
         return snf(m)
 
-    monkeypatch.setattr(classgroup, "smith_normal_decomp", record)
+    monkeypatch.setattr(classgroup, "smith_form", record)
     for disc in fundamental_discriminants(-3000, 3000):
         knorm.k0_group(knorm.k0_context(disc))
     assert len(mats) == 2 * 1820
     for m in mats:
         invs = _check_smith(m)
-        assert prod(map(abs, invs)) == prod(m[i][i] for i in range(len(m)))
+        assert prod(invs) == prod(m[i][i] for i in range(len(m)))
 
 
 def test_smith_form_on_random_lower_triangular():
@@ -175,12 +170,11 @@ def test_smith_form_on_random_lower_triangular():
         _check_smith(m)
 
 
-def test_unimodular_inverse_refuses_other_determinants():
-    with pytest.raises(ValueError):
-        arith.unimodular_inverse([[2, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        arith.unimodular_inverse([[1, 2], [2, 4]])
-    assert arith.unimodular_inverse([]) == []
+def test_smith_form_refuses_singular_matrices():
+    for m in ([[0]], [[1, 2], [2, 4]], [[2, 0, 0], [0, 0, 0], [0, 0, 3]]):
+        with pytest.raises(ValueError, match="singular"):
+            arith.smith_form(m)
+    assert arith.smith_form([]) == ((), [])
 
 
 def _euler(x, p):

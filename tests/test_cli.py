@@ -46,6 +46,23 @@ def test_classgroup_real_generators(capsys):
     assert doc["generators"] == ["FracIdeal(1*[2, (0+sqrt(40))/2])"]
 
 
+@pytest.mark.parametrize("command", ["classgroup", "k0"])
+def test_csv_list_cells_split_on_semicolons(capsys, command):
+    # a list cell joins its items with ';', which no item contains (a
+    # generator's repr has spaces), so splitting it gives the JSON list back
+    argv = [command, "--disc", "-84"]
+    _, out_json = _run(capsys, argv)
+    _, out_csv = _run(capsys, argv + ["--csv"])
+    doc = json.loads(out_json)
+    (row,) = csv.DictReader(io.StringIO(out_csv))
+    lists = [k for k, v in doc.items() if isinstance(v, list)]
+    assert lists and all(len(doc[k]) > 1 for k in lists)
+    assert {k: row[k].split(";") for k in lists} == \
+        {k: doc[k] for k in lists}
+    assert {k: row[k] for k in doc if k not in lists} == \
+        {k: doc[k] for k in doc if k not in lists}
+
+
 def test_invalid_disc_usage_error(capsys):
     code, _ = _run(capsys, ["classgroup", "--disc", "45"])
     assert code == EXIT_USAGE

@@ -2,7 +2,9 @@
 turn the verdicts it breaks false and make the command exit 1, under
 default Python and ``-O``.  Each row names its fault, the command, and the
 number of rows (scan) or reports (verify) in which each verdict reads
-false; every other verdict must stay true."""
+false; every other verdict must stay true.  A row with no counts names a
+fault that a check catches before any report: stdout stays empty and stderr
+names the check."""
 
 import json
 import subprocess
@@ -53,6 +55,20 @@ MAP_I_FLIPS_A_RAMIFIED_PRIME = (
     "mv.map_i = flipped\n"
     "sys.exit(main(['verify', '--disc', '-23', '--samples', '20']))\n")
 
+# the split-pair sampler builds (u, u) rather than (u, 1/u): its ideles
+# leave the norm kernel, which verify must report as a failed check, with
+# no report on stdout and no traceback
+PAIR_IDELE_NOT_NORM_ONE = (
+    "import sys\n"
+    "import qknorm.mv as mv\n"
+    "from qknorm.cli import main\n"
+    "def same(dec, u):\n"
+    "    pid, pbar = dec.primes\n"
+    "    z = mv.QuadNum(2 * u.numerator, 0, u.denominator, pid.disc)\n"
+    "    return mv.IdeleFS({pid: z, pbar: z}, pid.disc)\n"
+    "mv._pair_idele = same\n"
+    "sys.exit(main(['verify', '--disc', '-23', '--samples', '20']))\n")
+
 FAULT_ROWS = {
     "rank2_off_by_one": (RANK2_OFF_BY_ONE, {
         "verdict_69": 122, "verdict_67": 122, "verdict_68": 91}, ""),
@@ -63,6 +79,8 @@ FAULT_ROWS = {
         "constructive_kernel": 1},
         "constructive_kernel: D = -23: the identity class has no boundary "
         "preimage\n"),
+    "pair_idele_not_norm_one": (PAIR_IDELE_NOT_NORM_ONE, None,
+        "verify: idele norm has nonzero valuation at [41, 47, 59]\n"),
 }
 
 
@@ -74,7 +92,11 @@ def test_fault_turns_its_verdicts_false(fault, flags, src_env):
                           capture_output=True, text=True, env=src_env,
                           timeout=120)
     assert proc.returncode == EXIT_VERDICT, proc.stderr
+    assert "Traceback" not in proc.stderr
     assert proc.stderr == stderr
+    if false_counts is None:  # a failed check ends the run: no report
+        assert proc.stdout == ""
+        return
     doc = json.loads(proc.stdout)
     rows, verdicts = ((doc["rows"], SCAN_VERDICTS) if "rows" in doc
                       else ([doc], VERIFY_VERDICTS))
