@@ -23,6 +23,7 @@ from operator import itemgetter
 from .classgroup import BLOCK_WIDTH, ClassGroupCheckError, \
     ClosureBudgetExceeded, GeneratorCheckError, ScanCountError, \
     block_counts, class_group
+from .ideals import LatticeCheckError
 from .knorm import bass_sequence_report, k0_group, k0_identity, k0_key, \
     k0_rep
 from .local import SplitPrimeCapExceeded
@@ -405,12 +406,14 @@ def main(argv=None) -> int:
     except OutputPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GeneratorCheckError, ClassGroupCheckError, IdeleCheckError,
-            NotInNormKernel, NormKernelViolation, ScanWorkerDied) as exc:
-        # the K0 classes of k0 and verify rest on checked generators, h on
-        # checked class enumerations, and verify's samples on checked idele
-        # norms, norm-kernel samples and boundaries; the rows of a dead
-        # scan worker's blocks were never checked
+    except (GeneratorCheckError, LatticeCheckError, ClassGroupCheckError,
+            IdeleCheckError, NotInNormKernel, NormKernelViolation,
+            ScanWorkerDied) as exc:
+        # the K0 classes of k0 and verify rest on checked generators and
+        # checked ideal products, h on checked class enumerations, and
+        # verify's samples on checked idele norms, norm-kernel samples and
+        # boundaries; the rows of a dead scan worker's blocks were never
+        # checked
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_VERDICT
     except (SplitPrimeCapExceeded, ScanCountError,

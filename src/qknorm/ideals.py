@@ -4,7 +4,9 @@ An ideal is stored as (n/d) * (a*Z + ((b+sqrt(D))/2)*Z) with coprime ints
 n, d > 0, a > 0 and -a < b <= a.  Products are Z-module products on the
 integral basis {1, w}, w = (D+sqrt(D))/2, followed by Hermite normalization
 (``lattice_product``, shared with the composition of forms), which keeps
-everything exact.  Membership of an element is two divisibility tests on
+everything exact; a Hermite form that is not of full rank, or not an
+O_F-module, raises ``LatticeCheckError``, also under ``python -O``.
+Membership of an element is two divisibility tests on
 its coordinates (``FracIdeal.contains``), with no product; with norms, it
 decides whether an ideal is z times another (``FracIdeal.is_product``),
 which is how generators are checked.  Valuations of ideals are read off (n, d, a,
@@ -26,6 +28,11 @@ from .quadfield import Discriminant, QuadNum, kronecker, sqrt_mod_prime
 
 class DiscMismatch(ValueError):
     """Raised when combining ideals over different discriminants."""
+
+
+class LatticeCheckError(ArithmeticError):
+    """A Hermite form on the ideal product path failed its check: the
+    module it spans is not of full rank, or not an O_F-module."""
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -67,7 +74,9 @@ def _hnf2(vectors: list[tuple[int, int]]) -> tuple[int, int, int]:
     n = 0
     for z in zs:
         n = gcd(n, z)
-    assert n > 0 and e > 0, "module does not have full rank"
+    if not (n > 0 and e > 0):
+        raise LatticeCheckError(
+            f"_hnf2: the span of {vectors} does not have full rank")
     c %= n
     return n, c, e
 
@@ -82,7 +91,10 @@ def lattice_product(a1: int, b1: int, a2: int, b2: int,
     x1, x2 = (b1 - D) // 2, (b2 - D) // 2
     n, c, e = _hnf2([(a1 * a2, 0), (a1 * x2, a1), (a2 * x1, a2),
                      (x1 * x2 - (D * D - D) // 4, x1 + x2 + D)])
-    assert n % e == 0 and c % e == 0, "product is not an O_F-module"
+    if n % e or c % e:
+        raise LatticeCheckError(
+            f"lattice_product: D = {D}: [{a1}, {b1}] * [{a2}, {b2}] has "
+            f"Hermite form ({n}, {c}, {e}), not an O_F-module")
     a = n // e
     b = (2 * (c // e) + D) % (2 * a)
     return e, a, (b - 2 * a if b > a else b)
@@ -226,7 +238,10 @@ def principal_ideal(z: QuadNum) -> FracIdeal:
     # w*omega, where omega^2 = D*omega - (D^2-D)/4
     u, v = _omega_coords(z)
     n, c, e = _hnf2([(u, v), (-v * ((D * D - D) // 4), u + v * D)])
-    assert n % e == 0 and c % e == 0
+    if n % e or c % e:
+        raise LatticeCheckError(
+            f"principal_ideal: D = {D}: {z!r} * O_F has Hermite form "
+            f"({n}, {c}, {e}), not an O_F-module")
     return FracIdeal.scaled(e, 2 * z.d, n // e, 2 * (c // e) + D, disc)
 
 

@@ -11,6 +11,12 @@ gives the class and a checked z with I = z * i0 for the class's
 representative i0, and the sign, where it is an invariant of the class, is
 that of t0 in [t, I] = [N(z)*t0, z*i0].  The representatives [t0, i0] of
 the keys are built once per context (``k0_rep``).
+
+The closure (``k0_group``) multiplies keys by class pairs: the product of
+(s1, c1) and (s2, c2) is (s1*s2*sign N(z), c), where i1*i2 = z*i0 is found
+once per pair (c1, c2), so it costs one ideal product and one checked class
+lookup per class pair it meets, about h + r of them for r class-group
+generators, shared by both signs.
 """
 
 from __future__ import annotations
@@ -141,12 +147,30 @@ K0_BUDGET = 1_000_000
 
 def k0_group(ctx: K0Context) -> K0Group:
     """All classes, enumerated from sigma(-1) and the class-group basis,
-    with the abelian structure; ClosureBudgetExceeded past ``K0_BUDGET``."""
+    with the abelian structure; ClosureBudgetExceeded past ``K0_BUDGET``.
+
+    The representatives of (s1, c1) and (s2, c2) multiply to
+    [s1*s2, i1*i2], and with i1*i2 = z*i0 its key is (s1*s2*sign N(z), c)
+    (``k0_key``).  So the ideal product and the checked class lookup depend
+    on the class pair (c1, c2) alone: each pair the closure meets, about
+    h + r of them for r class-group generators, costs one of each, done on
+    the sign +1 product and shared by both signs through a table local to
+    this call.
+    """
+    cg = ctx.cg
+    table = {}  # {(c1, c2): k0_key of [1, i1 * i2]}
+
     def mul(k1, k2):
-        return k0_key(ctx, k0_mul(k0_rep(ctx, k1), k0_rep(ctx, k2)))
+        (s1, c1), (s2, c2) = k1, k2
+        f_c = table.get((c1, c2))
+        if f_c is None:
+            f_c = table[c1, c2] = k0_key(
+                ctx, K0Elt(1, cg.rep_ideal(c1) * cg.rep_ideal(c2)))
+        f, c = f_c
+        return (s1 * s2 * f, c)
 
     gens = [k0_key(ctx, sigma(ctx, -1))]
-    gens += [k0_key(ctx, K0Elt(1, g)) for g in ctx.cg.generators]
+    gens += [k0_key(ctx, K0Elt(1, g)) for g in cg.generators]
     elements, divisors, _ = abelian_closure(
         gens, mul, k0_key(ctx, k0_identity(ctx.disc)), K0_BUDGET)
     keys = sorted(elements)

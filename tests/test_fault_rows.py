@@ -69,6 +69,20 @@ PAIR_IDELE_NOT_NORM_ONE = (
     "mv._pair_idele = same\n"
     "sys.exit(main(['verify', '--disc', '-23', '--samples', '20']))\n")
 
+# the Hermite forms of ideal products with n and e tripled: the first
+# product of two ideals is no longer an O_F-module, which k0 must report as
+# a failed check under -O too, with no report on stdout and no traceback
+HNF_PRODUCT_TRIPLED = (
+    "import sys\n"
+    "import qknorm.ideals as ideals\n"
+    "from qknorm.cli import main\n"
+    "hnf2 = ideals._hnf2\n"
+    "def tripled(vectors):\n"
+    "    n, c, e = hnf2(vectors)\n"
+    "    return (3 * n, c, 3 * e) if len(vectors) == 4 else (n, c, e)\n"
+    "ideals._hnf2 = tripled\n"
+    "sys.exit(main(['k0', '--disc', '136']))\n")
+
 FAULT_ROWS = {
     "rank2_off_by_one": (RANK2_OFF_BY_ONE, {
         "verdict_69": 122, "verdict_67": 122, "verdict_68": 91}, ""),
@@ -81,6 +95,9 @@ FAULT_ROWS = {
         "preimage\n"),
     "pair_idele_not_norm_one": (PAIR_IDELE_NOT_NORM_ONE, None,
         "verify: idele norm has nonzero valuation at [41, 47, 59]\n"),
+    "hnf_product_tripled": (HNF_PRODUCT_TRIPLED, None,
+        "k0: lattice_product: D = 136: [1, 10] * [3, 8] has Hermite form "
+        "(9, 2, 3), not an O_F-module\n"),
 }
 
 

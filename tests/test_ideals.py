@@ -6,13 +6,23 @@ from fractions import Fraction
 import pytest
 
 from qknorm.arith import is_prime
-from qknorm.ideals import (DiscMismatch, FracIdeal, element_valuation,
-                           ideal_valuation, primes_above, principal_ideal,
+from qknorm.ideals import (DiscMismatch, FracIdeal, LatticeCheckError,
+                           _hnf2, element_valuation, ideal_valuation,
+                           lattice_product, primes_above, principal_ideal,
                            split_power_product)
 from qknorm.quadfield import QuadNum, is_fundamental, kronecker, \
     make_discriminant
 
 DISCS = [make_discriminant(d) for d in (-15, -23, 12, 60, -4, 40, -120, 229)]
+
+
+def test_lattice_checks_raise_a_named_error():
+    # a span of rank 1, and the square of [3, sqrt(-1)] over D = -4, which
+    # is not an ideal (b^2 - D = 4 is not divisible by 4a = 12)
+    with pytest.raises(LatticeCheckError, match="full rank"):
+        _hnf2([(2, 0), (4, 0)])
+    with pytest.raises(LatticeCheckError, match="O_F-module"):
+        lattice_product(3, 0, 3, 0, -4)
 
 
 def _random_ideal(disc, rng):

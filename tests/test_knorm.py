@@ -1,12 +1,14 @@
+import json
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qknorm import knorm
-from qknorm.classgroup import principal_generator
+from qknorm.classgroup import abelian_closure, principal_generator
 from qknorm.ideals import FracIdeal, primes_above, principal_ideal
 from qknorm.knorm import (K0Elt, bass_sequence_report, k0_eq, k0_context,
                           k0_group, k0_identity, k0_key, k0_mul, k0_rep, rho,
@@ -153,17 +155,64 @@ def test_structure_divisors():
         assert grp.order == ctx.units.h0_units_order * ctx.cg.h
 
 
+def _product_by_elements(ctx):
+    """The K0 product with one k0_key per product of two representatives."""
+    def mul(k1, k2):
+        return k0_key(ctx, k0_mul(k0_rep(ctx, k1), k0_rep(ctx, k2)))
+    return mul
+
+
 def test_structure_matches_torsion_oracle():
     # at 136, Cl = Z/2 and K0 = Z/4: the extension does not split
     for delta in (136, 60, 316, -15, -84, -420, 12, 229):
         ctx = k0_context(make_discriminant(delta))
-
-        def mul(k1, k2):
-            return k0_key(ctx, k0_mul(k0_rep(ctx, k1), k0_rep(ctx, k2)))
-
         grp = k0_group(ctx)
-        assert grp.divisors == invariant_factors_by_torsion(grp.keys, mul), \
-            delta
+        assert grp.divisors == invariant_factors_by_torsion(
+            grp.keys, _product_by_elements(ctx)), delta
+
+
+def test_structure_keeps_the_sign_of_the_generator_norm():
+    # N(eps) = +1 at 136 and 505, so the sign of N(z) in a product's key
+    # decides whether the extension of Cl by the unit classes splits
+    assert k0_group(k0_context(make_discriminant(136))).divisors == [4]
+    assert k0_group(k0_context(make_discriminant(505))).divisors == [8]
+
+
+def test_key_without_the_generator_norm_sign_moves_the_structure(
+        monkeypatch):
+    def key_without_norm_sign(ctx, e):
+        key, _ = ctx.cg.class_and_generator(e.ideal)
+        return (e.sign if ctx.sign_is_invariant else 1, key)
+
+    monkeypatch.setattr(knorm, "k0_key", key_without_norm_sign)
+    grp = k0_group(k0_context(make_discriminant(136)))
+    assert grp.order == 4 and grp.divisors == [2, 2]
+
+
+def _closure_by_elements(ctx):
+    """The K0 closure on ``_product_by_elements``."""
+    gens = [k0_key(ctx, sigma(ctx, -1))]
+    gens += [k0_key(ctx, K0Elt(1, g)) for g in ctx.cg.generators]
+    elements, divisors, _ = abelian_closure(
+        gens, _product_by_elements(ctx), k0_key(ctx, k0_identity(ctx.disc)))
+    return sorted(elements), divisors
+
+
+POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / \
+    "pools.json"
+REAL_K0_POOL = [d for stratum in json.loads(POOLS.read_text())["k0"]["strata"]
+                if stratum["label"].startswith("real")
+                for d, _ in stratum["fields"]]
+
+
+@pytest.mark.parametrize("delta", [-3, -4, -23, -84, -420, -5460, -85159,
+                                   12, 60, 136, 229, 316, 505] + REAL_K0_POOL)
+def test_class_pair_table_matches_closure_by_elements(delta):
+    ctx = k0_context(make_discriminant(delta))
+    grp = k0_group(ctx)
+    keys, divisors = _closure_by_elements(ctx)
+    assert grp.keys == keys and grp.order == len(keys)
+    assert grp.divisors == divisors
 
 
 def _quotient_key(ctx, e):
