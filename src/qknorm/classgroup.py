@@ -15,12 +15,9 @@ coset enumeration and the Smith form of its relation matrix
 The scan's ``block_counts`` shares no logic with ``class_group``, so for both
 signs it is an independent second path.  It counts a whole block of
 discriminants (at most ``BLOCK_WIDTH`` consecutive integers) in one numpy
-pass, and only it and the scan's sieve import numpy: for D < 0 the reduced
-forms of every D of the block in one enumeration, on and off the boundary of
-the fundamental domain, counted by bincount; for D > 0 the cycles of rho
-followed by negation on the reduced forms with a > 0 of every D of the
-block, labelled on index arrays by min-label pointer jumping.
-``scan_counts`` is a block of one.
+pass; its code is in ``scancounts``, which only the scan imports, so that
+only it and the scan's sieve import numpy.  ``scan_counts`` is a block of
+one.
 
 Forms are plain (a, b, c) tuples.  Composition is the product of the
 corresponding ideals (``ideals.lattice_product``, the same product as
@@ -43,7 +40,7 @@ from math import isqrt
 
 from .arith import smith_form
 from .ideals import FracIdeal, lattice_product
-from .quadfield import Discriminant, QuadNum, _ragged
+from .quadfield import Discriminant, QuadNum
 
 Form = tuple[int, int, int]
 Mat = tuple[int, int, int, int]  # row-major 2x2
@@ -72,16 +69,6 @@ def _mat_mul(m: Mat, n: Mat) -> Mat:
     a, b, c, d = m
     e, f, g, h = n
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _apply(f: Form, m: Mat, D: int) -> Form:
-    a, b, c = f
-    p, q, r, s = m
-    a2 = a * p * p + b * p * r + c * r * r
-    c2 = a * q * q + b * q * s + c * s * s
-    b2 = 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s
-    assert b2 * b2 - 4 * a2 * c2 == D
-    return (a2, b2, c2)
 
 
 def reduce_definite(f: Form) -> Form:
@@ -114,7 +101,6 @@ def reduce_definite_t(f: Form) -> tuple[Form, Mat]:
             m = _mat_mul(m, (0, -1, 1, 0))
             b = -b
             continue
-        assert _apply(f, m, b * b - 4 * a * c) == (a, b, c)
         return (a, b, c), m
 
 
@@ -149,7 +135,6 @@ def reduce_indef_t(f: Form, D: int) -> tuple[Form, Mat]:
     while not is_reduced_indef(g, s):
         g2, m2 = rho_t(g, s)
         g, m = g2, _mat_mul(m, m2)
-    assert _apply(f, m, D) == g
     return g, m
 
 
@@ -495,17 +480,11 @@ def class_group(disc: Discriminant) -> ClassGroupData:
 
 
 # ---------------------------------------------------------------------------
-# fast counting path for the large discriminant scan (numpy, imported here
-# only, so that class_group and K0 runs never load it)
+# the scan's counts: numpy code in ``scancounts``, which only a scan imports,
+# so that class_group and K0 runs neither load numpy nor compile it
 
 class ScanCountError(ArithmeticError):
     """A consistency check behind the scan's class counts failed."""
-
-
-def _exact_log2(count: int, D: int, what: str) -> int:
-    if count < 1 or count & (count - 1):
-        raise ScanCountError(f"D = {D}: {count} {what}, not a power of 2")
-    return count.bit_length() - 1
 
 
 # block_counts counts at most this many consecutive integers per numpy pass;
@@ -521,214 +500,9 @@ def scan_counts(disc: Discriminant) -> tuple[int, int, int]:
 
 def block_counts(deltas) -> list[tuple[int, int, int]]:
     """(h, h_narrow, rank2 of the wide group) for each D in ``deltas``,
-    counted without building any group: an independent second path beside
-    ``class_group``.
+    counted without building any group: ``scancounts.block_counts``, whose
+    module is imported here, on the first scan, so that a process that
+    never scans does not compile it."""
+    from .scancounts import block_counts
 
-    The D of one sign are cut into runs that span fewer than BLOCK_WIDTH
-    integers.  The reduced forms of every integer of a run are enumerated
-    in one pass, and the forms of the integers not asked for are dropped.
-    Each check is made per D and names it.
-    """
-    import numpy as np
-
-    out = {}
-    for sign, counts in ((-1, _counts_imag), (1, _counts_real)):
-        run = []
-        for m in sorted({sign * D for D in deltas if sign * D > 0}):
-            if run and m - run[0] >= BLOCK_WIDTH:
-                out.update(counts(np.array(run, dtype=np.int64)))
-                run = []
-            run.append(m)
-        if run:
-            out.update(counts(np.array(run, dtype=np.int64)))
-    return [out[D] for D in deltas]
-
-
-def _counts_imag(ns) -> dict[int, tuple[int, int, int]]:
-    """Counts for D = -n, n in the sorted array ``ns``, from the reduced
-    forms (a, b, c) with 0 <= b <= a <= c and 4ac - b^2 = n.
-
-    The forms are enumerated over the pairs (a, c) that hold one: c runs
-    from max(a, lo/4a) up to (hi + a^2)/4a, and b over the square roots of
-    4ac - hi .. 4ac - lo that are at most a.  A form on the boundary of the
-    fundamental domain (b = 0, b = a or a = c) is one ambiguous class; any
-    other stands for the two classes (a, +-b, c).  h is one bincount on n
-    and the ambiguous classes a second.
-    """
-    import numpy as np
-
-    lo, hi = int(ns[0]), int(ns[-1])
-    a_vals = np.arange(1, isqrt(hi // 3) + 1, dtype=np.int64)
-    c_lo = np.maximum(a_vals, -(-lo // (4 * a_vals)))
-    off, a, c = _ragged(
-        np.maximum((hi + a_vals * a_vals) // (4 * a_vals) - c_lo + 1, 0),
-        a_vals, c_lo)
-    c += off
-    four_ac = 4 * a * c
-    # b from the ceiling of sqrt(4ac - hi) up to min(a, isqrt(4ac - lo))
-    low = np.maximum(four_ac - hi, 0)
-    b_lo = _isqrt_array(low)
-    b_lo += b_lo * b_lo < low
-    b_hi = np.minimum(a, _isqrt_array(four_ac - lo))
-    # b = n mod 2 for every form of n: one parity when all n share it
-    if (ns % 2 != lo % 2).any():
-        step = 1
-    else:
-        step = 2
-        b_lo += (b_lo - lo) % 2
-    off, a, c, four_ac, b = _ragged(
-        np.maximum((b_hi - b_lo) // step + 1, 0), a, c, four_ac, b_lo)
-    b += step * off
-    n = four_ac - b * b - lo
-    width = hi - lo + 1
-    forms = np.bincount(n, minlength=width)
-    ambiguous = np.bincount(n[(b == 0) | (b == a) | (a == c)],
-                            minlength=width)
-    out = {}
-    for m in ns.tolist():
-        amb = int(ambiguous[m - lo])
-        h = 2 * int(forms[m - lo]) - amb
-        out[-m] = (h, h, _exact_log2(amb, -m, "ambiguous classes"))
-    return out
-
-
-def _isqrt_array(x):
-    """``math.isqrt`` of each entry of a non-negative int64 array: the float
-    square root, corrected by one either way.  The float root is within one
-    of the true root for every int64, and the largest root, 3037000499,
-    squares without overflow."""
-    import numpy as np
-
-    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    r -= r * r > x
-    r += x - r * r > 2 * r
-    return r
-
-
-def _stable_argsort(keys):
-    """``np.argsort(keys, kind="stable")`` for non-negative int64 keys.
-
-    Below 2^32 it is two stable passes on 16-bit digits, low digit first,
-    which numpy sorts by radix; from 2^32 on (past |D| ~ 5*10^7 in
-    ``_counts_real``) it is the int64 argsort itself.
-    """
-    import numpy as np
-
-    if not len(keys) or int(keys.max()) >> 32:
-        return np.argsort(keys, kind="stable")
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    high = (keys >> 16).astype(np.uint16)[order]
-    return order[np.argsort(high, kind="stable")]
-
-
-def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
-    """Counts for the D > 0 in the sorted array ``Ds`` from the reduced forms
-    with a > 0.
-
-    A reduced form of D is (a, b, -k) or its partner (k, b, -a) with
-    D = b^2 + 4ak, a <= k, b <= s = isqrt(D) and 2a > s - b; the triples
-    (b, a, k) of the whole range are enumerated at once, and each form is
-    keyed by (index of D, b, a).  rho alternates the sign of the first
-    coefficient, and (a, b, c) -> (-a, b, -c) (the class c0 of
-    (sqrt(delta))) commutes with it, so tau = negation after rho maps the
-    forms with a > 0 onto themselves.  Its index permutation is read off two
-    sorts: the keys of the forms and those of their tau-images must agree
-    term by term, which checks that tau is a bijection of the enumerated
-    forms.  The cycles of tau are the wide classes, labelled by their least
-    index through min-label pointer jumping, and tau^2 = rho^2 splits a
-    cycle of even length into two narrow classes.  The reversal
-    (a, b, c) -> (c, b, a) inverts the class, so (-c, b, -a), the partner
-    each form was built with, lies in the inverse wide class.
-    """
-    import numpy as np
-
-    lo, hi = int(Ds[0]), int(Ds[-1])
-    width = hi - lo + 1
-    wanted = np.zeros(width, dtype=bool)
-    wanted[Ds - lo] = True
-    S = _isqrt_array(np.arange(lo, hi + 1, dtype=np.int64))
-    s_lo, s_hi = int(S[0]), int(S[-1])
-    # (b, a) with b <= s_hi and (s_lo + 2 - b)//2 <= a, 4a^2 <= hi - b^2
-    # b = D mod 2 for every form of D: one parity when all D share it
-    step, b0 = (1, 1) if (Ds % 2 != lo % 2).any() else (2, 2 - lo % 2)
-    b_vals = np.arange(b0, s_hi + 1, step, dtype=np.int64)
-    a_lo = np.maximum((s_lo + 2 - b_vals) // 2, 1)
-    a_hi = _isqrt_array((hi - b_vals * b_vals) // 4)
-    off, b, a = _ragged(np.maximum(a_hi - a_lo + 1, 0), b_vals, a_lo)
-    a += off
-    # k from max(a, (lo - b^2)/4a) up to (hi - b^2)/4a
-    k_lo = np.maximum(a, -((b * b - lo) // (4 * a)))
-    off, b, a, k = _ragged(np.maximum((hi - b * b) // (4 * a) - k_lo + 1, 0),
-                           b, a, k_lo)
-    k += off
-    J = b * b + 4 * a * k - lo
-    s = S[J]
-    keep = np.flatnonzero(wanted[J] & (b <= s) & (a >= (s + 2 - b) // 2))
-    b, a, k, J = b[keep], a[keep], k[keep], J[keep]
-    pair = np.flatnonzero(a != k)
-    A = np.concatenate((a, k[pair]))
-    B = np.concatenate((b, b[pair]))
-    C = np.concatenate((k, a[pair]))  # |c|
-    J = np.concatenate((J, J[pair]))
-    # the partner of each form: the other one of its pair, or itself
-    inv = np.arange(len(A))
-    inv[pair] = np.arange(len(a), len(A))
-    inv[len(a):] = pair
-    s = S[J]
-    # tau(a, b, -|c|) = (|c|, b', .), b' = 2|c| * ((s + b) // 2|c|) - b
-    b2 = 2 * C * ((s + B) // (2 * C)) - B
-    top = int(A.max(initial=0)) + 1  # > every |c|, the a of a partner
-    row = J * (s_hi + 1)
-    key = (row + B) * top + A
-    image = (row + b2) * top + C
-    in_range = (b2 >= 1) & (b2 <= s)
-    bijective = in_range.all()
-    if bijective:
-        order, hit = _stable_argsort(key), _stable_argsort(image)
-        bijective = (key[order] == image[hit]).all()
-    if not bijective:
-        _raise_rho_miss(lo, key, image, in_range, A, B, C, J)
-    # P[i] is the index of tau(form i)
-    P = np.empty_like(order)
-    P[hit] = order
-    # L[i] = min over i, P(i), ..., P^(2^r - 1)(i) after r rounds.  A cycle
-    # stays within one D, so once 2^r reaches the most forms of one D, L is
-    # the least index of each cycle; then it is constant along tau
-    index = np.arange(len(A))
-    L, Q = index, P
-    for _ in range((int(np.bincount(J).max(initial=1)) - 1).bit_length()):
-        L = np.minimum(L, L[Q])
-        Q = Q[Q]
-    unsettled = np.flatnonzero(L[P] != L)
-    if len(unsettled):
-        raise ScanCountError(f"D = {lo + int(J[unsettled[0]])}: the labels "
-                             "of the tau-cycles did not settle")
-    own = L == index
-    even = np.bincount(L, minlength=len(A)) % 2 == 0
-    h = np.bincount(J[own], minlength=width)
-    h_narrow = h + np.bincount(J[own & even], minlength=width)
-    torsion = np.bincount(J[own & (L[inv] == L)], minlength=width)
-    out = {}
-    for D in Ds.tolist():
-        j = D - lo
-        out[D] = (int(h[j]), int(h_narrow[j]),
-                  _exact_log2(int(torsion[j]), D, "self-inverse classes"))
-    return out
-
-
-def _raise_rho_miss(lo, key, image, in_range, A, B, C, J):
-    """Name the form of least key whose tau-image is not an enumerated form,
-    or, when every image is one, a form that two forms map to."""
-    import numpy as np
-
-    miss = ~in_range | ~np.isin(image, key)
-    if miss.any():
-        m = int(np.flatnonzero(miss)[np.argmin(key[miss])])
-        raise ScanCountError(
-            f"D = {lo + int(J[m])}: rho of ({A[m]}, {B[m]}, {-C[m]}) is not "
-            "an enumerated reduced form")
-    _, first, twice = np.unique(image, return_index=True, return_counts=True)
-    m = int(first[np.argmax(twice)])
-    raise ScanCountError(
-        f"D = {lo + int(J[m])}: rho maps two forms to the image of "
-        f"({A[m]}, {B[m]}, {-C[m]})")
+    return block_counts(deltas)

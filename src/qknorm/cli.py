@@ -280,9 +280,12 @@ def run_scan(cfg: ScanConfig) -> tuple[list[dict], dict]:
               for lo in range(cfg.min, cfg.max + 1, BLOCK_WIDTH)]
     jobs = min(cfg.jobs, os.cpu_count() or 1, len(blocks))
     if jobs > 1:
-        # the blocks import numpy; importing it before the fork lets every
-        # worker inherit it instead of importing it again
+        # the blocks import numpy and the scan counts; importing them before
+        # the fork lets every worker inherit them instead of importing them
+        # again
         import numpy  # noqa: F401
+
+        from . import scancounts  # noqa: F401
 
         parts = _scan_parallel(blocks, jobs)
     else:

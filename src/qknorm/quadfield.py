@@ -74,16 +74,6 @@ def make_discriminant(n: int) -> Discriminant:
     return _discriminant(n, ramified)
 
 
-def _ragged(lens, *cols):
-    """Flatten the ragged ranges 0..lens[i]-1 (numpy arrays): the offsets,
-    then each of ``cols`` with its i-th entry repeated lens[i] times."""
-    import numpy as np
-
-    starts = np.cumsum(lens) - lens
-    off = np.arange(int(lens.sum())) - np.repeat(starts, lens)
-    return (off, *(np.repeat(col, lens) for col in cols))
-
-
 def fundamental_discriminants(lo: int, hi: int) -> list[Discriminant]:
     """Every fundamental discriminant in lo..hi, in order, by a sieve.
 
@@ -96,6 +86,8 @@ def fundamental_discriminants(lo: int, hi: int) -> list[Discriminant]:
     """
     import numpy as np
 
+    from .scancounts import _WS, _expand
+
     if lo > hi:
         return []
     n = np.arange(lo, hi + 1, dtype=np.int64)
@@ -107,9 +99,11 @@ def fundamental_discriminants(lo: int, hi: int) -> list[Discriminant]:
            else _sieve(root + 1)[1:])
     primes = np.array(odd, dtype=np.int64)
     first = -lo % primes
-    off, p, at = _ragged(np.maximum(len(n) - first + primes - 1, 0)
-                         // primes, primes, first)
-    at += off * p
+    # the multiples first + j*p in the range of each sieved prime p
+    grp, starts = _expand(np.maximum(len(n) - first + primes - 1, 0)
+                          // primes, "si", "i0")
+    p = primes[grp]
+    at = (first - starts * primes)[grp] + _WS.iota(len(grp), np.intp) * p
     hit = ok[at]
     at, p = at[hit], p[hit]
     ok[at[rest[at] % (p * p) == 0]] = False

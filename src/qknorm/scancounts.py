@@ -1,0 +1,526 @@
+"""The scan's class counts: (h, h_narrow, rank2) of whole blocks of
+discriminants, one numpy pass per block and sign, on a path that shares no
+logic with ``classgroup.class_group``, so for both signs it is an
+independent second path.
+
+For D < 0 the reduced forms of every D of a block are enumerated at once,
+on and off the boundary of the fundamental domain, and counted by bincount.
+For D > 0 the cycles of rho followed by negation on the reduced forms with
+a > 0 of every D of the block are labelled on index arrays by min-label
+pointer jumping.  Both write their columns in place into one workspace of
+numpy buffers per process (``_Workspace``).
+
+Only the scan imports this module: its counts through
+``classgroup.block_counts`` and ``classgroup.scan_counts``, and its sieve
+(``quadfield.fundamental_discriminants``) for ``_expand``.
+"""
+
+from __future__ import annotations
+
+from math import isqrt
+
+from .classgroup import BLOCK_WIDTH, ScanCountError
+
+
+def _exact_log2(count: int, D: int, what: str) -> int:
+    if count < 1 or count & (count - 1):
+        raise ScanCountError(f"D = {D}: {count} {what}, not a power of 2")
+    return count.bit_length() - 1
+
+
+def block_counts(deltas) -> list[tuple[int, int, int]]:
+    """(h, h_narrow, rank2 of the wide group) for each D in ``deltas``,
+    counted without building any group: an independent second path beside
+    ``class_group``.
+
+    The D of one sign are cut into runs that span fewer than BLOCK_WIDTH
+    integers.  The reduced forms of every integer of a run are enumerated
+    in one pass, and the forms of the integers not asked for are dropped.
+    Each check is made per D and names it.
+    """
+    import numpy as np
+
+    out = {}
+    for sign, counts in ((-1, _counts_imag), (1, _counts_real)):
+        run = []
+        for m in sorted({sign * D for D in deltas if sign * D > 0}):
+            if run and m - run[0] >= BLOCK_WIDTH:
+                out.update(counts(np.array(run, dtype=np.int64)))
+                run = []
+            run.append(m)
+        if run:
+            out.update(counts(np.array(run, dtype=np.int64)))
+    return [out[D] for D in deltas]
+
+
+class _Workspace:
+    """Named numpy buffers that the scan's sieve and counts write in place,
+    one set per process, so that the blocks of a scan reuse the same pages
+    instead of allocating fresh temporaries (which the C heap hands back to
+    the OS and the next block faults in again).
+
+    ``get`` returns the first n entries of a buffer.  A buffer too short
+    for a request, or of another dtype, is replaced by one a quarter longer
+    than the request, so a buffer grows geometrically and is at most 1.25
+    times the largest request.  The counts reuse each buffer from stage to
+    stage, as a slot, so the workspace is bounded by the largest block
+    seen.  Buffers carry nothing from one call to the next: every entry a
+    call reads it has written first.  The one exception is ``iota``, the
+    constant 0, 1, 2, ...
+    """
+
+    def __init__(self):
+        self.bufs = {}
+        self.iotas = {}
+
+    def get(self, name, n, dtype):
+        """A view of n entries of the buffer ``name``; ``dtype`` is a numpy
+        scalar type."""
+        buf = self.bufs.get(name)
+        if buf is None or len(buf) < n or buf.dtype.type is not dtype:
+            import numpy as np
+
+            buf = self.bufs[name] = np.empty(n + n // 4, dtype)
+        return buf[:n]
+
+    def iota(self, n, dtype):
+        """0, 1, ..., n - 1 as a view of a buffer filled when it grows."""
+        buf = self.iotas.get(dtype)
+        if buf is None or len(buf) < n:
+            import numpy as np
+
+            buf = self.iotas[dtype] = np.arange(n + n // 4, dtype=dtype)
+        return buf[:n]
+
+    def nbytes(self) -> int:
+        return sum(buf.nbytes for bufs in (self.bufs, self.iotas)
+                   for buf in bufs.values())
+
+
+_WS = _Workspace()
+
+
+def _expand(lens, starts_slot: str, grp_slot: str):
+    """Lay the ranges 0..lens[i]-1 end to end: (grp, starts), grp[t] the
+    range i of element t (intp) and starts[i] where range i begins, for the
+    nonempty ranges (so element t is number t - starts[grp[t]] of its
+    range).  Every entry of grp is the index of a nonempty range, so a
+    gather by grp is in range by construction.  Both are views of the named
+    workspace slots; ``lens`` holds non-negative ints, and starts has their
+    dtype."""
+    import numpy as np
+
+    m = len(lens)
+    ends = _WS.get(starts_slot, m + 1, lens.dtype.type)
+    ends[0] = 0
+    lens.cumsum(out=ends[1:])
+    starts, total = ends[:m], int(ends[m])
+    grp = _WS.get(grp_slot, total + 1, np.intp)
+    grp[:] = 0
+    # each range writes its index where it begins, and max-accumulate fills
+    # the rest; an empty range begins where the next one does, so its write
+    # goes to the spare last slot instead (and its start, which no element
+    # reads, is lost)
+    np.copyto(starts, total,
+              where=np.equal(lens, 0, out=_WS.get("m0", m, np.bool_)))
+    grp[starts] = _WS.iota(m, np.intp)
+    grp = grp[:total]
+    np.maximum.accumulate(grp, out=grp)
+    return grp, starts
+
+
+def _isqrt_array(x, out=None):
+    """``math.isqrt`` of each entry of a non-negative int64 array: the float
+    square root, corrected by one either way.  The float root is within one
+    of the true root for every int64, and the largest root, 3037000499,
+    squares without overflow.  The roots are written into ``out`` (an int64
+    array of x's length, a new one when None), through workspace buffers."""
+    import numpy as np
+
+    n = len(x)
+    if out is None:
+        out = np.empty(n, dtype=np.int64)
+    root = np.sqrt(x, out=_WS.get("isqrt_float", n, np.float64))
+    np.copyto(out, root, casting="unsafe")  # truncates, as astype does
+    square = np.multiply(out, out, out=_WS.get("isqrt_square", n, np.int64))
+    over = np.greater(square, x, out=_WS.get("isqrt_test", n, np.bool_))
+    out -= over
+    np.multiply(out, out, out=square)
+    np.subtract(x, square, out=square)
+    twice = np.add(out, out, out=_WS.get("isqrt_twice", n, np.int64))
+    out += np.greater(square, twice, out=over)
+    return out
+
+
+def _counts_imag(ns) -> dict[int, tuple[int, int, int]]:
+    """Counts for D = -n, n in the sorted array ``ns``, from the reduced
+    forms (a, b, c) with 0 <= b <= a <= c and 4ac - b^2 = n.
+
+    The forms are enumerated over the pairs (a, c) that hold one: c runs
+    from max(a, lo/4a) up to (hi + a^2)/4a, and b over the square roots of
+    4ac - hi .. 4ac - lo that are at most a.  A form on the boundary of the
+    fundamental domain (b = 0, b = a or a = c) is one ambiguous class; any
+    other stands for the two classes (a, +-b, c).  h is one bincount on n
+    and the ambiguous classes a second.  The columns are int64 (intp)
+    workspace slots written in place, i0..i7, shared with ``_counts_real``.
+    """
+    import numpy as np
+
+    ws, ip = _WS, np.intp
+    lo, hi = int(ns[0]), int(ns[-1])
+    a_vals = np.arange(1, isqrt(hi // 3) + 1, dtype=ip)
+    c_lo = np.maximum(a_vals, -(-lo // (4 * a_vals)))
+    grp, starts = _expand(
+        np.maximum((hi + a_vals * a_vals) // (4 * a_vals) - c_lo + 1, 0),
+        "si", "i0")
+    m = len(grp)
+    # grp holds indices of a_vals (``_expand``): no index is clipped
+    a = a_vals.take(grp, out=ws.get("i1", m, ip), mode="clip")
+    c = (c_lo - starts).take(grp, out=ws.get("i2", m, ip), mode="clip")
+    c += ws.iota(m, ip)
+    four_ac = np.multiply(a, c, out=ws.get("i3", m, ip))
+    four_ac *= 4
+    square = np.equal(a, c, out=ws.get("m1", m, np.bool_))  # a = c
+    # b from the ceiling of sqrt(4ac - hi) up to min(a, isqrt(4ac - lo))
+    low = np.subtract(four_ac, hi, out=ws.get("i4", m, ip))
+    np.maximum(low, 0, out=low)
+    b_lo = _isqrt_array(low, out=ws.get("i5", m, ip))
+    top = np.multiply(b_lo, b_lo, out=ws.get("i6", m, ip))
+    b_lo += np.less(top, low, out=ws.get("m2", m, np.bool_))
+    np.subtract(four_ac, lo, out=top)
+    b_hi = _isqrt_array(top, out=ws.get("i7", m, ip))
+    np.minimum(b_hi, a, out=b_hi)
+    # b = n mod 2 for every form of n: one parity when all n share it
+    if (ns % 2 != lo % 2).any():
+        step = 1
+    else:
+        step = 2
+        b_lo += np.bitwise_and(np.subtract(b_lo, lo, out=low), 1, out=low)
+    lens = np.subtract(b_hi, b_lo, out=b_hi)
+    lens //= step
+    lens += 1
+    np.maximum(lens, 0, out=lens)
+    grp, starts = _expand(lens, "i4", "i0")
+    f = len(grp)
+    b_lo -= np.multiply(starts, step, out=ws.get("i2", m, ip))
+    # grp holds indices of the pairs: no index is clipped
+    b = b_lo.take(grp, out=ws.get("i6", f, ip), mode="clip")
+    b += np.multiply(ws.iota(f, ip), step, out=ws.get("i2", f, ip))
+    n = four_ac.take(grp, out=ws.get("i2", f, ip), mode="clip")
+    n -= lo
+    n -= np.multiply(b, b, out=ws.get("i4", f, ip))
+    on_boundary = square.take(grp, out=ws.get("m2", f, np.bool_),
+                              mode="clip")
+    a = a.take(grp, out=ws.get("i4", f, ip), mode="clip")
+    test = ws.get("m3", f, np.bool_)
+    on_boundary |= np.equal(b, a, out=test)
+    on_boundary |= np.equal(b, 0, out=test)
+    width = hi - lo + 1
+    forms = np.bincount(n, minlength=width).tolist()
+    ambiguous = np.bincount(n[on_boundary], minlength=width).tolist()
+    out = {}
+    for m in ns.tolist():
+        amb = ambiguous[m - lo]
+        h = 2 * forms[m - lo] - amb
+        out[-m] = (h, h, _exact_log2(amb, -m, "ambiguous classes"))
+    return out
+
+
+def _stable_argsort(keys, out=None):
+    """``np.argsort(keys, kind="stable")`` for non-negative integer keys,
+    written into ``out`` when it is given.
+
+    Below 2^32 it is two stable passes on 16-bit digits, low digit first,
+    which numpy sorts by radix; from 2^32 on (past |D| ~ 1.4*10^7 for a
+    block of 300 in ``_counts_real``) it is the int64 argsort itself.
+    """
+    import numpy as np
+
+    n = len(keys)
+    if not n or int(keys.max()) >> 32:
+        order = np.argsort(keys, kind="stable")
+        if out is None:
+            return order
+        np.copyto(out, order)
+        return out
+    digit = _WS.get("digit", n, np.uint16)
+    np.copyto(digit, keys, casting="unsafe")  # the low 16 bits
+    low = np.argsort(digit, kind="stable")
+    np.right_shift(keys, 16, out=digit, casting="unsafe")
+    # low and the argsort of high are permutations of 0..n-1: no index is
+    # clipped
+    high = digit.take(low, out=_WS.get("digit2", n, np.uint16), mode="clip")
+    return low.take(np.argsort(high, kind="stable"), out=out, mode="clip")
+
+
+def _real_dtype(width: int, s_hi: int):
+    """The dtype of the value columns of ``_counts_real`` for a block of
+    ``width`` integers up to hi, s_hi = isqrt(hi): int32 while a key
+    (index of D, b, a), below width * (s_hi + 1)^2, fits it; the D, b^2 and
+    4ak of the block are below (s_hi + 1)^2.  int64 otherwise."""
+    import numpy as np
+
+    return np.int32 if width * (s_hi + 1) ** 2 <= 1 << 31 else np.int64
+
+
+def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
+    """Counts for the D > 0 in the sorted array ``Ds`` from the reduced forms
+    with a > 0.
+
+    A reduced form of D is (a, b, -k) or its partner (k, b, -a) with
+    D = b^2 + 4ak, a <= k, b <= s = isqrt(D) and 2a > s - b; the triples
+    (b, a, k) of the whole range are enumerated at once, and each form is
+    keyed by (index of D, b, a).  rho alternates the sign of the first
+    coefficient, and (a, b, c) -> (-a, b, -c) (the class c0 of
+    (sqrt(delta))) commutes with it, so tau = negation after rho maps the
+    forms with a > 0 onto themselves.  Its index permutation is read off two
+    sorts: the keys of the forms and those of their tau-images must agree
+    term by term, which checks that tau is a bijection of the enumerated
+    forms.  The cycles of tau are the wide classes, labelled by their least
+    index through min-label pointer jumping, and tau^2 = rho^2 splits a
+    cycle of even length into two narrow classes.  The reversal
+    (a, b, c) -> (c, b, a) inverts the class, so (-c, b, -a), the partner
+    each form was built with, lies in the inverse wide class.
+
+    The columns are workspace slots (``_WS``) written in place: values in
+    ``_real_dtype`` (int32 below |D| ~ 7*10^6 for a block of 300) in
+    v0..v9, indices in intp (which numpy gathers without a converted copy)
+    in i0..i5, masks in m0..m3.  A slot is reused once the stage that filled
+    it is done:
+
+    ====  ======  ==========  =======  =====  =======  ========
+    slot  pairs   triples     forms    tau    sorts    labels
+    ====  ======  ==========  =======  =====  =======  ========
+    v0    b                   a
+    v1    a                   b
+    v2    k_lo                |c|
+    v3    lens    temp        D - lo
+    v4    starts              s
+    v5            k                    b'
+    v6            a                    key
+    v7            b                    image
+    v8            D - lo                      sorted
+    v9            s                           sorted
+    i0    grp                 partner
+    i1            grp         triple          order    powers
+    i2            D - lo                      order    powers
+    i3            form at                     P
+    i4            partner at                           L
+    i5                                                 gathered
+    ====  ======  ==========  =======  =====  =======  ========
+
+    Nothing returned aliases a buffer.
+    """
+    import numpy as np
+
+    ws, ip = _WS, np.intp
+    lo, hi = int(Ds[0]), int(Ds[-1])
+    width = hi - lo + 1
+    wanted = np.zeros(width, dtype=bool)
+    wanted[Ds - lo] = True
+    S = _isqrt_array(np.arange(lo, hi + 1, dtype=np.int64))
+    s_lo, s_hi = int(S[0]), int(S[-1])
+    dt = _real_dtype(width, s_hi)
+    S = S.astype(dt)
+    # (b, a) with b <= s_hi and (s_lo + 2 - b)//2 <= a, 4a^2 <= hi - b^2
+    # b = D mod 2 for every form of D: one parity when all D share it
+    step, b0 = (1, 1) if (Ds % 2 != lo % 2).any() else (2, 2 - lo % 2)
+    b_vals = np.arange(b0, s_hi + 1, step, dtype=dt)
+    a_lo = np.maximum((s_lo + 2 - b_vals) // 2, 1)
+    a_hi = _isqrt_array((hi - b_vals.astype(np.int64) ** 2) // 4).astype(dt)
+    grp, starts = _expand(np.maximum(a_hi - a_lo + 1, 0), "sv", "i0")
+    m = len(grp)
+    # grp holds indices of b_vals (``_expand``): no index is clipped
+    b = b_vals.take(grp, out=ws.get("v0", m, dt), mode="clip")
+    a = (a_lo - starts).take(grp, out=ws.get("v1", m, dt), mode="clip")
+    a += ws.iota(m, dt)
+    # k from max(a, (lo - b^2)/4a) up to (hi - b^2)/4a, with x // 4a taken
+    # as (x >> 2) // a
+    k_lo = np.multiply(b, b, out=ws.get("v2", m, dt))
+    k_lo -= lo
+    lens = np.subtract(hi - lo, k_lo, out=ws.get("v3", m, dt))
+    k_lo >>= 2
+    k_lo //= a
+    np.negative(k_lo, out=k_lo)
+    np.maximum(k_lo, a, out=k_lo)
+    lens >>= 2
+    lens //= a
+    lens -= k_lo
+    lens += 1
+    np.maximum(lens, 0, out=lens)
+    grp, starts = _expand(lens, "v4", "i1")
+    n3 = len(grp)
+    k_lo -= starts
+    # grp holds indices of the pairs: no index is clipped
+    k = k_lo.take(grp, out=ws.get("v5", n3, dt), mode="clip")
+    k += ws.iota(n3, dt)
+    a = a.take(grp, out=ws.get("v6", n3, dt), mode="clip")
+    b = b.take(grp, out=ws.get("v7", n3, dt), mode="clip")
+    Jd = np.multiply(a, k, out=ws.get("v8", n3, dt))
+    Jd *= 4
+    Jd += np.multiply(b, b, out=ws.get("v3", n3, dt))
+    Jd -= lo
+    if n3 and (int(Jd.min()) < 0 or int(Jd.max()) >= width):
+        raise ScanCountError(f"D = {lo}..{hi}: a triple (b, a, k) of the "
+                             "enumeration lies outside the block")
+    J = ws.get("i2", n3, ip)
+    np.copyto(J, Jd)
+    # J is in 0..width-1 (checked above): no index is clipped
+    s = S.take(J, out=ws.get("v9", n3, dt), mode="clip")
+    keep = wanted.take(J, out=ws.get("m1", n3, np.bool_), mode="clip")
+    test = ws.get("m2", n3, np.bool_)
+    keep &= np.less_equal(b, s, out=test)
+    a_min = np.add(s, 2, out=ws.get("v3", n3, dt))  # (s + 2 - b) // 2
+    a_min -= b
+    a_min >>= 1
+    keep &= np.greater_equal(a, a_min, out=test)
+    pair = np.not_equal(a, k, out=ws.get("m3", n3, np.bool_))
+    pair &= keep
+    # the kept triples, then the partners of those with a != k: at1 is
+    # where the form of each triple goes, at2 where its partner goes (its
+    # own form when it has none), and a dropped triple goes to the spare
+    # last slot; src[p] is the triple of form p
+    n1 = int(np.count_nonzero(keep))
+    n = n1 + int(np.count_nonzero(pair))
+    at1 = ws.get("i3", n3, ip)
+    np.copyto(at1, keep)
+    at1.cumsum(out=at1)
+    at1 -= 1
+    np.copyto(at1, n, where=np.logical_not(keep, out=test))
+    at2 = ws.get("i4", n3, ip)
+    np.copyto(at2, pair)
+    at2.cumsum(out=at2)
+    at2 += n1 - 1
+    np.copyto(at2, at1, where=np.logical_not(pair, out=test))
+    src = ws.get("i1", n + 1, ip)
+    src[at2] = ws.iota(n3, ip)
+    src[at1] = ws.iota(n3, ip)
+    # src holds triple indices: no index is clipped
+    A, B, C, J, s_form = (ws.get(f"v{i}", n, dt) for i in range(5))
+    firsts, partners = src[:n1], src[n1:n]
+    for col, first, second in ((A, a, k), (C, k, a)):
+        first.take(firsts, out=col[:n1], mode="clip")
+        second.take(partners, out=col[n1:], mode="clip")
+    for col, value in ((B, b), (J, Jd), (s_form, s)):
+        value.take(src[:n], out=col, mode="clip")
+    # the partner of each form: the other one of its pair, or itself
+    inv = ws.get("i0", n, ip)
+    at2.take(firsts, out=inv[:n1], mode="clip")
+    at1.take(partners, out=inv[n1:], mode="clip")
+    s = s_form
+    # tau(a, b, -|c|) = (|c|, b', .), b' = 2|c| * ((s + b) // 2|c|) - b,
+    # with (s + b) // 2|c| = ((s + b) // 2) // |c|
+    b2 = np.add(s, B, out=ws.get("v5", n, dt))
+    b2 >>= 1
+    b2 //= C
+    b2 *= C
+    b2 += b2
+    b2 -= B
+    in_range = np.greater_equal(b2, 1, out=ws.get("m0", n, np.bool_))
+    in_range &= np.less_equal(b2, s, out=ws.get("m2", n, np.bool_))
+    # a reduced form has |a|, |c| <= s (Cohen, GTM 138, 5.6.2), so every
+    # digit of a key is below s_hi + 1
+    top = s_hi + 1
+    key = np.multiply(J, top, out=ws.get("v6", n, dt))
+    key += B
+    key *= top
+    key += A
+    image = np.multiply(J, top, out=ws.get("v7", n, dt))
+    image += b2
+    image *= top
+    image += C
+    bijective = in_range.all()
+    if bijective:
+        order = _stable_argsort(key, out=ws.get("i1", n, ip))
+        hit = _stable_argsort(image, out=ws.get("i2", n, ip))
+        # order and hit are permutations of 0..n-1: no index is clipped
+        sorted_key = key.take(order, out=ws.get("v8", n, dt),
+                             mode="clip")
+        bijective = not np.not_equal(
+            sorted_key, image.take(hit, out=ws.get("v9", n, dt),
+                                mode="clip"),
+            out=ws.get("m2", n, np.bool_)).any()
+    if not bijective:
+        _raise_rho_miss(lo, key, image, in_range, A, B, C, J)
+    # P[i] is the index of tau(form i)
+    P = ws.get("i3", n, ip)
+    P[hit] = order
+    # the forms of each D, from where its keys begin among the sorted keys
+    first = sorted_key.searchsorted(np.arange(width, dtype=dt) * (top * top))
+    most = max(int((first[1:] - first[:-1]).max(initial=1)),
+               n - int(first[-1]))
+    # L[i] = min over i, P(i), ..., P^(2^r - 1)(i) after r rounds.  A cycle
+    # stays within one D, so once 2^r reaches the most forms of one D, L is
+    # the least index of each cycle; then it is constant along tau
+    L, gathered = _label_cycles(P, most, order, hit)
+    # P is a permutation of 0..n-1: no index is clipped
+    L.take(P, out=gathered, mode="clip")
+    unsettled = np.not_equal(gathered, L, out=ws.get("m2", n, np.bool_))
+    if unsettled.any():
+        j = int(J[int(np.argmax(unsettled))])
+        raise ScanCountError(f"D = {lo + j}: the labels "
+                             "of the tau-cycles did not settle")
+    own = np.equal(L, ws.iota(n, ip), out=ws.get("m1", n, np.bool_))
+    # number the cycles 0, 1, ... by their least index; L holds form
+    # indices, so no index is clipped
+    rank = order
+    np.copyto(rank, own)
+    rank.cumsum(out=rank)
+    rank -= 1
+    cycle = rank.take(L, out=gathered, mode="clip")
+    J_own = J[own]
+    even = np.bincount(cycle, minlength=len(J_own)) % 2 == 0
+    h = np.bincount(J_own, minlength=width)
+    h_narrow = (h + np.bincount(J_own[even], minlength=width)).tolist()
+    h = h.tolist()
+    # inv holds form indices: no index is clipped
+    self_inverse = np.equal(L.take(inv, out=gathered, mode="clip"), L,
+                            out=ws.get("m2", n, np.bool_))
+    self_inverse &= own
+    torsion = np.bincount(J[self_inverse], minlength=width).tolist()
+    out = {}
+    for D in Ds.tolist():
+        j = D - lo
+        out[D] = (h[j], h_narrow[j],
+                  _exact_log2(torsion[j], D, "self-inverse classes"))
+    return out
+
+
+def _label_cycles(P, most: int, spare, spare2):
+    """(L, gathered): L[i] the least index of the cycle of i under the
+    permutation P, by ceil(log2(most)) rounds of min-label pointer jumping,
+    enough when no cycle is longer than ``most``; gathered is a free buffer
+    of P's length.  Both are workspace slots (i4, i5); spare and spare2,
+    two more free intp buffers of P's length, hold the powers of P."""
+    import numpy as np
+
+    n = len(P)
+    L = _WS.get("i4", n, np.intp)
+    np.copyto(L, _WS.iota(n, np.intp))
+    gathered = _WS.get("i5", n, np.intp)
+    Q, powers = P, (spare, spare2)
+    rounds = (most - 1).bit_length()
+    for r in range(rounds):
+        # Q is P^(2^r), a permutation of 0..n-1: no index is clipped
+        np.minimum(L, L.take(Q, out=gathered, mode="clip"), out=L)
+        if r + 1 < rounds:
+            Q = Q.take(Q, out=powers[r % 2], mode="clip")
+    return L, gathered
+
+
+def _raise_rho_miss(lo, key, image, in_range, A, B, C, J):
+    """Name the form of least key whose tau-image is not an enumerated form,
+    or, when every image is one, a form that two forms map to."""
+    import numpy as np
+
+    miss = ~in_range | ~np.isin(image, key)
+    if miss.any():
+        m = int(np.flatnonzero(miss)[np.argmin(key[miss])])
+        raise ScanCountError(
+            f"D = {lo + int(J[m])}: rho of ({A[m]}, {B[m]}, {-C[m]}) is not "
+            "an enumerated reduced form")
+    _, first, twice = np.unique(image, return_index=True, return_counts=True)
+    m = int(first[np.argmax(twice)])
+    raise ScanCountError(
+        f"D = {lo + int(J[m])}: rho maps two forms to the image of "
+        f"({A[m]}, {B[m]}, {-C[m]})")

@@ -5,7 +5,7 @@ from math import isqrt, prod, sqrt
 
 import pytest
 
-from qknorm import classgroup
+from qknorm import classgroup, scancounts
 from qknorm.classgroup import (block_counts, class_group, compose_forms,
                                cycle_of, enumerate_reduced_definite,
                                enumerate_reduced_indefinite, principal_form,
@@ -275,7 +275,7 @@ def test_isqrt_array_matches_isqrt():
     x = np.concatenate((squares, squares + 1, squares[squares > 0] - 1,
                         rng.integers(0, top, size=50000, endpoint=True),
                         [0, top, top - 1, 1 << 62])).astype(np.int64)
-    assert classgroup._isqrt_array(x).tolist() == \
+    assert scancounts._isqrt_array(x).tolist() == \
         [isqrt(v) for v in x.tolist()]
 
 
@@ -295,14 +295,14 @@ def test_stable_argsort_matches_numpy(monkeypatch):
         keys = rng.integers(0, top, size=5000, dtype=np.int64)
         keys[::7] = keys[3]  # ties
         seen.clear()
-        got = classgroup._stable_argsort(keys)
+        got = scancounts._stable_argsort(keys)
         assert (got == argsort(keys, kind="stable")).all(), top
         assert seen == [np.uint16] * 2, top
     # a key past 2^32: one int64 argsort
     keys = np.array([1 << 40, 5, 1 << 32, 5, 0, (1 << 32) - 1],
                     dtype=np.int64)
     seen.clear()
-    assert classgroup._stable_argsort(keys).tolist() == [4, 1, 3, 5, 2, 0]
+    assert scancounts._stable_argsort(keys).tolist() == [4, 1, 3, 5, 2, 0]
     assert seen == [np.int64]
 
 
@@ -327,6 +327,138 @@ def test_scan_count_checks_raise_under_optimize(src_env):
     assert lines[0].startswith("D = 25: rho of")
     assert lines[1] == "D = 80: 3 self-inverse classes, not a power of 2"
     assert lines[2] == "D = -32: 3 ambiguous classes, not a power of 2"
+
+
+# the two scan-count messages that only a broken enumeration or labelling
+# reaches: a crafted pair of forms with one tau-image, and pointer jumping
+# cut to no rounds
+UNREACHED_SCAN_MESSAGES = (
+    "import numpy as np\n"
+    "from qknorm import scancounts\n"
+    "from qknorm.classgroup import ScanCountError, block_counts\n"
+    "col = lambda *v: np.array(v, dtype=np.int32)\n"
+    "try:\n"
+    "    scancounts._raise_rho_miss(100, col(10, 20, 30), col(20, 20, 10),\n"
+    "                               np.ones(3, dtype=bool), col(1, 2, 3),\n"
+    "                               col(5, 6, 7), col(4, 4, 4), col(0, 1, 2))\n"
+    "except ScanCountError as exc:\n"
+    "    print(exc)\n"
+    "label = scancounts._label_cycles\n"
+    "scancounts._label_cycles = lambda P, most, *spare: label(P, 1, *spare)\n"
+    "try:\n"
+    "    block_counts([229])\n"
+    "except ScanCountError as exc:\n"
+    "    print(exc)\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_unreached_scan_count_messages(flags, src_env):
+    proc = subprocess.run([sys.executable, *flags, "-c",
+                           UNREACHED_SCAN_MESSAGES],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "D = 100: rho maps two forms to the image of (1, 5, -4)",
+        "D = 229: the labels of the tau-cycles did not settle"]
+
+
+def _fundamental_block(start, width):
+    """The fundamental D of both signs in a block of ``width`` integers that
+    begins, for each sign, at the first fundamental |D| >= start."""
+    out = []
+    for sign in (1, -1):
+        lo = next(m for m in range(start, start + 1000)
+                  if is_fundamental(sign * m))
+        out += [sign * m for m in range(lo, lo + width)
+                if is_fundamental(sign * m)]
+    return out
+
+
+WORKSPACE_BLOCKS = [_fundamental_block(start, width)
+                    for start in (1, 99701, 999701) for width in (1, 7, 300)]
+
+# each block counted with a workspace of its own
+FRESH_COUNTS = (
+    "import json, sys\n"
+    "from qknorm import classgroup, scancounts\n"
+    "out = []\n"
+    "for deltas in json.load(sys.stdin):\n"
+    "    scancounts._WS = scancounts._Workspace()\n"
+    "    out.append(classgroup.block_counts(deltas))\n"
+    "print(json.dumps(out))\n")
+
+
+def test_workspace_is_invisible(src_env):
+    # the scan counts reuse one workspace of buffers per process; the
+    # counts of a block must not depend on the blocks counted before it
+    import json
+
+    proc = subprocess.run([sys.executable, "-c", FRESH_COUNTS],
+                          input=json.dumps(WORKSPACE_BLOCKS),
+                          capture_output=True, text=True, env=src_env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = [[tuple(c) for c in counts] for counts in json.loads(proc.stdout)]
+    assert all(want) and len(want[-1]) > 50
+    by_size = sorted(range(len(want)), key=lambda i: len(want[i]))
+    for order in (by_size[::-1], by_size):
+        for i in order:
+            assert block_counts(WORKSPACE_BLOCKS[i]) == want[i], i
+    for i in by_size:
+        with pytest.raises(classgroup.ScanCountError):
+            block_counts([25])
+        assert block_counts(WORKSPACE_BLOCKS[i]) == want[i], i
+
+
+def test_an_equal_block_regrows_no_buffer(monkeypatch):
+    monkeypatch.setattr(scancounts, "_WS", scancounts._Workspace())
+    deltas = WORKSPACE_BLOCKS[4]  # 7 wide at 99701
+    block_counts(deltas)
+    bufs = dict(scancounts._WS.bufs)
+    assert block_counts(deltas) == block_counts(deltas)
+    assert scancounts._WS.bufs.keys() == bufs.keys()
+    assert all(scancounts._WS.bufs[k] is buf for k, buf in bufs.items())
+
+
+def test_workspace_is_bounded_by_the_block(monkeypatch):
+    # the columns of a block 300 wide at 999701, both signs, with the
+    # quarter of headroom the workspace grows by
+    monkeypatch.setattr(scancounts, "_WS", scancounts._Workspace())
+    block_counts(WORKSPACE_BLOCKS[-1])
+    assert scancounts._WS.nbytes() < 14 << 20
+
+
+def test_block_dtype_switches_past_the_int32_bound(monkeypatch):
+    # a key (index of D, b, a) of a block of w integers up to hi is below
+    # w * (isqrt(hi) + 1)^2; from the first hi where that passes 2^31 the
+    # value columns are int64.  Blocks just past and just below it agree
+    # with class_group and with blocks of one, which stay int32
+    import numpy as np
+
+    w = classgroup.BLOCK_WIDTH
+    s = isqrt((1 << 31) // w)
+    bound = s * s  # the first hi with isqrt(hi) = s
+    assert w * s ** 2 <= 1 << 31 < w * (s + 1) ** 2
+    assert scancounts._real_dtype(w, s - 1) is np.int32
+    assert scancounts._real_dtype(w, s) is np.int64
+    assert scancounts._real_dtype(1, s) is np.int32
+    monkeypatch.setattr(scancounts, "_WS", scancounts._Workspace())
+    # blocks exactly w wide with both ends fundamental, one ending at least
+    # 30 past the bound, one ending below it
+    for starts, dtype in ((range(bound + 30 - w + 1, bound + 200), np.int64),
+                          (range(bound - w, bound - w - 200, -1), np.int32)):
+        lo = next(lo for lo in starts
+                  if is_fundamental(lo) and is_fundamental(lo + w - 1))
+        deltas = [d for d in range(lo, lo + w) if is_fundamental(d)]
+        counts = block_counts(deltas)
+        assert scancounts._WS.bufs["v0"].dtype == dtype
+        near = range(len(deltas) - 4, len(deltas))  # the last four D
+        assert (deltas[near[0]] >= bound) == (dtype is np.int64)
+        for i in near:
+            cg = class_group(make_discriminant(deltas[i]))
+            assert counts[i] == (cg.h, cg.h_narrow, cg.rank2), deltas[i]
+            assert counts[i] == block_counts([deltas[i]])[0], deltas[i]
 
 
 def test_square_roots_match_squaring():

@@ -83,6 +83,21 @@ HNF_PRODUCT_TRIPLED = (
     "ideals._hnf2 = tripled\n"
     "sys.exit(main(['k0', '--disc', '136']))\n")
 
+# the transform of a reduction sheared, its first column (u, v) moved to
+# (u + u', v + v'): the generator read off it is wrong, which the check of
+# every read-off generator (``_checked_generator``) must catch, since
+# nothing else checks the transform
+TRANSFORM_SHEARED = (
+    "import sys\n"
+    "import qknorm.classgroup as cg\n"
+    "from qknorm.cli import main\n"
+    "reduce = cg.{name}\n"
+    "def sheared(*args):\n"
+    "    g, (p, q, r, s) = reduce(*args)\n"
+    "    return g, (p + q, q, r + s, s)\n"
+    "cg.{name} = sheared\n"
+    "sys.exit(main(['k0', '--disc', '{disc}']))\n")
+
 FAULT_ROWS = {
     "rank2_off_by_one": (RANK2_OFF_BY_ONE, {
         "verdict_69": 122, "verdict_67": 122, "verdict_68": 91}, ""),
@@ -98,6 +113,14 @@ FAULT_ROWS = {
     "hnf_product_tripled": (HNF_PRODUCT_TRIPLED, None,
         "k0: lattice_product: D = 136: [1, 10] * [3, 8] has Hermite form "
         "(9, 2, 3), not an O_F-module\n"),
+    "definite_transform_sheared": (TRANSFORM_SHEARED.format(
+        name="reduce_definite_t", disc=-84), None,
+        "k0: generator read-off: D = -84: N(QuadNum((2+1*sqrt(-84))/2)) is "
+        "not 1 * 1\n"),
+    "indefinite_transform_sheared": (TRANSFORM_SHEARED.format(
+        name="reduce_indef_t", disc=136), None,
+        "k0: generator read-off: D = 136: N(QuadNum((12+1*sqrt(136))/2)) "
+        "is not 1 * 1\n"),
 }
 
 
