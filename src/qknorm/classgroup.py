@@ -15,9 +15,8 @@ coset enumeration and the Smith form of its relation matrix
 The scan's ``block_counts`` shares no logic with ``class_group``, so for both
 signs it is an independent second path.  It counts a whole block of
 discriminants (at most ``BLOCK_WIDTH`` consecutive integers) in one numpy
-pass; its code is in ``scancounts``, which only the scan imports, so that
-only it and the scan's sieve import numpy.  ``scan_counts`` is a block of
-one.
+pass; its code is in ``scancounts``, which only the scan imports and which
+is the only module that imports numpy.  ``scan_counts`` is a block of one.
 
 Forms are plain (a, b, c) tuples.  Composition is the product of the
 corresponding ideals (``ideals.lattice_product``, the same product as
@@ -480,8 +479,9 @@ def class_group(disc: Discriminant) -> ClassGroupData:
 
 
 # ---------------------------------------------------------------------------
-# the scan's counts: numpy code in ``scancounts``, which only a scan imports,
-# so that class_group and K0 runs neither load numpy nor compile it
+# the scan's counts: ``scancounts``, the one module that imports numpy; only
+# a scan imports it, so class_group and K0 runs neither load numpy nor
+# compile it
 
 class ScanCountError(ArithmeticError):
     """A consistency check behind the scan's class counts failed."""

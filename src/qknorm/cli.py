@@ -184,11 +184,6 @@ def _row(rep) -> dict:
     }
 
 
-def scan_row(delta: int) -> dict:
-    """The scan row of one fundamental discriminant."""
-    return _row(genus_engine(make_discriminant(delta)))
-
-
 def scan_block(bounds: tuple[int, int]) -> list[dict]:
     """The scan rows of the fundamental discriminants in lo..hi, in order."""
     discs = fundamental_discriminants(*bounds)
@@ -274,17 +269,17 @@ def _scan_parallel(blocks: list[tuple[int, int]], jobs: int):
 
 
 def run_scan(cfg: ScanConfig) -> tuple[list[dict], dict]:
-    # blocks of BLOCK_WIDTH integers, each sieved and counted in one numpy
-    # pass; striped over no more workers than CPUs or blocks
+    # blocks of BLOCK_WIDTH integers, each sieved in plain Python and counted
+    # in one numpy pass; striped over no more workers than CPUs or blocks
     blocks = [(lo, min(lo + BLOCK_WIDTH - 1, cfg.max))
               for lo in range(cfg.min, cfg.max + 1, BLOCK_WIDTH)]
-    jobs = min(cfg.jobs, os.cpu_count() or 1, len(blocks))
+    # a one-job scan does not ask for the CPU count (tens of microseconds)
+    jobs = 1 if cfg.jobs == 1 else min(cfg.jobs, os.cpu_count() or 1,
+                                       len(blocks))
     if jobs > 1:
-        # the blocks import numpy and the scan counts; importing them before
-        # the fork lets every worker inherit them instead of importing them
-        # again
-        import numpy  # noqa: F401
-
+        # the blocks import the scan counts, and with them numpy; importing
+        # them before the fork lets every worker inherit them instead of
+        # importing them again
         from . import scancounts  # noqa: F401
 
         parts = _scan_parallel(blocks, jobs)

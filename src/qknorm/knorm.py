@@ -128,11 +128,6 @@ def sigma(ctx: K0Context, sign: int) -> K0Elt:
     return K0Elt(sign, FracIdeal.unit(ctx.disc))
 
 
-def rho(ctx: K0Context, e: K0Elt):
-    """Underlying wide ideal class."""
-    return ctx.cg.key_of_ideal(e.ideal)
-
-
 @dataclass
 class K0Group:
     order: int

@@ -64,10 +64,6 @@ class IdeleFS:
     def one(cls, disc: Discriminant) -> "IdeleFS":
         return cls({}, disc)
 
-    def component(self, prime: FracIdeal) -> QuadNum:
-        return self.components.get(prime,
-                                   QuadNum.from_rational(1, self.disc))
-
     def support_primes(self) -> list[int]:
         return sorted({rational_prime_of(p) for p in self.components})
 

@@ -77,49 +77,36 @@ def make_discriminant(n: int) -> Discriminant:
 def fundamental_discriminants(lo: int, hi: int) -> list[Discriminant]:
     """Every fundamental discriminant in lo..hi, in order, by a sieve.
 
-    For n = 1 mod 4, or n = 4m with m = 2, 3 mod 4, the core is squarefree
-    exactly when no odd p^2 divides n (the power of 2 is fixed by the
-    residue).  Every odd prime p <= sqrt(max |n|), read from ``arith``'s
-    prime table for |n| < 1024^2, is sieved over the range at once; the odd
-    part of |n| divided by the sieved primes that divide it is 1 or one more
-    prime.  numpy is imported here only, for the scan.
+    For n = 1 mod 4, or n = 4m with m = 2, 3 mod 4 (n = 8, 12 mod 16), the
+    core is squarefree exactly when no odd p^2 divides n (the power of 2 is
+    fixed by the residue).  Each odd prime p <= sqrt(max |n|), read from
+    ``arith``'s prime table for |n| < 1024^2, is divided out once from the
+    odd part of every multiple in the range, and a second factor p drops n;
+    what is left is 1 or one more prime.  The ramified primes come out in
+    order: 2, the sieved primes, the last prime.
     """
-    import numpy as np
-
-    from .scancounts import _WS, _expand
-
     if lo > hi:
         return []
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    r = n % 16  # n = 4m with m = 2, 3 mod 4 is n = 8, 12 mod 16
-    ok = (r % 4 == 1) & (n != 1) | (r == 8) | (r == 12)
-    rest = np.abs(n) >> np.where(r == 8, 3, np.where(r == 12, 2, 0))
+    rest = [0] * (hi - lo + 1)  # the odd part of |n| not yet divided out
+    primes = [None] * len(rest)
+    for r, shift, step in ((1, 0, 4), (8, 3, 16), (12, 2, 16)):
+        for i in range((r - lo) % step, len(rest), step):
+            rest[i] = abs(lo + i) >> shift
+            primes[i] = [2] if shift else []
+    if lo <= 1 <= hi:
+        rest[1 - lo] = 0
     root = isqrt(max(-lo, hi))
     odd = (PRIMES[1:bisect_right(PRIMES, root)] if root < TABLE_BOUND
            else _sieve(root + 1)[1:])
-    primes = np.array(odd, dtype=np.int64)
-    first = -lo % primes
-    # the multiples first + j*p in the range of each sieved prime p
-    grp, starts = _expand(np.maximum(len(n) - first + primes - 1, 0)
-                          // primes, "si", "i0")
-    p = primes[grp]
-    at = (first - starts * primes)[grp] + _WS.iota(len(grp), np.intp) * p
-    hit = ok[at]
-    at, p = at[hit], p[hit]
-    ok[at[rest[at] % (p * p) == 0]] = False
-    np.floor_divide.at(rest, at, p)
-    found = np.flatnonzero(ok)
-    even = found[r[found] % 4 == 0]
-    big = found[rest[found] > 1]
-    at = np.concatenate((even, at, big))
-    p = np.concatenate((np.full(len(even), 2), p, rest[big]))
-    keep = ok[at]
-    order = np.argsort(at[keep], kind="stable")  # 2 first, the big one last
-    at, p = at[keep][order], p[keep][order].tolist()
-    starts = np.searchsorted(at, found).tolist()
-    ends = np.searchsorted(at, found, side="right").tolist()
-    return [_discriminant(lo + i, tuple(p[j:k]))
-            for i, j, k in zip(found.tolist(), starts, ends)]
+    for p in odd:
+        for i in range(-lo % p, len(rest), p):
+            if rest[i]:
+                q = rest[i] // p
+                rest[i] = 0 if q % p == 0 else q
+                primes[i].append(p)
+    return [_discriminant(lo + i, tuple(primes[i] + [q] if q > 1
+                                        else primes[i]))
+            for i, q in enumerate(rest) if q]
 
 
 class QuadNum:

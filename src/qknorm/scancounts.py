@@ -10,14 +10,16 @@ a > 0 of every D of the block are labelled on index arrays by min-label
 pointer jumping.  Both write their columns in place into one workspace of
 numpy buffers per process (``_Workspace``).
 
-Only the scan imports this module: its counts through
-``classgroup.block_counts`` and ``classgroup.scan_counts``, and its sieve
-(``quadfield.fundamental_discriminants``) for ``_expand``.
+This is the only module that imports numpy, and only the scan imports it,
+through ``classgroup.block_counts`` and ``classgroup.scan_counts``; the
+scan's sieve (``quadfield.fundamental_discriminants``) is plain Python.
 """
 
 from __future__ import annotations
 
 from math import isqrt
+
+import numpy as np
 
 from .classgroup import BLOCK_WIDTH, ScanCountError
 
@@ -38,8 +40,6 @@ def block_counts(deltas) -> list[tuple[int, int, int]]:
     in one pass, and the forms of the integers not asked for are dropped.
     Each check is made per D and names it.
     """
-    import numpy as np
-
     out = {}
     for sign, counts in ((-1, _counts_imag), (1, _counts_real)):
         run = []
@@ -54,7 +54,7 @@ def block_counts(deltas) -> list[tuple[int, int, int]]:
 
 
 class _Workspace:
-    """Named numpy buffers that the scan's sieve and counts write in place,
+    """Named numpy buffers that the scan's counts write in place,
     one set per process, so that the blocks of a scan reuse the same pages
     instead of allocating fresh temporaries (which the C heap hands back to
     the OS and the next block faults in again).
@@ -78,8 +78,6 @@ class _Workspace:
         scalar type."""
         buf = self.bufs.get(name)
         if buf is None or len(buf) < n or buf.dtype.type is not dtype:
-            import numpy as np
-
             buf = self.bufs[name] = np.empty(n + n // 4, dtype)
         return buf[:n]
 
@@ -87,8 +85,6 @@ class _Workspace:
         """0, 1, ..., n - 1 as a view of a buffer filled when it grows."""
         buf = self.iotas.get(dtype)
         if buf is None or len(buf) < n:
-            import numpy as np
-
             buf = self.iotas[dtype] = np.arange(n + n // 4, dtype=dtype)
         return buf[:n]
 
@@ -108,8 +104,6 @@ def _expand(lens, starts_slot: str, grp_slot: str):
     gather by grp is in range by construction.  Both are views of the named
     workspace slots; ``lens`` holds non-negative ints, and starts has their
     dtype."""
-    import numpy as np
-
     m = len(lens)
     ends = _WS.get(starts_slot, m + 1, lens.dtype.type)
     ends[0] = 0
@@ -135,8 +129,6 @@ def _isqrt_array(x, out=None):
     of the true root for every int64, and the largest root, 3037000499,
     squares without overflow.  The roots are written into ``out`` (an int64
     array of x's length, a new one when None), through workspace buffers."""
-    import numpy as np
-
     n = len(x)
     if out is None:
         out = np.empty(n, dtype=np.int64)
@@ -164,8 +156,6 @@ def _counts_imag(ns) -> dict[int, tuple[int, int, int]]:
     and the ambiguous classes a second.  The columns are int64 (intp)
     workspace slots written in place, i0..i7, shared with ``_counts_real``.
     """
-    import numpy as np
-
     ws, ip = _WS, np.intp
     lo, hi = int(ns[0]), int(ns[-1])
     a_vals = np.arange(1, isqrt(hi // 3) + 1, dtype=ip)
@@ -234,8 +224,6 @@ def _stable_argsort(keys, out=None):
     which numpy sorts by radix; from 2^32 on (past |D| ~ 1.4*10^7 for a
     block of 300 in ``_counts_real``) it is the int64 argsort itself.
     """
-    import numpy as np
-
     n = len(keys)
     if not n or int(keys.max()) >> 32:
         order = np.argsort(keys, kind="stable")
@@ -258,8 +246,6 @@ def _real_dtype(width: int, s_hi: int):
     ``width`` integers up to hi, s_hi = isqrt(hi): int32 while a key
     (index of D, b, a), below width * (s_hi + 1)^2, fits it; the D, b^2 and
     4ak of the block are below (s_hi + 1)^2.  int64 otherwise."""
-    import numpy as np
-
     return np.int32 if width * (s_hi + 1) ** 2 <= 1 << 31 else np.int64
 
 
@@ -311,8 +297,6 @@ def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
 
     Nothing returned aliases a buffer.
     """
-    import numpy as np
-
     ws, ip = _WS, np.intp
     lo, hi = int(Ds[0]), int(Ds[-1])
     width = hi - lo + 1
@@ -492,8 +476,6 @@ def _label_cycles(P, most: int, spare, spare2):
     enough when no cycle is longer than ``most``; gathered is a free buffer
     of P's length.  Both are workspace slots (i4, i5); spare and spare2,
     two more free intp buffers of P's length, hold the powers of P."""
-    import numpy as np
-
     n = len(P)
     L = _WS.get("i4", n, np.intp)
     np.copyto(L, _WS.iota(n, np.intp))
@@ -511,8 +493,6 @@ def _label_cycles(P, most: int, spare, spare2):
 def _raise_rho_miss(lo, key, image, in_range, A, B, C, J):
     """Name the form of least key whose tau-image is not an enumerated form,
     or, when every image is one, a form that two forms map to."""
-    import numpy as np
-
     miss = ~in_range | ~np.isin(image, key)
     if miss.any():
         m = int(np.flatnonzero(miss)[np.argmin(key[miss])])

@@ -9,10 +9,16 @@ import pytest
 
 from qknorm import classgroup, cli, ideals, knorm, mv
 from qknorm.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERDICT, ScanConfig,
-                        ScanConfigError, fundamental_range, main, run_scan,
-                        scan_row)
+                        ScanConfigError, _row, fundamental_range, main,
+                        run_scan)
+from qknorm.mv import genus_engine
 from qknorm.quadfield import make_discriminant
 from qknorm.units import fundamental_unit
+
+
+def scan_row(delta: int) -> dict:
+    """The scan row of one fundamental discriminant."""
+    return _row(genus_engine(make_discriminant(delta)))
 
 
 def _run(capsys, argv):
@@ -313,6 +319,14 @@ def test_jobs_clamped_to_cpus_and_blocks(monkeypatch):
     run_scan(ScanConfig(min=1000, max=1000 + 3 * w - 1, jobs=64))
     assert started == []
 
+    # one job needs no CPU count, so a one-job scan does not ask for it
+    def unreachable():
+        raise AssertionError("os.cpu_count called at one job")
+
+    monkeypatch.setattr(cli.os, "cpu_count", unreachable)
+    rows = run_scan(ScanConfig(min=1000, max=1000 + 3 * w - 1))[0]
+    assert started == [] and rows
+
 
 def test_scan_leaves_no_process_behind(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -362,6 +376,39 @@ def test_reports_do_not_import_numpy(src_env):
     # its import and memory
     calls = [["k0", "--disc", "229"], ["classgroup", "--disc", "229"]]
     assert _loaded_after(src_env, calls, "numpy") == "False"
+
+
+def test_numpy_is_imported_by_scancounts_only():
+    # one module holds the scan's numpy code and imports numpy once, at its
+    # top; every other module, the sieve included, is plain Python
+    import ast
+    from pathlib import Path
+
+    importers = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = set(map(id, tree.body))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append((path.name, id(node) in top))
+    assert importers == [("scancounts.py", True)]
+
+
+def test_sieve_does_not_import_numpy(src_env):
+    code = ("import sys\n"
+            "from qknorm.quadfield import fundamental_discriminants\n"
+            "assert len(fundamental_discriminants(-1000, 1000)) == 607\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=src_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_reports_do_not_import_multiprocessing(src_env):

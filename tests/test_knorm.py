@@ -11,8 +11,8 @@ from qknorm import knorm
 from qknorm.classgroup import abelian_closure, principal_generator
 from qknorm.ideals import FracIdeal, primes_above, principal_ideal
 from qknorm.knorm import (K0Elt, bass_sequence_report, k0_eq, k0_context,
-                          k0_group, k0_identity, k0_key, k0_mul, k0_rep, rho,
-                          sigma, solve_norm_equation)
+                          k0_group, k0_identity, k0_key, k0_mul, k0_rep, sigma,
+                          solve_norm_equation)
 from qknorm.local import is_global_norm
 from qknorm.quadfield import QuadNum, make_discriminant
 
@@ -139,7 +139,9 @@ def test_sigma_and_rho():
         disc = make_discriminant(delta)
         ctx = k0_context(disc)
         s = sigma(ctx, -1)
-        assert rho(ctx, s) == ctx.cg.key_of_ideal(FracIdeal.unit(disc))
+        # rho, K0 -> Cl, is the class of the ideal: sigma(-1) lies over 1
+        assert ctx.cg.key_of_ideal(s.ideal) == \
+            ctx.cg.key_of_ideal(FracIdeal.unit(disc))
         # sigma(-1) is trivial exactly when a unit of norm -1 exists
         trivial = k0_eq(ctx, s, k0_identity(disc))
         assert trivial == (ctx.units.h0_units_order == 1)

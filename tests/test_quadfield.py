@@ -68,7 +68,13 @@ def test_make_discriminant_raises_exactly_off_fundamentals():
                                    # 1031^2 and -1031*1033 need primes
                                    # above the table's largest, 1021
                                    (1062800, 1063100),
-                                   (-1065100, -1064800)])
+                                   (-1065100, -1064800),
+                                   # where the table ends and _sieve begins
+                                   (1048000, 1049300),
+                                   (-1049300, -1048000),
+                                   (2 ** 40, 2 ** 40 + 300),
+                                   (-2 ** 40 - 300, -2 ** 40),
+                                   (1, 1), (5, 4)])
 def test_sieve_matches_make_discriminant(lo, hi):
     got = fundamental_discriminants(lo, hi)
     assert got == [make_discriminant(n) for n in range(lo, hi + 1)
