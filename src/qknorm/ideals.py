@@ -30,6 +30,14 @@ class DiscMismatch(ValueError):
     """Raised when combining ideals over different discriminants."""
 
 
+class NotNormalForm(ValueError):
+    """Raised when (n, d, a, b) is not the normal form of a ``FracIdeal``."""
+
+
+class ZeroGenerator(ValueError):
+    """Raised when zero is asked for the fractional ideal it generates."""
+
+
 class LatticeCheckError(ArithmeticError):
     """A Hermite form on the ideal product path failed its check: the
     module it spans is not of full rank, or not an O_F-module."""
@@ -100,20 +108,49 @@ def lattice_product(a1: int, b1: int, a2: int, b2: int,
     return e, a, (b - 2 * a if b > a else b)
 
 
-@dataclass(frozen=True)
 class FracIdeal:
-    """(n/d) * [a, (b+sqrt(D))/2] with coprime ints n, d > 0."""
-    n: int
-    d: int
-    a: int
-    b: int
-    disc: Discriminant
+    """(n/d) * [a, (b+sqrt(D))/2] with coprime ints n, d > 0.
 
-    def __post_init__(self):
-        D = self.disc.delta
-        assert self.n > 0 and self.d > 0 and gcd(self.n, self.d) == 1
-        assert self.a > 0 and -self.a < self.b <= self.a
-        assert (self.b * self.b - D) % (4 * self.a) == 0
+    A plain value in one normal form: n/d in lowest terms, a > 0,
+    -a < b <= a and b^2 = D mod 4a, checked by the constructor, which
+    raises ``NotNormalForm`` also under ``python -O``.  Equal when every
+    field is, hashed once on the ints (n, d, a, b, D), immutable by
+    convention.
+    """
+
+    __slots__ = ("n", "d", "a", "b", "disc", "_hash")
+
+    def __init__(self, n: int, d: int, a: int, b: int, disc: Discriminant):
+        if not (n > 0 and d > 0 and gcd(n, d) == 1):
+            raise NotNormalForm(
+                f"FracIdeal: the scale {n}/{d} is not in lowest terms with "
+                f"n, d > 0")
+        if not (a > 0 and -a < b <= a):
+            raise NotNormalForm(
+                f"FracIdeal: [{a}, {b}] does not have a > 0 and -a < b <= a")
+        if (b * b - disc.delta) % (4 * a):
+            raise NotNormalForm(
+                f"FracIdeal: [{a}, {b}] does not have b^2 = D mod 4a for "
+                f"D = {disc.delta}")
+        self.n = n
+        self.d = d
+        self.a = a
+        self.b = b
+        self.disc = disc
+        self._hash = None
+
+    def __eq__(self, other):
+        if other.__class__ is not FracIdeal:
+            return NotImplemented
+        return (self.n == other.n and self.d == other.d and self.a == other.a
+                and self.b == other.b and self.disc == other.disc)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.n, self.d, self.a, self.b,
+                                   self.disc.delta))
+        return h
 
     def __repr__(self):
         return f"FracIdeal({self.q}*[{self.a}, ({self.b}+sqrt({self.disc.delta}))/2])"
@@ -137,12 +174,6 @@ class FracIdeal:
     @classmethod
     def unit(cls, disc: Discriminant) -> "FracIdeal":
         return cls(1, 1, 1, disc.delta % 2, disc)
-
-    def is_unit_ideal(self) -> bool:
-        return self.n == 1 and self.d == 1 and self.a == 1
-
-    def is_integral(self) -> bool:
-        return self.d == 1
 
     def norm(self) -> Fraction:
         return Fraction(self.n * self.n * self.a, self.d * self.d)
@@ -231,7 +262,8 @@ def _omega_coords(z: QuadNum) -> tuple[int, int]:
 
 def principal_ideal(z: QuadNum) -> FracIdeal:
     """The fractional ideal z * O_F."""
-    assert z, "zero generates no fractional ideal"
+    if not z:
+        raise ZeroGenerator("zero generates no fractional ideal")
     disc = z.disc
     D = disc.delta
     # z = w/(2d) with w = u + v*omega integral; w*O is spanned by w and

@@ -35,14 +35,28 @@ from .quadfield import Discriminant, QuadNum
 from .units import UnitData, fundamental_unit
 
 
-@dataclass(frozen=True)
 class K0Elt:
-    sign: int
-    ideal: FracIdeal
+    """The pair [sign * N(ideal), ideal]: a plain value, equal when sign and
+    ideal are, immutable by convention."""
 
-    def __post_init__(self):
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise ValueError(f"K0 sign {self.sign!r} is not the int 1 or -1")
+    __slots__ = ("sign", "ideal")
+
+    def __init__(self, sign: int, ideal: FracIdeal):
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"K0 sign {sign!r} is not the int 1 or -1")
+        self.sign = sign
+        self.ideal = ideal
+
+    def __eq__(self, other):
+        if other.__class__ is not K0Elt:
+            return NotImplemented
+        return self.sign == other.sign and self.ideal == other.ideal
+
+    def __hash__(self):
+        return hash((self.sign, self.ideal))
+
+    def __repr__(self):
+        return f"K0Elt(sign={self.sign!r}, ideal={self.ideal!r})"
 
     @property
     def t(self) -> Fraction:

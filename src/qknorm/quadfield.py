@@ -9,7 +9,6 @@ constraint x = y*D mod 2), for both D = 0 and D = 1 mod 4.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -20,17 +19,35 @@ class NotFundamental(ValueError):
     """Raised when an integer is not a fundamental quadratic discriminant."""
 
 
-class NotIntegral(ValueError):
-    """Raised when an algebraic integer was required."""
-
-
-@dataclass(frozen=True)
 class Discriminant:
-    delta: int
-    ramified_primes: tuple[int, ...]
-    t_fin: int
-    t_all: int
-    is_real: bool
+    """A fundamental discriminant with the primes that ramify in its field.
+
+    A plain value: equal when every field is, hashed on ``delta`` alone (so
+    on an int), and immutable by convention.
+    """
+
+    __slots__ = ("delta", "ramified_primes", "t_fin", "t_all", "is_real")
+
+    def __init__(self, delta: int, ramified_primes: tuple[int, ...],
+                 t_fin: int, t_all: int, is_real: bool):
+        self.delta = delta
+        self.ramified_primes = ramified_primes
+        self.t_fin = t_fin
+        self.t_all = t_all
+        self.is_real = is_real
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Discriminant:
+            return NotImplemented
+        return (self.delta == other.delta
+                and self.ramified_primes == other.ramified_primes
+                and self.t_fin == other.t_fin and self.t_all == other.t_all
+                and self.is_real == other.is_real)
+
+    def __hash__(self):
+        return hash(self.delta)
 
     def __repr__(self):
         return f"Discriminant({self.delta})"
@@ -63,8 +80,7 @@ def is_fundamental(n: int) -> bool:
 def _discriminant(n: int, ramified: tuple[int, ...]) -> Discriminant:
     t_fin = len(ramified)
     t_all = t_fin if n > 0 else t_fin + 1
-    return Discriminant(delta=n, ramified_primes=ramified, t_fin=t_fin,
-                        t_all=t_all, is_real=n > 0)
+    return Discriminant(n, ramified, t_fin, t_all, n > 0)
 
 
 def make_discriminant(n: int) -> Discriminant:
@@ -134,13 +150,6 @@ class QuadNum:
         q = Fraction(q)
         return cls(2 * q.numerator, 0, q.denominator, disc)
 
-    @classmethod
-    def from_integral(cls, x: int, y: int, disc: Discriminant) -> "QuadNum":
-        """Element (x + y*sqrt(delta))/2; must satisfy x = y*delta mod 2."""
-        if (x - y * disc.delta) % 2 != 0:
-            raise NotIntegral(f"({x}+{y}*sqrt({disc.delta}))/2 is not integral")
-        return cls(x, y, 1, disc)
-
     def _key(self):
         return (self.x, self.y, self.d, self.disc.delta)
 
@@ -156,9 +165,6 @@ class QuadNum:
     def __bool__(self):
         return self.x != 0 or self.y != 0
 
-    def is_integral(self) -> bool:
-        return self.d == 1 and (self.x - self.y * self.disc.delta) % 2 == 0
-
     def is_rational(self) -> bool:
         return self.y == 0
 
@@ -173,9 +179,6 @@ class QuadNum:
         D = self.disc.delta
         return Fraction(self.x * self.x - D * self.y * self.y,
                         4 * self.d * self.d)
-
-    def trace(self) -> Fraction:
-        return Fraction(self.x, self.d)
 
     def __neg__(self):
         return QuadNum(-self.x, -self.y, self.d, self.disc)

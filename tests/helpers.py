@@ -1,0 +1,45 @@
+"""Small readings of the package's value types that only the tests ask for.
+
+Unlike ``oracle``, these use the package: they are conveniences, not
+independent checks.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from qknorm.ideals import rational_prime_of
+from qknorm.quadfield import QuadNum
+
+
+class NotIntegral(ValueError):
+    """Raised when an algebraic integer was required."""
+
+
+def from_integral(x: int, y: int, disc) -> QuadNum:
+    """The element (x + y*sqrt(delta))/2; must satisfy x = y*delta mod 2."""
+    if (x - y * disc.delta) % 2 != 0:
+        raise NotIntegral(f"({x}+{y}*sqrt({disc.delta}))/2 is not integral")
+    return QuadNum(x, y, 1, disc)
+
+
+def trace(z: QuadNum) -> Fraction:
+    return Fraction(z.x, z.d)
+
+
+def is_integral_element(z: QuadNum) -> bool:
+    return z.d == 1 and (z.x - z.y * z.disc.delta) % 2 == 0
+
+
+def is_unit_ideal(i) -> bool:
+    return i.n == 1 and i.d == 1 and i.a == 1
+
+
+def is_integral_ideal(i) -> bool:
+    return i.d == 1
+
+
+def support_primes(z) -> list[int]:
+    """The rational primes below the primes where the idele z has a
+    component."""
+    return sorted({rational_prime_of(p) for p in z.components})

@@ -19,15 +19,27 @@ VERIFY_VERDICTS = ("i_after_boundary_trivial", "mu_after_i_trivial",
                    "constructive_kernel")
 SCAN_VERDICTS = tuple(c for c in SCAN_COLUMNS if c.startswith("verdict_"))
 
-# the scan's 2-ranks one too high: verdict_69 (rank2 = t - 1 - exceptional)
-# fails on every row, verdict_67 (dim V = dim H + rank2) too, and
-# verdict_68 (rank2 = t - 1, or <= t - 1 for real fields) on every row but
-# the real ones that are exceptional
+# the scan's 2-ranks one too high: the first row whose h is not divisible
+# by 2^(rank2 + 1), D = -199 with h = 9, fails the scan's own check
 RANK2_OFF_BY_ONE = (
     "import sys\n"
     "from qknorm import cli\n"
     "counts = cli.block_counts\n"
     "cli.block_counts = lambda deltas: [(h, hn, r + 1)\n"
+    "                                   for h, hn, r in counts(deltas)]\n"
+    "sys.exit(cli.main(['scan', '--min', '-200', '--max', '200',\n"
+    "                   '--json']))\n")
+
+# the 2-ranks one too high only where 2^(rank2 + 1) divides h, so that the
+# check above cannot see it: on those 12 rows verdict_69 (rank2 = t - 1 -
+# exceptional) fails, verdict_67 (dim V = dim H + rank2) too, and
+# verdict_68 (rank2 = t - 1, or <= t - 1 for real fields) as well, none of
+# the 12 being real and exceptional
+RANK2_OFF_BY_ONE_UNSEEN_IN_H = (
+    "import sys\n"
+    "from qknorm import cli\n"
+    "counts = cli.block_counts\n"
+    "cli.block_counts = lambda deltas: [(h, hn, r + (h % (2 << r) == 0))\n"
     "                                   for h, hn, r in counts(deltas)]\n"
     "sys.exit(cli.main(['scan', '--min', '-200', '--max', '200',\n"
     "                   '--json']))\n")
@@ -98,9 +110,32 @@ TRANSFORM_SHEARED = (
     "cg.{name} = sheared\n"
     "sys.exit(main(['k0', '--disc', '{disc}']))\n")
 
+# every h one too high, with h_narrow following it (h + 1 or 2h + 2): only
+# the 2^rank2 | h check can see it, at the first field with rank2 >= 1
+H_PLUS_ONE = (
+    "import sys\n"
+    "from qknorm import cli\n"
+    "counts = cli.block_counts\n"
+    "cli.block_counts = lambda deltas: [(h + 1, hn // h * (h + 1), r)\n"
+    "                                   for h, hn, r in counts(deltas)]\n"
+    "sys.exit(cli.main(['scan', '--min', '-200', '--max', '200']))\n")
+
+# every h_narrow flipped between h and 2h: the first imaginary field, or on
+# a range of real fields the first exceptional one, fails its check
+H_NARROW_FLIPPED = (
+    "import sys\n"
+    "from qknorm import cli\n"
+    "counts = cli.block_counts\n"
+    "cli.block_counts = lambda deltas: [(h, 3 * h - hn, r)\n"
+    "                                   for h, hn, r in counts(deltas)]\n"
+    "sys.exit(cli.main(['scan', '--min', '{lo}', '--max', '200']))\n")
+
 FAULT_ROWS = {
-    "rank2_off_by_one": (RANK2_OFF_BY_ONE, {
-        "verdict_69": 122, "verdict_67": 122, "verdict_68": 91}, ""),
+    "rank2_off_by_one": (RANK2_OFF_BY_ONE, None,
+        "scan: inconclusive: D = -199: h = 9 is not divisible by 2^rank2 = "
+        "2\n"),
+    "rank2_off_by_one_unseen_in_h": (RANK2_OFF_BY_ONE_UNSEEN_IN_H, {
+        "verdict_69": 12, "verdict_67": 12, "verdict_68": 12}, ""),
     "mu_flips_a_ramified_prime": (MU_FLIPS_A_RAMIFIED_PRIME, {
         "mu_after_i_trivial": 1}, ""),
     "map_i_flips_a_ramified_prime": (MAP_I_FLIPS_A_RAMIFIED_PRIME, {
@@ -121,6 +156,15 @@ FAULT_ROWS = {
         name="reduce_indef_t", disc=136), None,
         "k0: generator read-off: D = 136: N(QuadNum((12+1*sqrt(136))/2)) "
         "is not 1 * 1\n"),
+    "h_plus_one": (H_PLUS_ONE, None,
+        "scan: inconclusive: D = -195: h = 5 is not divisible by 2^rank2 = "
+        "4\n"),
+    "h_narrow_flipped_imaginary": (H_NARROW_FLIPPED.format(lo=-200), None,
+        "scan: inconclusive: D = -199: h_narrow = 18 is not h = 9 for "
+        "D < 0\n"),
+    "h_narrow_flipped_real": (H_NARROW_FLIPPED.format(lo=1), None,
+        "scan: inconclusive: D = 12: h_narrow = 1 is not 2h = 2 for an "
+        "exceptional real D\n"),
 }
 
 

@@ -13,6 +13,8 @@ from qknorm.ideals import (DiscMismatch, FracIdeal, LatticeCheckError,
 from qknorm.quadfield import QuadNum, is_fundamental, kronecker, \
     make_discriminant
 
+from helpers import is_integral_ideal, is_unit_ideal
+
 DISCS = [make_discriminant(d) for d in (-15, -23, 12, 60, -4, 40, -120, 229)]
 
 
@@ -37,7 +39,7 @@ def _random_ideal(disc, rng):
 def test_unit_ideal():
     for disc in DISCS:
         one = FracIdeal.unit(disc)
-        assert one.norm() == 1 and one.is_integral()
+        assert one.norm() == 1 and is_integral_ideal(one)
         assert one * one == one
 
 
@@ -145,6 +147,35 @@ def test_primes_above_rejects_non_prime_under_optimize(src_env):
     assert all("p = " in line for line in lines)
 
 
+# each check of the ideal constructors, with an input that breaks it; it
+# was an assert, and must now raise its named error also under -O
+IDEAL_CHECKS = {
+    "scale_not_in_lowest_terms": ("FracIdeal(2, 4, 2, 1, D)", "NotNormalForm"),
+    "b_outside_the_range": ("FracIdeal(1, 1, 2, 3, D)", "NotNormalForm"),
+    "b_not_a_root_mod_4a": ("FracIdeal(1, 1, 2, 0, D)", "NotNormalForm"),
+    "zero_generator": ("principal_ideal(QuadNum(0, 0, 1, D))",
+                       "ZeroGenerator"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("check", sorted(IDEAL_CHECKS))
+def test_ideal_checks_raise_under_optimize(check, flags, src_env):
+    expr, error = IDEAL_CHECKS[check]
+    code = ("from qknorm.ideals import FracIdeal, principal_ideal\n"
+            "from qknorm.quadfield import QuadNum, make_discriminant\n"
+            "D = make_discriminant(-15)\n"
+            "try:\n"
+            f"    {expr}\n"
+            "except ValueError as exc:\n"
+            "    print(type(exc).__name__)\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == error + "\n"
+
+
 def test_primes_above_checks_its_root(monkeypatch):
     # a wrong square root of D mod p gives a lattice that is no prime ideal;
     # the explicit check (not an assert) must refuse it
@@ -244,7 +275,7 @@ def test_integer_scale_is_reduced():
         j = pid ** (2 * k) * FracIdeal.scaled(2 ** max(-k, 0), 2 ** max(k, 0),
                                               1, 1, disc)
         assert j.norm_is_one() and j.norm() == 1
-        assert j.is_unit_ideal() == (k == 0)
+        assert is_unit_ideal(j) == (k == 0)
 
 
 def test_contains():
@@ -278,8 +309,8 @@ def test_contains_matches_the_product_test(delta):
             x, y = rng.randint(-60, 60), rng.randint(-60, 60)
             for z in (member, member.scale(Fraction(1, rng.randint(2, 9))),
                       QuadNum(x, y, rng.randint(1, 30), disc)):
-                expected = (not z or
-                            (principal_ideal(z) * i.inverse()).is_integral())
+                expected = (not z or is_integral_ideal(
+                    principal_ideal(z) * i.inverse()))
                 assert i.contains(z) == expected, (i, z)
                 seen.add(expected)
                 if z:

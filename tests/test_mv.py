@@ -1,8 +1,11 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from qknorm.classgroup import ScanCountError
 from qknorm.ideals import FracIdeal, ideal_valuation, primes_above, \
     principal_ideal
 from qknorm.knorm import K0Elt, k0_context, k0_eq, k0_group, k0_identity, \
@@ -15,6 +18,7 @@ from qknorm.mv import (IdeleFS, NormKernelViolation, NotInNormKernel,
                        sampled_exactness, split_pair_idele)
 from qknorm.quadfield import QuadNum, make_discriminant
 
+from helpers import is_unit_ideal, support_primes
 from oracle import _prime_factors, hilbert2_oracle, hilbert_odd_oracle
 
 D15 = make_discriminant(-15)
@@ -28,8 +32,41 @@ def test_idele_norm_trivial_cases():
     x = QuadNum(3, 1, 1, D15)  # norm 6
     d = diagonal_idele(x)
     n = idele_norm(d)
-    for p in d.support_primes():
+    for p in support_primes(d):
         assert n.get(p, 1) == x.norm()
+
+
+# each check of the idele constructor and product, with an input that
+# breaks it; it was an assert, and must now raise its named error also
+# under -O
+IDELE_CHECKS = {
+    "component_of_another_field": (
+        "IdeleFS({P15: QuadNum(2, 0, 1, D23)}, D23)", "DiscMismatch"),
+    "zero_component": ("IdeleFS({P15: QuadNum(0, 0, 1, D15)}, D15)",
+                       "ZeroComponent"),
+    "product_across_fields": ("IdeleFS.one(D15) * IdeleFS.one(D23)",
+                              "DiscMismatch"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("check", sorted(IDELE_CHECKS))
+def test_idele_checks_raise_under_optimize(check, flags, src_env):
+    expr, error = IDELE_CHECKS[check]
+    code = ("from qknorm.ideals import primes_above\n"
+            "from qknorm.mv import IdeleFS\n"
+            "from qknorm.quadfield import QuadNum, make_discriminant\n"
+            "D15, D23 = make_discriminant(-15), make_discriminant(-23)\n"
+            "P15 = primes_above(D15, 2).primes[0]\n"
+            "try:\n"
+            f"    {expr}\n"
+            "except ValueError as exc:\n"
+            "    print(type(exc).__name__)\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == error + "\n"
 
 
 def test_idele_norm_at_nonsplit():
@@ -96,7 +133,7 @@ def test_diagonal_idele_sees_z_O():
             assert d.components == _full_diagonal_idele(z).components
             assert boundary(d).ideal == principal_ideal(z), (delta, z)
             assert bool(d.components) == \
-                (not principal_ideal(z).is_unit_ideal()), (delta, z)
+                (not is_unit_ideal(principal_ideal(z))), (delta, z)
             nonempty += bool(d.components)
         assert nonempty >= 15, (delta, nonempty)
 
@@ -120,7 +157,7 @@ def test_boundary_matches_product_assembly(monkeypatch):
             z = random_norm_kernel_idele(disc, rng) \
                 * random_norm_kernel_idele(disc, rng)
             cases.append((z, _product_boundary_ideal(z)))
-    assert sum(not i.is_unit_ideal() for _, i in cases) >= 100
+    assert sum(not is_unit_ideal(i) for _, i in cases) >= 100
     products = [0]
     mul = FracIdeal.__mul__
 
@@ -148,7 +185,7 @@ def test_boundary_homomorphism():
             z2 = random_norm_kernel_idele(disc, rng)
             e12 = boundary(z1 * z2)
             assert e12 == k0_mul(boundary(z1), boundary(z2)), (delta, z1, z2)
-            nontrivial += not e12.ideal.is_unit_ideal()
+            nontrivial += not is_unit_ideal(e12.ideal)
         assert nontrivial >= 10, (delta, nontrivial)
 
 
@@ -266,6 +303,17 @@ def test_genus_engine_spot_values(delta, rank2, exc):
     assert rep.rank2 == rank2
     assert rep.exceptional == exc
     assert rep.all_pass
+
+
+@pytest.mark.parametrize("delta,counts,reason", [
+    (-15, (3, 3, 1), "h = 3 is not divisible by 2^rank2 = 2"),
+    (5, (1, 3, 0), "h_narrow = 3 is neither h = 1 nor 2h"),
+    (-23, (3, 6, 0), "h_narrow = 6 is not h = 3 for D < 0"),
+    (12, (1, 1, 0), "h_narrow = 1 is not 2h = 2 for an exceptional real D")])
+def test_genus_engine_checks_its_counts(delta, counts, reason):
+    with pytest.raises(ScanCountError) as info:
+        genus_engine(make_discriminant(delta), counts)
+    assert str(info.value) == f"D = {delta}: {reason}"
 
 
 def test_genus_engine_small_range():

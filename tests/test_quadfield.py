@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
-from qknorm.quadfield import (Discriminant, NotFundamental, NotIntegral,
-                              QuadNum, fundamental_discriminants,
-                              is_fundamental, kronecker, make_discriminant,
-                              sqrt_mod_prime)
+from qknorm.quadfield import (Discriminant, NotFundamental, QuadNum,
+                              fundamental_discriminants, is_fundamental,
+                              kronecker, make_discriminant, sqrt_mod_prime)
 
+from helpers import NotIntegral, from_integral, is_integral_element, trace
 from oracle import kronecker_symbol
 
 D15 = make_discriminant(-15)
@@ -93,14 +93,14 @@ def test_canonical_form_is_reduced():
 
 def test_integrality_convention():
     # with the /2 convention, (1+sqrt(-15))/2 is integral (D = 1 mod 4)
-    assert QuadNum(1, 1, 1, D15).is_integral()
-    assert not QuadNum(1, 0, 1, D15).is_integral()  # 1/2
-    assert QuadNum(2, 0, 1, D15).is_integral()
+    assert is_integral_element(QuadNum(1, 1, 1, D15))
+    assert not is_integral_element(QuadNum(1, 0, 1, D15))  # 1/2
+    assert is_integral_element(QuadNum(2, 0, 1, D15))
     # D = 0 mod 4: (x + y sqrt(D))/2 integral only for even x
-    assert QuadNum(2, 1, 1, D12).is_integral()
-    assert not QuadNum(1, 1, 1, D12).is_integral()
+    assert is_integral_element(QuadNum(2, 1, 1, D12))
+    assert not is_integral_element(QuadNum(1, 1, 1, D12))
     with pytest.raises(NotIntegral):
-        QuadNum.from_integral(1, 0, D15)
+        from_integral(1, 0, D15)
 
 
 def _qn(disc):
@@ -123,7 +123,7 @@ def test_field_axioms(a, b, c):
 @settings(max_examples=200, deadline=None)
 def test_norm_trace_multiplicative_additive(a, b):
     assert (a * b).norm() == a.norm() * b.norm()
-    assert (a + b).trace() == a.trace() + b.trace()
+    assert trace(a + b) == trace(a) + trace(b)
     assert a.conj().norm() == a.norm()
     assert a.norm() == (a * a.conj()).as_rational()
 
@@ -158,4 +158,4 @@ def test_rational_embedding():
     q = Fraction(-7, 3)
     a = QuadNum.from_rational(q, D15)
     assert a.is_rational() and a.as_rational() == q
-    assert a.norm() == q * q and a.trace() == 2 * q
+    assert a.norm() == q * q and trace(a) == 2 * q
