@@ -24,11 +24,10 @@ from .classgroup import BLOCK_WIDTH, ClassGroupCheckError, \
     ClosureBudgetExceeded, GeneratorCheckError, ScanCountError, \
     block_counts, class_group
 from .ideals import LatticeCheckError
-from .knorm import bass_sequence_report, k0_group, k0_identity, k0_key, \
-    k0_rep
+from .knorm import bass_sequence_report
 from .local import SplitPrimeCapExceeded
-from .mv import IdeleCheckError, KernelPreimageError, NormKernelViolation, \
-    NotInNormKernel, boundary_preimage, genus_engine, sampled_exactness
+from .mv import IdeleCheckError, NormKernelViolation, NotInNormKernel, \
+    genus_engine, sampled_exactness
 from .quadfield import NotFundamental, fundamental_discriminants, \
     make_discriminant
 from .units import fundamental_unit
@@ -325,21 +324,8 @@ def cmd_verify(args) -> int:
     if disc is None:
         return EXIT_USAGE
     rep = sampled_exactness(disc, args.samples, args.seed)
-    ctx = rep.ctx
-    kernel_ok = True
-    try:
-        identity = k0_key(ctx, k0_identity(disc))
-        for key in k0_group(ctx).keys:
-            # None off the kernel of i; a preimage that fails its check raises
-            if boundary_preimage(ctx, k0_rep(ctx, key)) is None \
-                    and key == identity:
-                # the identity lies in the kernel of every homomorphism
-                raise KernelPreimageError(
-                    f"D = {disc.delta}: the identity class has no boundary "
-                    "preimage")
-    except KernelPreimageError as exc:
-        print(f"constructive_kernel: {exc}", file=sys.stderr)
-        kernel_ok = False
+    if not rep.constructive_kernel:
+        print(f"constructive_kernel: {rep.kernel_failure}", file=sys.stderr)
     doc = {
         "delta": _s(disc.delta),
         "samples": _s(args.samples),
@@ -348,11 +334,10 @@ def cmd_verify(args) -> int:
         "mu_after_i_trivial": _s(rep.mu_after_i_trivial),
         "boundary_after_mu1_trivial": _s(rep.boundary_after_mu1_trivial),
         "boundary_is_homomorphism": _s(rep.boundary_is_homomorphism),
-        "constructive_kernel": _s(kernel_ok),
+        "constructive_kernel": _s(rep.constructive_kernel),
     }
     _emit(doc, args.fmt, args.out)
-    ok = rep.all_pass and kernel_ok
-    return EXIT_OK if ok else EXIT_VERDICT
+    return EXIT_OK if rep.all_pass else EXIT_VERDICT
 
 
 @functools.cache

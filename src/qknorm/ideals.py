@@ -23,11 +23,8 @@ from math import gcd
 
 from .arith import is_prime
 from .local import _strip
-from .quadfield import Discriminant, QuadNum, kronecker, sqrt_mod_prime
-
-
-class DiscMismatch(ValueError):
-    """Raised when combining ideals over different discriminants."""
+from .quadfield import DiscMismatch, Discriminant, QuadNum, kronecker, \
+    sqrt_mod_prime
 
 
 class NotNormalForm(ValueError):

@@ -9,8 +9,8 @@ class group, verified here by explicit enumeration.
 A class is keyed by (sign, wide class of I) (``k0_key``): one class lookup
 gives the class and a checked z with I = z * i0 for the class's
 representative i0, and the sign, where it is an invariant of the class, is
-that of t0 in [t, I] = [N(z)*t0, z*i0].  The representatives [t0, i0] of
-the keys are built once per context (``k0_rep``).
+that of t0 in [t, I] = [N(z)*t0, z*i0].  ``k0_rep`` builds the
+representative [t0, i0] of a key.
 
 The closure (``k0_group``) multiplies keys by class pairs: the product of
 (s1, c1) and (s2, c2) is (s1*s2*sign N(z), c), where i1*i2 = z*i0 is found
@@ -82,8 +82,6 @@ class K0Context:
     disc: Discriminant
     cg: ClassGroupData
     units: UnitData
-    # {key: k0_rep(key)}, filled by k0_rep as keys are asked for
-    _reps: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def sign_is_invariant(self) -> bool:
@@ -111,12 +109,9 @@ def k0_key(ctx: K0Context, e: K0Elt):
 
 
 def k0_rep(ctx: K0Context, key) -> K0Elt:
-    """The representative [sign * N(i0), i0] of a K0 key, built once."""
-    rep = ctx._reps.get(key)
-    if rep is None:
-        sign, ckey = key
-        rep = ctx._reps[key] = K0Elt(sign, ctx.cg.rep_ideal(ckey))
-    return rep
+    """The representative [sign * N(i0), i0] of a K0 key."""
+    sign, ckey = key
+    return K0Elt(sign, ctx.cg.rep_ideal(ckey))
 
 
 def k0_eq(ctx: K0Context, e1: K0Elt, e2: K0Elt) -> bool:
@@ -252,9 +247,8 @@ def _integral_ideals_of_norm(disc: Discriminant, m: int):
         yield out
 
 
-def solve_norm_equation(t, disc: Discriminant,
-                        ctx: K0Context | None = None) -> QuadNum | None:
-    """An x in F* with N(x) = t, or None if there is none.
+def solve_norm_equation(t, ctx: K0Context) -> QuadNum | None:
+    """An x in F* with N(x) = t in the field of ``ctx``, or None if none.
 
     The principal ideal of a solution is an integral ideal J0 above the
     primes dividing t times a norm-one twist A * conj(A)^-1, whose class is
@@ -265,14 +259,12 @@ def solve_norm_equation(t, disc: Discriminant,
     the generator's norm depends on the root.  A generator that does not give
     N(x) = t raises ``GeneratorCheckError``.
     """
+    disc, cg, units = ctx.disc, ctx.cg, ctx.units
     t = Fraction(t)
     if t == 0:
         raise ValueError("the norm equation N(x) = 0 has no solution in F*")
     if disc.delta < 0 and t < 0:
         return None
-    if ctx is None:
-        ctx = k0_context(disc)
-    cg, units = ctx.cg, ctx.units
     # clear the denominator: N(y) = t * den^2 with y = x * den
     m = t.numerator * t.denominator
     for j0 in _integral_ideals_of_norm(disc, abs(m)):

@@ -17,17 +17,17 @@ over fundamental discriminants certifies.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import PRIMES
-from .classgroup import ScanCountError, scan_counts
+from .classgroup import ScanCountError
 from .ideals import Decomposition, DiscMismatch, FracIdeal, \
     element_valuation, ideal_valuation, primes_above, principal_ideal, \
     rational_prime_of, split_power_product
-from .knorm import K0Context, K0Elt, k0_eq, k0_identity, k0_key, k0_mul, \
-    solve_norm_equation
+from .knorm import K0Context, K0Elt, k0_eq, k0_group, k0_identity, k0_key, \
+    k0_mul, k0_rep, solve_norm_equation
 from .local import _primes_of, genus_char_space, h0_class_of_rational, \
     hilbert_symbol, is_global_norm
 from .quadfield import Discriminant, QuadNum, kronecker
@@ -60,9 +60,9 @@ class IdeleFS:
 
     A plain value, equal when components and discriminant are, unhashable
     (its components are a dict) and immutable by convention.  The
-    constructor checks every component, also under ``python -O``: a prime
-    of another field raises ``DiscMismatch``, a zero ``ZeroComponent``.
-    Products and inverses of checked ideles are built without the check.
+    constructor checks every component, also under ``python -O``: a prime or
+    an element of another field raises ``DiscMismatch``, a zero
+    ``ZeroComponent``.  Products and inverses of checked ideles skip it.
     """
 
     __slots__ = ("components", "disc")
@@ -70,9 +70,9 @@ class IdeleFS:
     def __init__(self, components: dict[FracIdeal, QuadNum],
                  disc: Discriminant):
         for prime, z in components.items():
-            if prime.disc.delta != disc.delta:
+            if prime.disc.delta != disc.delta or z.disc.delta != disc.delta:
                 raise DiscMismatch(
-                    f"idele of D = {disc.delta} has a component at "
+                    f"idele of D = {disc.delta} has a component {z!r} at "
                     f"{prime!r}")
             if not z:
                 raise ZeroComponent(
@@ -142,7 +142,7 @@ class FieldPrimes:
         return dec
 
 
-def diagonal_idele(z: QuadNum, primes: FieldPrimes | None = None) -> IdeleFS:
+def diagonal_idele(z: QuadNum, primes: FieldPrimes) -> IdeleFS:
     """The diagonal image of z, truncated to the primes of z*O (its other
     components are 1 by convention; the maps used here only read valuations
     and norms, which agree with the full diagonal).
@@ -154,7 +154,6 @@ def diagonal_idele(z: QuadNum, primes: FieldPrimes | None = None) -> IdeleFS:
     if not z:
         raise ValueError("the diagonal idele of zero does not exist")
     disc = z.disc
-    primes = primes or FieldPrimes(disc)
     comps: dict[FracIdeal, QuadNum] = {}
     for p in sorted(_primes_of(z.norm()) | _primes_of(2 * z.d)):
         dec = primes.above(p)
@@ -282,8 +281,7 @@ def i_is_trivial(disc: Discriminant,
     return is_global_norm(t, disc) and not y
 
 
-def mu1(z: QuadNum, u: IdeleFS,
-        primes: FieldPrimes | None = None) -> IdeleFS:
+def mu1(z: QuadNum, u: IdeleFS, primes: FieldPrimes) -> IdeleFS:
     """The idele z/u for a norm-one z and a norm-trivial unit idele u."""
     if z.norm() != 1:
         raise NormKernelViolation(f"N(z) = {z.norm()} != 1")
@@ -306,7 +304,7 @@ def boundary_preimage(ctx: K0Context, e: K0Elt) -> IdeleFS | None:
     disc = e.disc
     if not i_is_trivial(disc, map_i(e)):
         return None
-    x = solve_norm_equation(e.t, disc, ctx)
+    x = solve_norm_equation(e.t, ctx)
     if x is None:
         raise KernelPreimageError(
             f"D = {disc.delta}: {e.t} is a local norm everywhere but no "
@@ -345,13 +343,10 @@ def boundary_preimage(ctx: K0Context, e: K0Elt) -> IdeleFS | None:
 _SMALL_PRIMES = tuple(p for p in PRIMES if p < 60)
 
 
-def _random_quadnum(disc: Discriminant, rng: random.Random,
-                    size: int = 30) -> QuadNum:
+def _random_quadnum(disc: Discriminant, rng: random.Random) -> QuadNum:
     while True:
-        x = rng.randint(-size, size)
-        y = rng.randint(-size, size)
-        d = rng.randint(1, size)
-        z = QuadNum(2 * x, 2 * y, d, disc)
+        z = QuadNum(2 * rng.randint(-30, 30), 2 * rng.randint(-30, 30),
+                    rng.randint(1, 30), disc)
         if z:
             return z
 
@@ -367,8 +362,7 @@ def random_norm_one_element(disc: Discriminant,
 
 
 def random_norm_kernel_idele(disc: Discriminant, rng: random.Random,
-                             primes: FieldPrimes | None = None) -> IdeleFS:
-    primes = primes or FieldPrimes(disc)
+                             primes: FieldPrimes) -> IdeleFS:
     z = IdeleFS.one(disc)
     for _ in range(rng.randint(0, 3)):
         if rng.random() < 0.5 or not primes.split:
@@ -381,9 +375,8 @@ def random_norm_kernel_idele(disc: Discriminant, rng: random.Random,
 
 
 def random_unit_idele(disc: Discriminant, rng: random.Random,
-                      primes: FieldPrimes | None = None) -> IdeleFS:
+                      primes: FieldPrimes) -> IdeleFS:
     """A norm-trivial idele whose components are local units."""
-    primes = primes or FieldPrimes(disc)
     z = IdeleFS.one(disc)
     for _ in range(rng.randint(0, 2)):
         if not primes.split:
@@ -400,8 +393,7 @@ _K0_SAMPLE_PRIMES = [p for p in _SMALL_PRIMES if p < 40]
 
 
 def random_k0_elt(disc: Discriminant, rng: random.Random,
-                  primes: FieldPrimes | None = None) -> K0Elt:
-    primes = primes or FieldPrimes(disc)
+                  primes: FieldPrimes) -> K0Elt:
     ideal = FracIdeal.unit(disc)
     for p in rng.sample(_K0_SAMPLE_PRIMES, k=rng.randint(0, 3)):
         prime = rng.choice(primes.above(p).primes)
@@ -418,18 +410,26 @@ class SampledExactness:
     mu_after_i_trivial: bool
     boundary_after_mu1_trivial: bool
     boundary_is_homomorphism: bool
-    # the K0 context the samples were checked in
-    ctx: K0Context = field(repr=False, compare=False)
+    # why the constructive kernel check failed, None when it passed
+    kernel_failure: str | None
+
+    @property
+    def constructive_kernel(self) -> bool:
+        return self.kernel_failure is None
 
     @property
     def all_pass(self) -> bool:
         return (self.i_after_boundary_trivial and self.mu_after_i_trivial
                 and self.boundary_after_mu1_trivial
-                and self.boundary_is_homomorphism)
+                and self.boundary_is_homomorphism
+                and self.constructive_kernel)
 
 
 def sampled_exactness(disc: Discriminant, samples: int,
                       seed: int) -> SampledExactness:
+    """The five verdicts of ``qknorm verify``: four composites on seeded
+    samples, then a checked boundary preimage for every K0 class that i
+    kills, the identity among them, or the first ``KernelPreimageError``."""
     from .knorm import k0_context
 
     if samples < 1:
@@ -458,8 +458,20 @@ def sampled_exactness(disc: Discriminant, samples: int,
         z2 = random_norm_kernel_idele(disc, rng, primes)
         if not k0_eq(ctx, boundary(z * z2), k0_mul(e, boundary(z2))):
             ok_hom = False
+    kernel_failure = None
+    try:
+        for key in k0_group(ctx).keys:
+            # None off the kernel of i; a preimage that fails its check raises
+            if boundary_preimage(ctx, k0_rep(ctx, key)) is None \
+                    and key == identity_key:
+                # the identity lies in the kernel of every homomorphism
+                raise KernelPreimageError(
+                    f"D = {disc.delta}: the identity class has no boundary "
+                    "preimage")
+    except KernelPreimageError as exc:
+        kernel_failure = str(exc)
     return SampledExactness(disc, samples, seed, ok_ib, ok_mi, ok_bm, ok_hom,
-                            ctx)
+                            kernel_failure)
 
 
 # ---------------------------------------------------------------------------
@@ -485,18 +497,17 @@ class GenusReport(NamedTuple):
 
 
 def genus_engine(disc: Discriminant,
-                 counts: tuple[int, int, int] | None = None) -> GenusReport:
+                 counts: tuple[int, int, int]) -> GenusReport:
     """2-rank of the class group against the ramification count, three ways.
 
-    ``counts`` is (h, h_narrow, rank2) when the scan has already counted
-    them for a whole block (``block_counts``); otherwise ``scan_counts``
-    counts them for this field alone.  The counts must first meet four
+    ``counts`` is (h, h_narrow, rank2), which the scan counts for a whole
+    block at once (``block_counts``).  The counts must first meet four
     invariants, or ``ScanCountError`` names D: 2^rank2 divides h (the
     2-torsion of the class group has order 2^rank2); h_narrow is h or 2h;
     h_narrow = h for D < 0; and h_narrow = 2h for an exceptional real D,
     where -1 is not a square mod a ramified p = 3 mod 4, so N(eps) = +1.
     """
-    h, h_narrow, rank2 = scan_counts(disc) if counts is None else counts
+    h, h_narrow, rank2 = counts
     D = disc.delta
     exceptional = disc.is_real and any(p % 4 == 3
                                        for p in disc.ramified_primes)

@@ -19,6 +19,10 @@ class NotFundamental(ValueError):
     """Raised when an integer is not a fundamental quadratic discriminant."""
 
 
+class DiscMismatch(ValueError):
+    """Raised when combining values over different discriminants."""
+
+
 class Discriminant:
     """A fundamental discriminant with the primes that ramify in its field.
 
@@ -221,29 +225,11 @@ class QuadNum:
 
     def _coerce(self, other):
         if isinstance(other, QuadNum):
-            assert other.disc.delta == self.disc.delta
+            if other.disc.delta != self.disc.delta:
+                raise DiscMismatch(f"discriminants {self.disc.delta} and "
+                                   f"{other.disc.delta} differ")
             return other
         return QuadNum.from_rational(other, self.disc)
-
-    def sign_real(self) -> int:
-        """Sign under the embedding sending sqrt(delta) to the positive root
-        (delta > 0), or the sign of the element when it is rational."""
-        x, y, D = self.x, self.y, self.disc.delta
-        if y == 0:
-            return 0 if x == 0 else (1 if x > 0 else -1)
-        assert D > 0, "nonrational element of an imaginary field has no real sign"
-        if x >= 0 and y > 0:
-            return 1
-        if x <= 0 and y < 0:
-            return -1
-        # x and y of opposite signs: compare x^2 with D y^2
-        s = 1 if x > 0 else -1
-        return s if x * x > D * y * y else -s
-
-    def compare_rational(self, q) -> int:
-        """Exact comparison with a rational (delta > 0 or rational self)."""
-        diff = self - QuadNum.from_rational(q, self.disc)
-        return diff.sign_real()
 
 
 def kronecker(disc: Discriminant, p: int) -> int:

@@ -180,22 +180,15 @@ def _counts_imag(ns) -> dict[int, tuple[int, int, int]]:
     np.subtract(four_ac, lo, out=top)
     b_hi = _isqrt_array(top, out=ws.get("i7", m, ip))
     np.minimum(b_hi, a, out=b_hi)
-    # b = n mod 2 for every form of n: one parity when all n share it
-    if (ns % 2 != lo % 2).any():
-        step = 1
-    else:
-        step = 2
-        b_lo += np.bitwise_and(np.subtract(b_lo, lo, out=low), 1, out=low)
     lens = np.subtract(b_hi, b_lo, out=b_hi)
-    lens //= step
     lens += 1
     np.maximum(lens, 0, out=lens)
     grp, starts = _expand(lens, "i4", "i0")
     f = len(grp)
-    b_lo -= np.multiply(starts, step, out=ws.get("i2", m, ip))
+    b_lo -= starts
     # grp holds indices of the pairs: no index is clipped
     b = b_lo.take(grp, out=ws.get("i6", f, ip), mode="clip")
-    b += np.multiply(ws.iota(f, ip), step, out=ws.get("i2", f, ip))
+    b += ws.iota(f, ip)
     n = four_ac.take(grp, out=ws.get("i2", f, ip), mode="clip")
     n -= lo
     n -= np.multiply(b, b, out=ws.get("i4", f, ip))
@@ -216,9 +209,9 @@ def _counts_imag(ns) -> dict[int, tuple[int, int, int]]:
     return out
 
 
-def _stable_argsort(keys, out=None):
+def _stable_argsort(keys, out):
     """``np.argsort(keys, kind="stable")`` for non-negative integer keys,
-    written into ``out`` when it is given.
+    written into ``out``.
 
     Below 2^32 it is two stable passes on 16-bit digits, low digit first,
     which numpy sorts by radix; from 2^32 on (past |D| ~ 1.4*10^7 for a
@@ -226,10 +219,7 @@ def _stable_argsort(keys, out=None):
     """
     n = len(keys)
     if not n or int(keys.max()) >> 32:
-        order = np.argsort(keys, kind="stable")
-        if out is None:
-            return order
-        np.copyto(out, order)
+        np.copyto(out, np.argsort(keys, kind="stable"))
         return out
     digit = _WS.get("digit", n, np.uint16)
     np.copyto(digit, keys, casting="unsafe")  # the low 16 bits
@@ -307,9 +297,7 @@ def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
     dt = _real_dtype(width, s_hi)
     S = S.astype(dt)
     # (b, a) with b <= s_hi and (s_lo + 2 - b)//2 <= a, 4a^2 <= hi - b^2
-    # b = D mod 2 for every form of D: one parity when all D share it
-    step, b0 = (1, 1) if (Ds % 2 != lo % 2).any() else (2, 2 - lo % 2)
-    b_vals = np.arange(b0, s_hi + 1, step, dtype=dt)
+    b_vals = np.arange(1, s_hi + 1, dtype=dt)
     a_lo = np.maximum((s_lo + 2 - b_vals) // 2, 1)
     a_hi = _isqrt_array((hi - b_vals.astype(np.int64) ** 2) // 4).astype(dt)
     grp, starts = _expand(np.maximum(a_hi - a_lo + 1, 0), "sv", "i0")

@@ -41,7 +41,8 @@ def fundamental_unit(disc: Discriminant) -> UnitData:
             f"fundamental_unit: D = {D}: the rho-walk stopped at {g}")
     eps = _checked_generator(FracIdeal.unit(disc), m, g, None,
                              "fundamental_unit")
-    candidates = [eps, -eps, eps.inverse(), -eps.inverse()]
-    eps = next(e for e in candidates if e.compare_rational(1) > 0)
+    # +-eps^+-1 are (+-x +- y*sqrt(D))/2d; the one above 1 has x, y > 0, as
+    # its conjugate is in (-1, 1): x/d = eps + eps', y*sqrt(D)/d = eps - eps'
+    eps = QuadNum(abs(eps.x), abs(eps.y), eps.d, disc)
     return UnitData(eps=eps, eps_norm=g[0], torsion_order=2,
                     h0_units_order=1 if g[0] == -1 else 2)

@@ -296,14 +296,15 @@ def test_stable_argsort_matches_numpy(monkeypatch):
         keys = rng.integers(0, top, size=5000, dtype=np.int64)
         keys[::7] = keys[3]  # ties
         seen.clear()
-        got = scancounts._stable_argsort(keys)
+        got = scancounts._stable_argsort(keys, np.empty(len(keys), np.intp))
         assert (got == argsort(keys, kind="stable")).all(), top
         assert seen == [np.uint16] * 2, top
     # a key past 2^32: one int64 argsort
     keys = np.array([1 << 40, 5, 1 << 32, 5, 0, (1 << 32) - 1],
                     dtype=np.int64)
     seen.clear()
-    assert scancounts._stable_argsort(keys).tolist() == [4, 1, 3, 5, 2, 0]
+    got = scancounts._stable_argsort(keys, np.empty(len(keys), np.intp))
+    assert got.tolist() == [4, 1, 3, 5, 2, 0]
     assert seen == [np.int64]
 
 

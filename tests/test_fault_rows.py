@@ -2,9 +2,10 @@
 turn the verdicts it breaks false and make the command exit 1, under
 default Python and ``-O``.  Each row names its fault, the command, and the
 number of rows (scan) or reports (verify) in which each verdict reads
-false; every other verdict must stay true.  A row with no counts names a
-fault that a check catches before any report: stdout stays empty and stderr
-names the check."""
+false; every other verdict must stay true.  A row may run its command more
+than once, each run writing one JSON document, and the counts are summed
+over them.  A row with no counts names a fault that a check catches before
+any report: stdout stays empty and stderr names the check."""
 
 import json
 import subprocess
@@ -66,6 +67,50 @@ MAP_I_FLIPS_A_RAMIFIED_PRIME = (
     "    return t, y ^ {e.disc.ramified_primes[0]}\n"
     "mv.map_i = flipped\n"
     "sys.exit(main(['verify', '--disc', '-23', '--samples', '20']))\n")
+
+# the constructive-kernel preimages are built from split-prime pairs; with
+# every pair replaced by the identity idele, no preimage maps back
+PREIMAGE_PAIRS_DROPPED = (
+    "import sys\n"
+    "import qknorm.mv as mv\n"
+    "from qknorm.cli import main\n"
+    "mv.split_pair_idele = lambda disc, p, u: mv.IdeleFS.one(disc)\n"
+    "sys.exit(main(['verify', '--disc', '-23', '--samples', '5']))\n")
+
+# boundary_after_mu1_trivial reads the boundary of the diagonal idele of a
+# norm-one w over a unit idele, which is the class of w*O; a boundary that
+# flips the sign of every class off O_F must turn it false, and with it i
+# of the boundary, its multiplicativity, and at -23 the kernel's preimages
+BOUNDARY_SIGN_FLIPPED = (
+    "import sys\n"
+    "import qknorm.mv as mv\n"
+    "from qknorm.cli import main\n"
+    "from qknorm.knorm import K0Elt\n"
+    "boundary = mv.boundary\n"
+    "def flipped(z):\n"
+    "    e = boundary(z)\n"
+    "    i = e.ideal\n"
+    "    return e if i.n == i.d == i.a == 1 else K0Elt(-1, i)\n"
+    "mv.boundary = flipped\n"
+    "sys.exit(max(main(['verify', '--disc', d, '--samples', '20'])\n"
+    "             for d in ('-23', '60')))\n")
+
+# boundary_is_homomorphism compares boundary(z * z2) with the product of
+# the boundaries; a boundary that keeps norm one but drops every idele with
+# components above two or more rational primes is not multiplicative, and
+# the representatives it gives differ, so k0_eq must compare their classes
+BOUNDARY_NOT_MULTIPLICATIVE = (
+    "import sys\n"
+    "import qknorm.mv as mv\n"
+    "from qknorm.cli import main\n"
+    "from qknorm.knorm import k0_identity\n"
+    "boundary = mv.boundary\n"
+    "def local_only(z):\n"
+    "    if len({mv.rational_prime_of(p) for p in z.components}) > 1:\n"
+    "        return k0_identity(z.disc)\n"
+    "    return boundary(z)\n"
+    "mv.boundary = local_only\n"
+    "sys.exit(main(['verify', '--disc', '-23', '--samples', '80']))\n")
 
 # the split-pair sampler builds (u, u) rather than (u, 1/u): its ideles
 # leave the norm kernel, which verify must report as a failed check, with
@@ -145,6 +190,17 @@ FAULT_ROWS = {
         "preimage\n"),
     "pair_idele_not_norm_one": (PAIR_IDELE_NOT_NORM_ONE, None,
         "verify: idele norm has nonzero valuation at [41, 47, 59]\n"),
+    "preimage_pairs_dropped": (PREIMAGE_PAIRS_DROPPED, {
+        "constructive_kernel": 1},
+        "constructive_kernel: D = -23: the boundary of the constructed idele "
+        "is not the class of (2, FracIdeal(1*[2, (-1+sqrt(-23))/2]))\n"),
+    "boundary_sign_flipped": (BOUNDARY_SIGN_FLIPPED, {
+        "i_after_boundary_trivial": 2, "boundary_after_mu1_trivial": 2,
+        "boundary_is_homomorphism": 2, "constructive_kernel": 1},
+        "constructive_kernel: D = -23: the boundary of the constructed idele "
+        "is not the class of (2, FracIdeal(1*[2, (-1+sqrt(-23))/2]))\n"),
+    "boundary_not_multiplicative": (BOUNDARY_NOT_MULTIPLICATIVE, {
+        "boundary_is_homomorphism": 1}, ""),
     "hnf_product_tripled": (HNF_PRODUCT_TRIPLED, None,
         "k0: lattice_product: D = 136: [1, 10] * [3, 8] has Hermite form "
         "(9, 2, 3), not an O_F-module\n"),
@@ -181,9 +237,13 @@ def test_fault_turns_its_verdicts_false(fault, flags, src_env):
     if false_counts is None:  # a failed check ends the run: no report
         assert proc.stdout == ""
         return
-    doc = json.loads(proc.stdout)
-    rows, verdicts = ((doc["rows"], SCAN_VERDICTS) if "rows" in doc
-                      else ([doc], VERIFY_VERDICTS))
+    decoder, docs, at = json.JSONDecoder(), [], 0
+    while at < len(proc.stdout):  # one document per run, each ending a line
+        doc, at = decoder.raw_decode(proc.stdout, at)
+        docs.append(doc)
+        at += 1
+    verdicts = SCAN_VERDICTS if "rows" in docs[0] else VERIFY_VERDICTS
+    rows = [row for doc in docs for row in doc.get("rows", [doc])]
     got = {v: sum(row[v] == "false" for row in rows) for v in verdicts}
     assert got == {v: false_counts.get(v, 0) for v in verdicts}
 

@@ -267,11 +267,12 @@ def test_solve_norm_equation_exact():
     rng = random.Random(34)
     for delta in (-15, 12, 60, -23, 136, 40, -56):
         disc = make_discriminant(delta)
+        ctx = k0_context(disc)
         for _ in range(30):
             t = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
             if not t:
                 continue
-            x = solve_norm_equation(t, disc)
+            x = solve_norm_equation(t, ctx)
             if x is not None:
                 assert x.norm() == t
             # the Hasse criterion agrees with constructive solvability
@@ -281,10 +282,10 @@ def test_solve_norm_equation_exact():
 
 def test_solve_norm_equation_hard_cases():
     # -1 is a norm but not a unit norm over the field of discriminant 136
-    x = solve_norm_equation(-1, make_discriminant(136))
+    x = solve_norm_equation(-1, k0_context(make_discriminant(136)))
     assert x is not None and x.norm() == -1
     # 2 is the norm of a non-integral element only, over discriminant -56
-    x = solve_norm_equation(2, make_discriminant(-56))
+    x = solve_norm_equation(2, k0_context(make_discriminant(-56)))
     assert x is not None and x.norm() == 2
     assert not is_integral_ideal(principal_ideal(x))
 
@@ -303,7 +304,8 @@ BROKEN_UNIT = (
     "    return dataclasses.replace(u, eps=u.eps * u.eps)\n"
     "kn.fundamental_unit = squared\n"
     "try:\n"
-    "    x = kn.solve_norm_equation(-1, make_discriminant(5))\n"
+    "    ctx = kn.k0_context(make_discriminant(5))\n"
+    "    x = kn.solve_norm_equation(-1, ctx)\n"
     "except GeneratorCheckError as exc:\n"
     "    print(exc)\n"
     "else:\n"
@@ -335,7 +337,7 @@ def test_norm_equation_checks_survive_optimize(src_env):
         "    else:\n"
         "        print('passed')\n"
         "run(lambda: list(knorm._integral_ideals_of_norm(D, 0)))\n"
-        "run(knorm.solve_norm_equation, 0, D)\n"
+        "run(knorm.solve_norm_equation, 0, knorm.k0_context(D))\n"
         "knorm.factorint = lambda m: {p: e + 1 for p, e in\n"
         "                             arith.factorint(m).items()}\n"
         "run(lambda: list(knorm._integral_ideals_of_norm(D, 5)))\n")

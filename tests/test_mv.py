@@ -5,15 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from qknorm.classgroup import ScanCountError
+from qknorm import mv
+from qknorm.classgroup import ScanCountError, scan_counts
 from qknorm.ideals import FracIdeal, ideal_valuation, primes_above, \
     principal_ideal
 from qknorm.knorm import K0Elt, k0_context, k0_eq, k0_group, k0_identity, \
     k0_mul, k0_rep
-from qknorm.mv import (IdeleFS, NormKernelViolation, NotInNormKernel,
-                       boundary, boundary_preimage, diagonal_idele,
-                       genus_engine, i_is_trivial, idele_norm, map_i, mu, mu1,
-                       random_k0_elt, random_norm_kernel_idele,
+from qknorm.mv import (FieldPrimes, IdeleFS, NormKernelViolation,
+                       NotInNormKernel, boundary, boundary_preimage,
+                       diagonal_idele, genus_engine, i_is_trivial, idele_norm,
+                       map_i, mu, mu1, random_k0_elt, random_norm_kernel_idele,
                        random_norm_one_element, random_unit_idele,
                        sampled_exactness, split_pair_idele)
 from qknorm.quadfield import QuadNum, make_discriminant
@@ -22,6 +23,13 @@ from helpers import is_unit_ideal, support_primes
 from oracle import _prime_factors, hilbert2_oracle, hilbert_odd_oracle
 
 D15 = make_discriminant(-15)
+PRIMES15 = FieldPrimes(D15)
+
+
+def _genus_engine(delta):
+    """The genus report of one field, on its counts as a block of one."""
+    disc = make_discriminant(delta)
+    return genus_engine(disc, scan_counts(disc))
 
 
 def test_idele_norm_trivial_cases():
@@ -30,7 +38,7 @@ def test_idele_norm_trivial_cases():
     assert all(v == 1 for v in idele_norm(z).values())
     # diagonal idele of x has norm N(x) at every supported prime
     x = QuadNum(3, 1, 1, D15)  # norm 6
-    d = diagonal_idele(x)
+    d = diagonal_idele(x, PRIMES15)
     n = idele_norm(d)
     for p in support_primes(d):
         assert n.get(p, 1) == x.norm()
@@ -46,6 +54,10 @@ IDELE_CHECKS = {
                        "ZeroComponent"),
     "product_across_fields": ("IdeleFS.one(D15) * IdeleFS.one(D23)",
                               "DiscMismatch"),
+    "element_of_another_field": (
+        "IdeleFS({P15: QuadNum(2, 2, 1, D23)}, D15)", "DiscMismatch"),
+    "element_product_across_fields": (
+        "QuadNum(2, 2, 1, D15) * QuadNum(2, 2, 1, D23)", "DiscMismatch"),
 }
 
 
@@ -126,10 +138,11 @@ def test_diagonal_idele_sees_z_O():
     rng = random.Random(44)
     for delta in (-15, 12, 60, 229, -85159):
         disc = make_discriminant(delta)
+        primes = FieldPrimes(disc)
         nonempty = 0
         for _ in range(25):
             z = random_norm_one_element(disc, rng)
-            d = diagonal_idele(z)
+            d = diagonal_idele(z, primes)
             assert d.components == _full_diagonal_idele(z).components
             assert boundary(d).ideal == principal_ideal(z), (delta, z)
             assert bool(d.components) == \
@@ -153,9 +166,10 @@ def test_boundary_matches_product_assembly(monkeypatch):
     cases = []
     for delta in (-15, -23, 12, 60, 105, 229, -84):
         disc = make_discriminant(delta)
+        primes = FieldPrimes(disc)
         for _ in range(30):
-            z = random_norm_kernel_idele(disc, rng) \
-                * random_norm_kernel_idele(disc, rng)
+            z = random_norm_kernel_idele(disc, rng, primes) \
+                * random_norm_kernel_idele(disc, rng, primes)
             cases.append((z, _product_boundary_ideal(z)))
     assert sum(not is_unit_ideal(i) for _, i in cases) >= 100
     products = [0]
@@ -179,10 +193,11 @@ def test_boundary_homomorphism():
     rng = random.Random(41)
     for delta in (-23, -15, 12, 60, 229, -85159):
         disc = make_discriminant(delta)
+        primes = FieldPrimes(disc)
         nontrivial = 0
         for _ in range(30):
-            z1 = random_norm_kernel_idele(disc, rng)
-            z2 = random_norm_kernel_idele(disc, rng)
+            z1 = random_norm_kernel_idele(disc, rng, primes)
+            z2 = random_norm_kernel_idele(disc, rng, primes)
             e12 = boundary(z1 * z2)
             assert e12 == k0_mul(boundary(z1), boundary(z2)), (delta, z1, z2)
             nontrivial += not is_unit_ideal(e12.ideal)
@@ -193,8 +208,9 @@ def test_map_i_well_defined_across_presentations():
     rng = random.Random(42)
     for delta in (-15, 12, 60, -56, 105):
         disc = make_discriminant(delta)
+        primes = FieldPrimes(disc)
         for _ in range(20):
-            e = random_k0_elt(disc, rng)
+            e = random_k0_elt(disc, rng, primes)
             z = QuadNum(rng.randint(-10, 10), rng.randint(-10, 10),
                         rng.randint(1, 4), disc)
             if not z:
@@ -227,7 +243,8 @@ def test_map_i_against_its_definition(delta):
     elts = [K0Elt(sign, primes_above(disc, p).primes[0])
             for p in pis for sign in (1, -1)]
     rng = random.Random(delta)
-    elts += [random_k0_elt(disc, rng) for _ in range(12)]
+    elts += [random_k0_elt(disc, rng, FieldPrimes(disc))
+             for _ in range(12)]
     for e in elts:
         a = e.sign * e.ideal.a
         want = frozenset(
@@ -258,11 +275,11 @@ def test_mu_of_five_over_minus_fifteen():
 
 def test_mu1_preconditions():
     with pytest.raises(NormKernelViolation):
-        mu1(QuadNum(4, 0, 1, D15), IdeleFS.one(D15))
+        mu1(QuadNum(4, 0, 1, D15), IdeleFS.one(D15), PRIMES15)
     rng = random.Random(43)
     z = random_norm_one_element(D15, rng)
-    u = random_unit_idele(D15, rng)
-    w = mu1(z, u)
+    u = random_unit_idele(D15, rng, PRIMES15)
+    w = mu1(z, u, PRIMES15)
     assert all(v == 1 for v in idele_norm(w).values())
 
 
@@ -276,6 +293,23 @@ def test_seed_reproducibility():
     r1 = sampled_exactness(D15, 40, 7)
     r2 = sampled_exactness(D15, 40, 7)
     assert r1 == r2
+
+
+def test_sampled_exactness_reports_kernel_failure(monkeypatch):
+    # i with the first ramified prime flipped kills no class, the identity
+    # included, so the kernel verdict fails and says why
+    map_i = mv.map_i
+
+    def flipped(e):
+        t, y = map_i(e)
+        return t, y ^ {e.disc.ramified_primes[0]}
+
+    monkeypatch.setattr(mv, "map_i", flipped)
+    rep = sampled_exactness(make_discriminant(-23), 20, 0)
+    assert not rep.constructive_kernel and not rep.all_pass
+    assert rep.kernel_failure == \
+        "D = -23: the identity class has no boundary preimage"
+    assert rep == sampled_exactness(make_discriminant(-23), 20, 0)
 
 
 def test_constructive_kernel_preimages():
@@ -299,7 +333,7 @@ def test_constructive_kernel_preimages():
                                              (-120, 2, False),
                                              (105, 1, True)])
 def test_genus_engine_spot_values(delta, rank2, exc):
-    rep = genus_engine(make_discriminant(delta))
+    rep = _genus_engine(delta)
     assert rep.rank2 == rank2
     assert rep.exceptional == exc
     assert rep.all_pass
@@ -321,4 +355,4 @@ def test_genus_engine_small_range():
 
     for delta in range(-150, 150):
         if is_fundamental(delta):
-            assert genus_engine(make_discriminant(delta)).all_pass, delta
+            assert _genus_engine(delta).all_pass, delta

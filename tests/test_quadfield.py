@@ -128,14 +128,6 @@ def test_norm_trace_multiplicative_additive(a, b):
     assert a.norm() == (a * a.conj()).as_rational()
 
 
-@given(_qn(D12))
-@settings(max_examples=200, deadline=None)
-def test_sign_real_matches_float(a):
-    approx = a.x / (2 * a.d) + a.y * math.sqrt(12) / (2 * a.d)
-    if abs(approx) > 1e-9:
-        assert a.sign_real() == (1 if approx > 0 else -1)
-
-
 @pytest.mark.parametrize("delta", [-15, -4, 8, 12, 60, -23, 229, -120])
 def test_kronecker_matches_reference(delta):
     disc = make_discriminant(delta)

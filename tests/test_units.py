@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qknorm.quadfield import is_fundamental, make_discriminant
@@ -6,6 +8,12 @@ from qknorm.units import fundamental_unit
 from oracle import KNOWN_EPS_NORMS, pell_min
 
 _PELL_CAP = 4000
+
+
+def _above_one(z) -> bool:
+    """z > 1 under sqrt(D) > 0, in floats; the units checked here are at
+    least (1 + sqrt(5))/2, far from 1."""
+    return (z.x + z.y * math.sqrt(z.disc.delta)) / (2 * z.d) > 1
 
 
 @pytest.mark.parametrize("delta,n", sorted(KNOWN_EPS_NORMS.items()))
@@ -30,7 +38,7 @@ def test_units_match_bounded_pell():
         eps = u.eps
         assert eps is not None and eps.d == 1
         assert eps.norm() in (1, -1)
-        assert eps.compare_rational(1) > 0
+        assert _above_one(eps)
         got = pell_min(D, _PELL_CAP)
         if got is None:
             # fundamental solution is beyond the brute-force window
@@ -47,7 +55,7 @@ def test_unit_is_minimal_power():
         disc = make_discriminant(D)
         eps = fundamental_unit(disc).eps
         sq = eps * eps
-        assert sq.compare_rational(1) > 0
+        assert _above_one(sq)
         assert sq != eps
 
 

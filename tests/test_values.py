@@ -11,7 +11,7 @@ import pytest
 from qknorm.ideals import FracIdeal, primes_above, principal_ideal, \
     split_power_product
 from qknorm.knorm import K0Elt
-from qknorm.mv import IdeleFS, random_norm_kernel_idele
+from qknorm.mv import FieldPrimes, IdeleFS, random_norm_kernel_idele
 from qknorm.quadfield import Discriminant, QuadNum, \
     fundamental_discriminants, make_discriminant
 
@@ -102,7 +102,7 @@ def test_ideles_equal_by_components_and_unhashable():
     disc = make_discriminant(-15)
     rng = random.Random(5)
     for _ in range(20):
-        z = random_norm_kernel_idele(disc, rng)
+        z = random_norm_kernel_idele(disc, rng, FieldPrimes(disc))
         copy = IdeleFS(dict(z.components), make_discriminant(-15))
         assert z == copy
         assert z * z.inverse() == IdeleFS.one(disc)
