@@ -160,26 +160,34 @@ SCAN_COLUMNS = ("delta", "t_fin", "t_all", "h", "rank2", "eps_norm",
                 "verdict_68")
 
 
+# the decimal strings of the small counts of a row: t_fin, t_all, rank2,
+# dim_v and dim_h are counts of primes or dimensions over them, from 0 to at
+# most 16 for any 64-bit discriminant (at most 15 primes divide one)
+_SMALL = tuple(map(str, range(64)))
+
+
 def _row(rep) -> dict:
     # every column has a fixed type, so each is formatted without ``_s``
+    (delta, t_fin, t_all, h, h_narrow, rank2, dim_v, dim_h, exceptional,
+     verdict_69, verdict_67, verdict_68) = rep
     eps_norm = ""
-    if rep.delta > 0:
+    if delta > 0:
         # N(eps) = -1 exactly when the class of (sqrt(delta)) is trivial,
         # that is when the narrow and wide class numbers agree
-        eps_norm = "-1" if rep.h_narrow == rep.h else "1"
+        eps_norm = "-1" if h_narrow == h else "1"
     return {
-        "delta": str(rep.delta),
-        "t_fin": str(rep.t_fin),
-        "t_all": str(rep.t_all),
-        "h": str(rep.h),
-        "rank2": str(rep.rank2),
+        "delta": str(delta),
+        "t_fin": _SMALL[t_fin],
+        "t_all": _SMALL[t_all],
+        "h": str(h),
+        "rank2": _SMALL[rank2],
         "eps_norm": eps_norm,
-        "exceptional": _BOOL[rep.exceptional],
-        "dim_v": str(rep.dim_v),
-        "dim_h": str(rep.dim_h),
-        "verdict_69": _BOOL[rep.verdict_69],
-        "verdict_67": _BOOL[rep.verdict_67],
-        "verdict_68": _BOOL[rep.verdict_68],
+        "exceptional": _BOOL[exceptional],
+        "dim_v": _SMALL[dim_v],
+        "dim_h": _SMALL[dim_h],
+        "verdict_69": _BOOL[verdict_69],
+        "verdict_67": _BOOL[verdict_67],
+        "verdict_68": _BOOL[verdict_68],
     }
 
 
@@ -187,7 +195,7 @@ def scan_block(bounds: tuple[int, int]) -> list[dict]:
     """The scan rows of the fundamental discriminants in lo..hi, in order."""
     discs = fundamental_discriminants(*bounds)
     counts = block_counts([d.delta for d in discs])
-    return [_row(genus_engine(d, c)) for d, c in zip(discs, counts)]
+    return [_row(rep) for rep in genus_engine(discs, counts)]
 
 
 class ScanWorkerDied(RuntimeError):

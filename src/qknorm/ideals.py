@@ -7,7 +7,7 @@ integral basis {1, w}, w = (D+sqrt(D))/2, followed by Hermite normalization
 everything exact; a Hermite form that is not of full rank, or not an
 O_F-module, raises ``LatticeCheckError``, also under ``python -O``.
 Membership of an element is two divisibility tests on
-its coordinates (``FracIdeal.contains``), with no product; with norms, it
+its coordinates (``FracIdeal._contains``), with no product; with norms, it
 decides whether an ideal is z times another (``FracIdeal.is_product``),
 which is how generators are checked.  Valuations of ideals are read off (n, d, a,
 b) (``ideal_valuation``) and those of elements off their coordinates
@@ -209,13 +209,6 @@ class FracIdeal:
             if bit == "1":
                 result = result * self
         return result
-
-    def contains(self, z: QuadNum) -> bool:
-        """z in self, by two divisibility tests and no ideal product."""
-        if z.disc.delta != self.disc.delta:
-            raise DiscMismatch(
-                f"discriminants {self.disc.delta} and {z.disc.delta} differ")
-        return self._contains(z.x, z.y, z.d)
 
     def _contains(self, x: int, y: int, e: int) -> bool:
         """(x + y*sqrt(D))/(2e) in self, for any ints x, y and e > 0.

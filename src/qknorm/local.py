@@ -14,6 +14,15 @@ to the core.  ``genus_char_space`` writes the formula out for its
 candidates, each -1 or a prime q, so that v_p(q) = [q = p]: it strips Delta
 once per ramified prime and keeps its F2 span as int bitmasks over the
 ramified primes, one per pivot.
+
+The scan takes its genus dims a block at a time from ``block_genus_dims``,
+whose kernel (in ``scancounts``, imported on the first call) evaluates the
+same formula for -1, the ramified primes and the split primes up to 43 of
+every field at once.  ``genus_char_space`` and ``is_global_norm`` stay the
+reference, and the path of a field the kernel cannot certify: one whose span
+needs a split prime past 43, or with two ramified primes past the prime
+table.  The cap on split primes binds both, and only ``genus_char_space``
+raises ``SplitPrimeCapExceeded``.
 """
 
 from __future__ import annotations
@@ -136,6 +145,16 @@ class GenusCharSpace(NamedTuple):
 
 
 _SPLIT_PRIME_CAP = 25
+
+
+def block_genus_dims(discs) -> tuple[list[int], list[int]]:
+    """(dim_v, dim_h) of each field of ``discs``, with dim_v = -1 for a field
+    the block kernel cannot certify: ``scancounts.block_genus_dims`` under
+    the split-prime cap as it stands at the call.  Its module, and with it
+    numpy, is imported here, on the first call, as for the scan counts."""
+    from .scancounts import block_genus_dims
+
+    return block_genus_dims(discs, _SPLIT_PRIME_CAP)
 
 
 class SplitPrimeCapExceeded(RuntimeError):

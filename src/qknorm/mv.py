@@ -11,7 +11,9 @@ nonsplit places, are F2 vectors over places: frozensets of the primes whose
 coordinate is 1, added by ``^``.
 
 The genus engine at the end assembles the 2-rank comparisons that the scan
-over fundamental discriminants certifies.
+over fundamental discriminants certifies, for a whole block of fields: their
+genus dims come from the block kernel (``local.block_genus_dims``), and a
+field it cannot certify from ``genus_char_space`` and ``is_global_norm``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .ideals import Decomposition, DiscMismatch, FracIdeal, \
     rational_prime_of, split_power_product
 from .knorm import K0Context, K0Elt, k0_eq, k0_group, k0_identity, k0_key, \
     k0_mul, k0_rep, solve_norm_equation
-from .local import _primes_of, genus_char_space, h0_class_of_rational, \
-    hilbert_symbol, is_global_norm
+from .local import _primes_of, block_genus_dims, genus_char_space, \
+    h0_class_of_rational, hilbert_symbol, is_global_norm
 from .quadfield import Discriminant, QuadNum, kronecker
 
 
@@ -496,43 +498,55 @@ class GenusReport(NamedTuple):
         return self.verdict_69 and self.verdict_67 and self.verdict_68
 
 
-def genus_engine(disc: Discriminant,
-                 counts: tuple[int, int, int]) -> GenusReport:
-    """2-rank of the class group against the ramification count, three ways.
+def genus_engine(discs: list[Discriminant],
+                 counts: list[tuple[int, int, int]]) -> list[GenusReport]:
+    """2-rank of the class group against the ramification count, three
+    ways, for each field of a block, in order.
 
-    ``counts`` is (h, h_narrow, rank2), which the scan counts for a whole
-    block at once (``block_counts``).  The counts must first meet four
-    invariants, or ``ScanCountError`` names D: 2^rank2 divides h (the
-    2-torsion of the class group has order 2^rank2); h_narrow is h or 2h;
-    h_narrow = h for D < 0; and h_narrow = 2h for an exceptional real D,
-    where -1 is not a square mod a ramified p = 3 mod 4, so N(eps) = +1.
+    ``counts`` holds (h, h_narrow, rank2) per field, which the scan counts
+    for a whole block at once (``block_counts``).  The counts must first
+    meet four invariants, or ``ScanCountError`` names D: 2^rank2 divides h
+    (the 2-torsion of the class group has order 2^rank2); h_narrow is h or
+    2h; h_narrow = h for D < 0; and h_narrow = 2h for an exceptional real
+    D, where -1 is not a square mod a ramified p = 3 mod 4, so N(eps) = +1.
+    dim V and dim H come from the block kernel (``block_genus_dims``); a
+    field it cannot certify goes to ``genus_char_space`` and
+    ``is_global_norm(-1, .)``, whose cap raises ``SplitPrimeCapExceeded``.
+    The fields are taken in order, each check before the next field, so the
+    first failing field names the error, whichever check fails.
     """
-    h, h_narrow, rank2 = counts
-    D = disc.delta
-    exceptional = disc.is_real and any(p % 4 == 3
-                                       for p in disc.ramified_primes)
-    if h % (1 << rank2):
-        raise ScanCountError(
-            f"D = {D}: h = {h} is not divisible by 2^rank2 = {1 << rank2}")
-    if h_narrow != h and h_narrow != 2 * h:
-        raise ScanCountError(
-            f"D = {D}: h_narrow = {h_narrow} is neither h = {h} nor 2h")
-    if D < 0 and h_narrow != h:
-        raise ScanCountError(
-            f"D = {D}: h_narrow = {h_narrow} is not h = {h} for D < 0")
-    if exceptional and h_narrow != 2 * h:
-        raise ScanCountError(
-            f"D = {D}: h_narrow = {h_narrow} is not 2h = {2 * h} for an "
-            f"exceptional real D")
-    dim_v = genus_char_space(disc).dim
-    dim_h = 0 if is_global_norm(-1, disc) else 1
-    expected = disc.t_fin - 1 - (1 if exceptional else 0)
-    verdict_69 = rank2 == expected
-    verdict_67 = dim_v == dim_h + rank2
-    if disc.is_real:
-        verdict_68 = rank2 <= disc.t_fin - 1
-    else:
-        verdict_68 = rank2 == disc.t_fin - 1
-    # positional: the keyword call is a measurable share of a scan row
-    return GenusReport(D, disc.t_fin, disc.t_all, h, h_narrow, rank2, dim_v,
-                       dim_h, exceptional, verdict_69, verdict_67, verdict_68)
+    dims_v, dims_h = block_genus_dims(discs)
+    reports = []
+    for disc, (h, h_narrow, rank2), dim_v, dim_h in zip(discs, counts,
+                                                         dims_v, dims_h):
+        D = disc.delta
+        exceptional = disc.is_real and any(p % 4 == 3
+                                           for p in disc.ramified_primes)
+        if h % (1 << rank2):
+            raise ScanCountError(f"D = {D}: h = {h} is not divisible by "
+                                 f"2^rank2 = {1 << rank2}")
+        if h_narrow != h and h_narrow != 2 * h:
+            raise ScanCountError(
+                f"D = {D}: h_narrow = {h_narrow} is neither h = {h} nor 2h")
+        if D < 0 and h_narrow != h:
+            raise ScanCountError(
+                f"D = {D}: h_narrow = {h_narrow} is not h = {h} for D < 0")
+        if exceptional and h_narrow != 2 * h:
+            raise ScanCountError(
+                f"D = {D}: h_narrow = {h_narrow} is not 2h = {2 * h} for an "
+                f"exceptional real D")
+        if dim_v < 0:  # a field the kernel cannot certify
+            dim_v = genus_char_space(disc).dim
+            dim_h = 0 if is_global_norm(-1, disc) else 1
+        expected = disc.t_fin - 1 - (1 if exceptional else 0)
+        verdict_69 = rank2 == expected
+        verdict_67 = dim_v == dim_h + rank2
+        if disc.is_real:
+            verdict_68 = rank2 <= disc.t_fin - 1
+        else:
+            verdict_68 = rank2 == disc.t_fin - 1
+        # positional: the keyword call is a measurable share of a scan row
+        reports.append(GenusReport(D, disc.t_fin, disc.t_all, h, h_narrow,
+                                   rank2, dim_v, dim_h, exceptional,
+                                   verdict_69, verdict_67, verdict_68))
+    return reports

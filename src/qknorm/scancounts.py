@@ -1,6 +1,8 @@
-"""The scan's class counts: (h, h_narrow, rank2) of whole blocks of
-discriminants, one numpy pass per block and sign, on a path that shares no
-logic with ``classgroup.class_group``, so for both signs it is an
+"""The scan's numpy kernels: the class counts (h, h_narrow, rank2) and the
+genus dims (dim V, dim H) of whole blocks of discriminants.
+
+The class counts take one numpy pass per block and sign, on a path that
+shares no logic with ``classgroup.class_group``, so for both signs it is an
 independent second path.
 
 For D < 0 the reduced forms of every D of a block are enumerated at once,
@@ -10,17 +12,29 @@ a > 0 of every D of the block are labelled on index arrays by min-label
 pointer jumping.  Both write their columns in place into one workspace of
 numpy buffers per process (``_Workspace``).
 
+The genus dims (``block_genus_dims``) are ``local.genus_char_space`` and
+``is_global_norm(-1, .)`` for a whole block: the Hilbert symbols of -1, the
+ramified primes and a fixed list of small split primes at every ramified
+prime, from one table of Legendre symbols of the primes below TABLE_BOUND
+(built on first use), as int bitmasks, and their F2 rank by elimination,
+one round per bit for all fields at once.  A field whose rank falls short
+of t_all - 1 is left to the per-field loop.
+
 This is the only module that imports numpy, and only the scan imports it,
-through ``classgroup.block_counts`` and ``classgroup.scan_counts``; the
-scan's sieve (``quadfield.fundamental_discriminants``) is plain Python.
+through ``classgroup.block_counts``, ``classgroup.scan_counts`` and
+``local.block_genus_dims``; the scan's sieve
+(``quadfield.fundamental_discriminants``) is plain Python.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import chain
 from math import isqrt
 
 import numpy as np
 
+from .arith import PRIMES, TABLE_BOUND
 from .classgroup import BLOCK_WIDTH, ScanCountError
 
 
@@ -87,10 +101,6 @@ class _Workspace:
         if buf is None or len(buf) < n:
             buf = self.iotas[dtype] = np.arange(n + n // 4, dtype=dtype)
         return buf[:n]
-
-    def nbytes(self) -> int:
-        return sum(buf.nbytes for bufs in (self.bufs, self.iotas)
-                   for buf in bufs.values())
 
 
 _WS = _Workspace()
@@ -492,3 +502,183 @@ def _raise_rho_miss(lo, key, image, in_range, A, B, C, J):
     raise ScanCountError(
         f"D = {lo + int(J[m])}: rho maps two forms to the image of "
         f"({A[m]}, {B[m]}, {-C[m]})")
+
+
+# ---------------------------------------------------------------------------
+# the genus dims of a block
+
+# the split primes the kernel may adjoin, the first primes in order, as
+# ``local.genus_char_space`` takes them
+_SPLIT_PRIMES = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
+_ODD_Q = _SPLIT_PRIMES[1:, None]
+
+@cache
+def _legendre_table():
+    """(table, off): table[off[p] + x] = (x/p), an int8, for every odd prime
+    p below TABLE_BOUND and 0 <= x < p, the tables of all p laid end to end;
+    off is indexed by p.  Built on first use, from the squares of
+    1 .. (p - 1)/2, which are the nonzero residues."""
+    ps = np.array(PRIMES[1:], dtype=np.int32)
+    starts = np.cumsum(ps) - ps
+    half = ps >> 1
+    x = np.arange(1, half.sum() + 1, dtype=np.int32)
+    x -= np.repeat(np.cumsum(half) - half, half)
+    x *= x
+    x %= np.repeat(ps, half)
+    x += np.repeat(starts, half)
+    table = np.full(int(starts[-1] + ps[-1]), -1, dtype=np.int8)
+    table[x] = 1
+    table[starts] = 0
+    off = np.zeros(TABLE_BOUND, dtype=np.int64)
+    off[ps] = starts
+    return table, off
+
+
+def _eps(x):
+    """Serre's epsilon(x) = 1 iff x = 3 mod 4, for odd x, as a bool."""
+    return x & 3 == 3
+
+
+def _omega(x):
+    """Serre's omega(x) = 1 iff x = 3, 5 mod 8 (x + 2 = 5, 7), for odd x,
+    as a bool."""
+    return (x + 2 & 7) > 4
+
+
+def block_genus_dims(discs, cap: int) -> tuple[list[int], list[int]]:
+    """(dim_v, dim_h) of each field of ``discs``, with dim_v = -1 for a
+    field whose dimension the kernel cannot certify.
+
+    The kernel is ``local.genus_char_space``'s loop written for a whole
+    block: the F2 rank of the vectors, over the ramified primes, of -1, the
+    ramified primes and the first split primes of ``_SPLIT_PRIMES``, at
+    most ``cap``.  The rank is at most t_all - 1 (Hilbert reciprocity), and
+    one that reaches it is dim_v, as the per-field loop, which adjoins the
+    same candidates in the same order, would find.  A rank below it, or two
+    ramified primes at or above TABLE_BOUND (whose symbol is not one
+    gather), leaves the field to the per-field loop: dim_v = -1.  A rank
+    above it breaks reciprocity and is returned as it is.  -1 is a norm iff
+    Delta > 0 and the row of -1 is zero (the symbol at an unramified 2 is
+    1), so dim_h is read off that row.
+    """
+    if not discs:
+        return [], []
+    F = len(discs)
+    D = np.fromiter([d.delta for d in discs], np.int64, F)
+    t = np.fromiter([d.t_fin for d in discs], np.int64, F)
+    masks, far = _genus_rows(discs, D, t, cap)
+    dim_h = (D < 0) | (masks[0] != 0)
+    rank = _f2_rank(masks)
+    rank[far | (rank < t - (D > 0))] = -1
+    return rank.tolist(), dim_h.view(np.int8).tolist()
+
+
+def _genus_rows(discs, D, t, cap: int):
+    """(masks, far): masks[k, f] has bit i set iff (q_k, Delta)_p = -1 for
+    the k-th candidate q_k of field f at its i-th ramified prime p; far[f]
+    marks the fields with two ramified primes at or above TABLE_BOUND.
+
+    The rows are -1, the primes of ``_SPLIT_PRIMES`` (zeros where q does not
+    split or comes after the first ``cap`` that do) and the ramified primes
+    (zeros past the field's t_fin).  With Delta = p^beta w, each q != p is
+    -1 or a prime, so (Serre, A Course in Arithmetic, III.1.2):
+
+    - at an odd p, (q/p): (-1/p) by epsilon(p), (2/p) by omega(p), and an odd
+      q by the table of the smaller prime of q, p, with quadratic
+      reciprocity, (q/p) = (p/q) (-1)^(epsilon(p) epsilon(q)), when that
+      is q;
+    - at p = 2, where beta is 2 or 3: epsilon(q) epsilon(w) + beta omega(q).
+      For an odd q of the list that is the formula at an odd p, with 2^beta,
+      whose (./q) is (2/q)^beta, in place of p, and w in place of p in
+      epsilon.
+
+    At q = p the symbol (p, Delta)_p is omega(w) at p = 2, and (-w/p) at an
+    odd p, where beta = 1.  w = Delta/p is a sign, 2^beta and the other
+    ramified primes, so (-w/p) is (-1/p) for Delta > 0, times (2/p) for an
+    odd beta, times the symbols (r/p) of the other odd ramified r: the
+    parity of p's column over the rows of the ramified primes, with the row
+    of 2 counted for an odd beta.
+
+    The places of the block are laid end to end, N of them, field f's from
+    starts[f] on, ip the index of each within its field.  A pair of places
+    of one field is a place v and the one d places on (d < C, the most
+    places of a field); the ramified primes come in increasing order, so v
+    holds the smaller prime.
+    """
+    table, off = _legendre_table()
+    F, C, N = len(discs), int(t.max()), int(t.sum())
+    p = np.fromiter(chain.from_iterable([d.ramified_primes for d in discs]),
+                    np.int64, N)
+    starts = np.cumsum(t) - t
+    fp = np.repeat(np.arange(F), t)  # the field of each place
+    ip = np.arange(N) - starts[fp]
+    bit = np.left_shift(1, ip)
+    odd, two = p > 2, p == 2
+    eps_p = _eps(p)
+    # Delta = 2^beta w at 2, for even Delta; per place
+    odd_beta = D & 7 == 0
+    w = D >> np.where(odd_beta, 3, 2)
+    beta, eps_w = odd_beta[fp], _eps(w)[fp]
+    eps_place = eps_p | two & eps_w  # epsilon(p), and epsilon(w) at 2
+    # the rows of -1 and of the list at every place
+    e = np.empty((1 + len(_SPLIT_PRIMES), N), dtype=bool)
+    e[0] = eps_place
+    e[1] = _omega(p)
+    e[2:] = table[off[_ODD_Q] + np.where(two, (D & -D)[fp], p) % _ODD_Q] < 0
+    e[2:] ^= _eps(_ODD_Q) & eps_place
+    # which list primes split: D = 1 mod 8 for 2, (D/q) = 1 for an odd q
+    split = np.empty((1 + len(_SPLIT_PRIMES), F), dtype=bool)
+    split[0] = True
+    split[1] = D & 7 == 1
+    split[2:] = table[off[_ODD_Q] + D % _ODD_Q] == 1
+    if cap < len(_SPLIT_PRIMES):
+        split[1:] &= split[1:].cumsum(axis=0) <= cap
+    # the pairs of places v and v + d: s[d - 1, v] is the symbol of the
+    # prime at v + d at the place v, r[d - 1, v] that of v's prime at v + d
+    d = np.arange(1, C)[:, None]
+    at = np.arange(N) + d
+    upper = np.concatenate((p, np.zeros(C, np.int64)))[at]
+    eps_u, omega_u = _eps(upper), _omega(upper)
+    pair = t[fp] - ip > d
+    small = odd & (p < TABLE_BOUND)  # v's table holds the pair's symbol
+    a = np.where(small, p, 3)  # a gather in range where unused
+    small = pair & small
+    s = table[off[a] + upper % a] < 0
+    s &= small
+    r = s ^ (small & eps_p & eps_u)
+    at_two = pair & two
+    s |= at_two & (eps_u & eps_w ^ beta & omega_u)
+    r |= at_two & omega_u
+    # the rows of the ramified primes, one per place: r in place, s moved
+    # d places on; then the own symbols on the diagonal
+    ram = (r * (bit << d)).sum(axis=0)
+    ram += np.bincount(at.ravel(), (s * bit).ravel(), N + C)[:N].astype(
+        np.int64)
+    column = np.bitwise_xor.reduceat(ram * (odd | two & beta), starts)[fp]
+    own = np.where(two, _omega(w)[fp],
+                   column >> ip & 1 ^ (D > 0)[fp] & eps_p)
+    ram |= own * bit
+    masks = np.zeros((1 + len(_SPLIT_PRIMES) + C, F), dtype=np.int64)
+    # the bits of each row of e, summed per field
+    rows = np.arange(len(e))[:, None] * F + fp
+    masks[:len(e)] = np.bincount(rows.ravel(), (e * bit).ravel(),
+                                 len(e) * F).reshape(-1, F) * split
+    masks[len(e) + ip, fp] = ram
+    return masks, np.add.reduceat(p >= TABLE_BOUND, starts) > 1
+
+
+def _f2_rank(masks):
+    """The F2 rank of the vectors of each field: masks[:, f] holds field
+    f's vectors as int bitmasks.  One round per bit b, from the highest
+    down, eliminates it: once no vector has a bit above b, the largest
+    vector, the pivot, has bit b if any does, and it is xored into every
+    vector that has the bit, itself included.  The rank counts the pivots
+    with their bit."""
+    masks = masks.copy()
+    width = int(masks.max(initial=0)).bit_length()
+    pivots = np.empty((width, masks.shape[1]), dtype=masks.dtype)
+    for b in reversed(range(width)):
+        masks.max(axis=0, out=pivots[b])
+        masks ^= (masks >= 1 << b) * pivots[b]
+    # pivots[b] is below 2^(b + 1)
+    return (pivots >> np.arange(width)[:, None]).sum(axis=0)

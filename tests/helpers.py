@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qknorm.ideals import rational_prime_of
-from qknorm.quadfield import QuadNum
+from qknorm.quadfield import DiscMismatch, QuadNum
 
 
 class NotIntegral(ValueError):
@@ -37,6 +37,21 @@ def is_unit_ideal(i) -> bool:
 
 def is_integral_ideal(i) -> bool:
     return i.d == 1
+
+
+def contains(i, z: QuadNum) -> bool:
+    """z in the fractional ideal i, by the two divisibility tests of
+    ``FracIdeal._contains`` and no ideal product."""
+    if z.disc.delta != i.disc.delta:
+        raise DiscMismatch(
+            f"discriminants {i.disc.delta} and {z.disc.delta} differ")
+    return i._contains(z.x, z.y, z.d)
+
+
+def workspace_nbytes(ws) -> int:
+    """The bytes the buffers of a scan-count workspace hold."""
+    return sum(buf.nbytes for bufs in (ws.bufs, ws.iotas)
+               for buf in bufs.values())
 
 
 def support_primes(z) -> list[int]:

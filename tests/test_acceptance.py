@@ -16,7 +16,8 @@ from qknorm.cli import SCAN_COLUMNS, _emit, _row
 from qknorm.classgroup import BLOCK_WIDTH, block_counts, class_group, \
     scan_counts
 from qknorm.knorm import bass_sequence_report
-from qknorm.local import hilbert_symbol
+from qknorm.local import block_genus_dims, genus_char_space, \
+    hilbert_symbol, is_global_norm
 from qknorm.mv import genus_engine, sampled_exactness
 from qknorm.quadfield import fundamental_discriminants, is_fundamental, \
     make_discriminant
@@ -36,14 +37,27 @@ VERIFICATION_DISCS = [-15, 12, 60, -23, 8, 40, -56, 105, -120, 136,
 @pytest.fixture(scope="session")
 def full_scan_reports():
     # the scan's own route: each block of BLOCK_WIDTH integers sieved and
-    # counted in one pass
-    discs, reports = [], []
+    # counted in one pass, and its genus layer run by the block engine
+    discs, reports, fallbacks = [], [], 0
     for lo in range(-SCAN_BOUND, SCAN_BOUND + 1, BLOCK_WIDTH):
         block = fundamental_discriminants(lo, min(lo + BLOCK_WIDTH - 1,
                                                   SCAN_BOUND))
-        counts = block_counts([d.delta for d in block])
-        reports += [genus_engine(d, c) for d, c in zip(block, counts)]
+        got = genus_engine(block, block_counts([d.delta for d in block]))
+        # the engine's dims, and the block kernel's where it certifies
+        # them, against the per-field path on every field
+        for d, rep, dim_v, dim_h in zip(block, got,
+                                        *block_genus_dims(block)):
+            want = (genus_char_space(d).dim,
+                    0 if is_global_norm(-1, d) else 1)
+            assert (rep.dim_v, rep.dim_h) == want, d
+            if dim_v < 0:
+                fallbacks += 1
+            else:
+                assert (dim_v, dim_h) == want, d
+        reports += got
         discs += block
+    # the fields whose span needs a split prime past the kernel's list
+    assert fallbacks == 23
     # the sieve's discriminants and ramified primes against factorint
     assert discs == [make_discriminant(d)
                      for d in range(-SCAN_BOUND, SCAN_BOUND + 1)

@@ -14,7 +14,7 @@ from qknorm.classgroup import (block_counts, class_group, compose_forms,
 from qknorm.ideals import FracIdeal, primes_above, principal_ideal
 from qknorm.quadfield import QuadNum, is_fundamental, make_discriminant
 
-from helpers import is_unit_ideal
+from helpers import is_unit_ideal, workspace_nbytes
 from oracle import (KNOWN_CLASS_NUMBERS, definite_reduced_count,
                     imaginary_class_number, invariant_factors_by_torsion,
                     real_class_number_analytic)
@@ -428,7 +428,7 @@ def test_workspace_is_bounded_by_the_block(monkeypatch):
     # quarter of headroom the workspace grows by
     monkeypatch.setattr(scancounts, "_WS", scancounts._Workspace())
     block_counts(WORKSPACE_BLOCKS[-1])
-    assert scancounts._WS.nbytes() < 14 << 20
+    assert workspace_nbytes(scancounts._WS) < 14 << 20
 
 
 def test_block_dtype_switches_past_the_int32_bound(monkeypatch):

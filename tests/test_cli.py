@@ -19,7 +19,7 @@ from qknorm.units import fundamental_unit
 def scan_row(delta: int) -> dict:
     """The scan row of one fundamental discriminant."""
     disc = make_discriminant(delta)
-    return _row(genus_engine(disc, classgroup.scan_counts(disc)))
+    return _row(genus_engine([disc], [classgroup.scan_counts(disc)])[0])
 
 
 def _run(capsys, argv):
@@ -373,9 +373,11 @@ def _loaded_after(src_env, calls, module):
 
 
 def test_reports_do_not_import_numpy(src_env):
-    # numpy is for the scan only; a k0 or classgroup report must not pay
-    # its import and memory
-    calls = [["k0", "--disc", "229"], ["classgroup", "--disc", "229"]]
+    # numpy is for the scan only; a k0, classgroup or verify report must not
+    # pay its import and memory (verify imports mv, whose genus engine
+    # imports the scan's kernels on its first call)
+    calls = [["k0", "--disc", "229"], ["classgroup", "--disc", "229"],
+             ["verify", "--disc", "-23", "--samples", "2"]]
     assert _loaded_after(src_env, calls, "numpy") == "False"
 
 
@@ -744,31 +746,3 @@ def test_dead_worker_fails_scan(flags, src_env):
     assert proc.stderr == ("scan: stripe worker 1 ended with exit code 3 "
                            f"before sending the rows of {-1200 + w}.."
                            f"{-1201 + 2 * w}\n")
-
-
-# a fault patched before the scan reaches the forked workers: a genus space
-# one dimension too large fails verdict (67) on every row at any job count
-WIDE_GENUS_SPACE = (
-    "import os, sys\n"
-    "import qknorm.mv as mv\n"
-    "from qknorm.cli import main\n"
-    "from types import SimpleNamespace\n"
-    "space = mv.genus_char_space\n"
-    "mv.genus_char_space = lambda d: SimpleNamespace(dim=space(d).dim + 1)\n"
-    "os.cpu_count = lambda: 2\n"
-    "sys.exit(main(['scan', '--min', '-1200', '--max', '1200', "
-    "'--jobs', sys.argv[1]]))\n")
-
-
-def test_patched_fault_reaches_workers(src_env):
-    outs = []
-    for jobs in ("1", "2"):
-        proc = subprocess.run([sys.executable, "-c", WIDE_GENUS_SPACE, jobs],
-                              capture_output=True, text=True, env=src_env,
-                              timeout=120)
-        assert proc.returncode == EXIT_VERDICT, proc.stderr
-        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
-        assert len(rows) == 729
-        assert all(r["verdict_67"] == "false" for r in rows)
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]

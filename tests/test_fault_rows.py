@@ -175,6 +175,51 @@ H_NARROW_FLIPPED = (
     "                                   for h, hn, r in counts(deltas)]\n"
     "sys.exit(cli.main(['scan', '--min', '{lo}', '--max', '200']))\n")
 
+# a genus space one dimension too large, patched into the block engine's
+# kernel before the scan: it reaches the forked workers, so verdict (67)
+# fails on every row of -1200..1200 (none falls back to the per-field
+# path), and the output at two jobs is byte for byte that at one
+WIDE_GENUS_SPACE = (
+    "import contextlib, io, os, sys\n"
+    "import qknorm.mv as mv\n"
+    "from qknorm.cli import main\n"
+    "dims = mv.block_genus_dims\n"
+    "def wide(discs):\n"
+    "    dims_v, dims_h = dims(discs)\n"
+    "    return [v + (v >= 0) for v in dims_v], dims_h\n"
+    "mv.block_genus_dims = wide\n"
+    "os.cpu_count = lambda: 2\n"
+    "outs = []\n"
+    "for jobs in ('1', '2'):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "        code = main(['scan', '--min', '-1200', '--max', '1200',\n"
+    "                     '--json', '--jobs', jobs])\n"
+    "    outs.append((code, out.getvalue()))\n"
+    "if outs[0] != outs[1]:\n"
+    "    sys.exit('the scans at one and two jobs differ')\n"
+    "sys.stdout.write(outs[0][1])\n"
+    "sys.exit(outs[0][0])\n")
+
+# the kernel's row of -1 flipped at every ramified p = 1 mod 4, as if
+# (-1/p) were -1 there.  An imaginary field is untouched: dim H = 1 for
+# D < 0, and a span short of its bound falls back to the per-field path.
+# A real field with such a p reads dim H = 1; verdict (67) fails on 90 of
+# the 185 of 1..1000, and holds on the others, where the flipped row also
+# lifts dim V past the bound t_fin - 1 (on D = p among them)
+MINUS_ONE_ROW_FLIPPED = (
+    "import sys\n"
+    "import qknorm.scancounts as sc\n"
+    "from qknorm.cli import main\n"
+    "rows = sc._genus_rows\n"
+    "def flipped(discs, *args):\n"
+    "    masks, far = rows(discs, *args)\n"
+    "    for f, d in enumerate(discs):\n"
+    "        masks[0, f] ^= sum(1 << i for i, p in\n"
+    "                           enumerate(d.ramified_primes) if p % 4 == 1)\n"
+    "    return masks, far\n"
+    "sc._genus_rows = flipped\n"
+    "sys.exit(main(['scan', '--min', '-1000', '--max', '1000', '--json']))\n")
+
 FAULT_ROWS = {
     "rank2_off_by_one": (RANK2_OFF_BY_ONE, None,
         "scan: inconclusive: D = -199: h = 9 is not divisible by 2^rank2 = "
@@ -221,6 +266,9 @@ FAULT_ROWS = {
     "h_narrow_flipped_real": (H_NARROW_FLIPPED.format(lo=1), None,
         "scan: inconclusive: D = 12: h_narrow = 1 is not 2h = 2 for an "
         "exceptional real D\n"),
+    "wide_genus_space": (WIDE_GENUS_SPACE, {"verdict_67": 729}, ""),
+    "minus_one_row_flipped": (MINUS_ONE_ROW_FLIPPED, {"verdict_67": 90},
+                              ""),
 }
 
 

@@ -6,9 +6,14 @@ from fractions import Fraction
 import pytest
 
 from qknorm import local
-from qknorm.local import (INFINITY, hilbert_symbol, genus_char_space,
-                          h0_class_of_rational, is_global_norm)
-from qknorm.quadfield import is_fundamental, kronecker, make_discriminant
+from qknorm.arith import PRIMES, TABLE_BOUND, legendre
+from qknorm.classgroup import scan_counts
+from qknorm.local import (INFINITY, block_genus_dims, hilbert_symbol,
+                          genus_char_space, h0_class_of_rational,
+                          is_global_norm)
+from qknorm.mv import genus_engine
+from qknorm.quadfield import fundamental_discriminants, is_fundamental, \
+    kronecker, make_discriminant
 
 from oracle import (hilbert2_oracle, hilbert_odd_oracle, kronecker_symbol,
                     relevant_places)
@@ -356,3 +361,84 @@ def test_hilbert_core_matches_public_symbol():
                 alpha = 1 if q == p else 0
                 got = local._hilbert_core(alpha, q // p ** alpha, beta, w, p)
                 assert got == hilbert_symbol(q, delta, p), (q, delta, p)
+
+
+# ---------------------------------------------------------------------------
+# the block kernel of the scan's genus layer
+
+
+def _per_field_dims(disc):
+    return genus_char_space(disc).dim, 0 if is_global_norm(-1, disc) else 1
+
+
+def test_residue_table_matches_legendre():
+    from qknorm import scancounts
+
+    table, off = scancounts._legendre_table()
+    assert len(table) == sum(PRIMES[1:])
+    for p in PRIMES[1:]:
+        assert table[off[p]:off[p] + p].tolist() == \
+            [legendre(x, p) for x in range(p)], p
+
+
+@pytest.mark.parametrize("lo,hi", [(976001, 976300), (-976300, -976001),
+                                   (999701, 999999), (-999999, -999701)])
+def test_block_kernel_near_a_million(lo, hi):
+    # every field of these windows is certified by the kernel, with the
+    # dims of the per-field path
+    discs = fundamental_discriminants(lo, hi)
+    dims_v, dims_h = block_genus_dims(discs)
+    assert len(discs) > 80
+    assert [(v, h) for v, h in zip(dims_v, dims_h)] == \
+        [_per_field_dims(d) for d in discs]
+
+
+def _span_with_split_primes_to(delta, top):
+    """The F2 rank of the vectors of -1, the ramified primes and the split
+    primes up to ``top``, from the public Hilbert symbol."""
+    ram = make_discriminant(delta).ramified_primes
+    split = [q for q in range(2, top + 1)
+             if _is_prime(q) and kronecker_symbol(delta, q) == 1]
+    return _f2_rank([sum(1 << i for i, p in enumerate(ram)
+                         if hilbert_symbol(q, delta, p) == -1)
+                     for q in (-1, *ram, *split)])
+
+
+@pytest.mark.parametrize("delta", [
+    -16003,  # 13 * 1231: the split primes up to 43 leave the span short
+    -1065023,  # 1031 * 1033: no table holds the symbol of the pair
+])
+def test_block_kernel_falls_back_to_the_per_field_path(delta):
+    disc = make_discriminant(delta)
+    if delta == -16003:
+        assert _span_with_split_primes_to(delta, 43) < disc.t_all - 1
+    else:
+        assert min(disc.ramified_primes) >= TABLE_BOUND
+    assert block_genus_dims([disc]) == ([-1], [1])
+    # the engine takes the per-field path for it, in a block of others
+    block = [make_discriminant(-15), disc, make_discriminant(-23)]
+    reports = genus_engine(block, [scan_counts(d) for d in block])
+    assert [(r.dim_v, r.dim_h) for r in reports] == \
+        [_per_field_dims(d) for d in block]
+    assert reports[1].all_pass
+
+
+def test_block_kernel_reads_the_cap_at_call_time(monkeypatch):
+    # -56 and 136 need one split prime each, -15 and 60 none; with none
+    # allowed the kernel leaves the first two to the per-field path
+    discs = [make_discriminant(d) for d in (-56, 136, -15, 60)]
+    monkeypatch.setattr(local, "_SPLIT_PRIME_CAP", 0)
+    assert block_genus_dims(discs)[0] == [-1, -1, 2, 2]
+    monkeypatch.setattr(local, "_SPLIT_PRIME_CAP", 1)
+    assert block_genus_dims(discs)[0] == [2, 1, 2, 2]
+
+
+def test_block_f2_rank_matches_a_plain_rank():
+    from qknorm import scancounts
+    import numpy as np
+
+    rng = random.Random(27)
+    columns = [[rng.getrandbits(rng.randint(0, 8)) for _ in range(13)]
+               for _ in range(200)]
+    ranks = scancounts._f2_rank(np.array(columns, dtype=np.int64).T)
+    assert ranks.tolist() == [_f2_rank(c) for c in columns]

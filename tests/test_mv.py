@@ -29,7 +29,7 @@ PRIMES15 = FieldPrimes(D15)
 def _genus_engine(delta):
     """The genus report of one field, on its counts as a block of one."""
     disc = make_discriminant(delta)
-    return genus_engine(disc, scan_counts(disc))
+    return genus_engine([disc], [scan_counts(disc)])[0]
 
 
 def test_idele_norm_trivial_cases():
@@ -346,7 +346,7 @@ def test_genus_engine_spot_values(delta, rank2, exc):
     (12, (1, 1, 0), "h_narrow = 1 is not 2h = 2 for an exceptional real D")])
 def test_genus_engine_checks_its_counts(delta, counts, reason):
     with pytest.raises(ScanCountError) as info:
-        genus_engine(make_discriminant(delta), counts)
+        genus_engine([make_discriminant(delta)], [counts])
     assert str(info.value) == f"D = {delta}: {reason}"
 
 
