@@ -18,18 +18,24 @@ discriminants (at most ``BLOCK_WIDTH`` consecutive integers) in one numpy
 pass; its code is in ``scancounts``, which only the scan imports and which
 is the only module that imports numpy.  ``scan_counts`` is a block of one.
 
-Forms are plain (a, b, c) tuples.  Composition is the product of the
-corresponding ideals (``ideals.lattice_product``, the same product as
-``FracIdeal``'s) with the content dropped, which is Gauss composition at
-class level.  A principal ideal's generator is read off the transform that
-takes its form to one with |a| = 1 (``principal_generator``), for D > 0 by
-the walk (``rho_walk``) that also gives ``units`` the fundamental unit.  The
-same read-off gives any ideal's class together with a generator over the
-class's representative ideal, from the one reduction (D < 0) or walk to the
-key (D > 0) that finds the class (``ClassGroupData.class_and_generator``, on
-which K0 keys rest); the representatives are built once per group.  Every
-read-off generator is checked by its norm and by membership
-(``_checked_generator``), with no ideal product.
+Forms are plain (a, b, c) tuples.  A principal ideal's generator is read
+off the transform that takes its form to one with |a| = 1
+(``principal_generator``), for D > 0 by the walk (``rho_walk``) that also
+gives ``units`` the fundamental unit.  The same read-off gives any ideal's
+class together with a generator over the class's representative ideal, from
+the one reduction (D < 0) or walk to the key (D > 0) that finds the class
+(``ClassGroupData.class_and_generator``, on which K0 keys rest); the
+representatives are built once per group.  Every read-off generator is
+checked by its norm and by membership (``_checked_generator``), with no
+ideal product.
+
+Classes multiply through their representatives: the product of the classes
+c1 and c2 is the class of the ideal product rep(c1) * rep(c2), read off with
+its generator over rep(c) by the same checked lookup.  Each class pair is
+multiplied once per group and kept with its generator
+(``ClassGroupData.product``); ``class_group``'s closure, the table of
+squares and K0's closure (``knorm.k0_group``, which meets the same pairs)
+all read that table.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from .arith import smith_form
-from .ideals import FracIdeal, lattice_product
+from .ideals import FracIdeal
 from .quadfield import Discriminant, QuadNum
 
 Form = tuple[int, int, int]
@@ -149,15 +155,6 @@ def cycle_of(f: Form, D: int) -> list[Form]:
 
 
 # ---------------------------------------------------------------------------
-# composition (class level): the product of the two ideals, primitivized
-
-def compose_forms(f1: Form, f2: Form, D: int) -> Form:
-    assert f1[0] > 0 and f2[0] > 0
-    _, a, b = lattice_product(f1[0], f1[1], f2[0], f2[1], D)
-    return (a, b, (b * b - D) // (4 * a))
-
-
-# ---------------------------------------------------------------------------
 # enumeration of reduced forms
 
 def enumerate_reduced_definite(D: int) -> list[Form]:
@@ -255,13 +252,13 @@ def _generator_from_transform(i: FracIdeal, m: Mat, g: Form) -> QuadNum:
     generates i when |g[0]| = 1.  The norm of alpha, g[0]*a, is checked
     here; the caller (``_checked_generator``) checks that z times the
     ideal of g is i."""
-    u, v = m[0], m[2]
-    z0 = QuadNum(2 * i.a * u + i.b * v, v, 1, i.disc)
-    if z0.x * z0.x - i.disc.delta * v * v != 4 * g[0] * i.a:
+    v = m[2]
+    x = 2 * i.a * m[0] + i.b * v  # alpha = (x + v*sqrt(D))/2
+    if x * x - i.disc.delta * v * v != 4 * g[0] * i.a:
         raise GeneratorCheckError(
-            f"generator read-off: D = {i.disc.delta}: N({z0!r}) is not "
-            f"{g[0]} * {i.a}")
-    return QuadNum(z0.x * i.n, z0.y * i.n, i.d * abs(g[0]), i.disc)
+            f"generator read-off: D = {i.disc.delta}: "
+            f"N({QuadNum(x, v, 1, i.disc)!r}) is not {g[0]} * {i.a}")
+    return QuadNum(x * i.n, v * i.n, i.d * abs(g[0]), i.disc)
 
 
 def rho_walk(g: Form, m: Mat, s: int,
@@ -333,6 +330,8 @@ class ClassGroupData:
     _roots: dict | None = field(repr=False, compare=False, default=None)
     # {key: rep_ideal(key)}, filled by rep_ideal as keys are asked for
     _reps: dict = field(repr=False, compare=False, default_factory=dict)
+    # {(c1, c2): (key, z)}, filled by product as class pairs are asked for
+    _products: dict = field(repr=False, compare=False, default_factory=dict)
 
     def key_of_form(self, f: Form) -> Form:
         if self._keys is None:
@@ -342,8 +341,18 @@ class ClassGroupData:
     def key_of_ideal(self, i: FracIdeal) -> Form:
         return self.key_of_form(form_of_ideal(i))
 
+    def product(self, c1: Form, c2: Form):
+        """(key, z) with rep_ideal(c1) * rep_ideal(c2) = z * rep_ideal(key):
+        the ideal product and its checked class lookup
+        (``class_and_generator``), done once per class pair."""
+        kz = self._products.get((c1, c2))
+        if kz is None:
+            kz = self._products[c1, c2] = self.class_and_generator(
+                self.rep_ideal(c1) * self.rep_ideal(c2))
+        return kz
+
     def mul(self, k1: Form, k2: Form) -> Form:
-        return self.key_of_form(compose_forms(k1, k2, self.disc.delta))
+        return self.product(k1, k2)[0]
 
     def identity_key(self) -> Form:
         return self.key_of_form(principal_form(self.disc.delta))

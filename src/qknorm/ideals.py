@@ -3,11 +3,10 @@
 An ideal is stored as (n/d) * (a*Z + ((b+sqrt(D))/2)*Z) with coprime ints
 n, d > 0, a > 0 and -a < b <= a.  Products are Z-module products on the
 integral basis {1, w}, w = (D+sqrt(D))/2, followed by Hermite normalization
-(``lattice_product``, shared with the composition of forms), which keeps
-everything exact; a Hermite form that is not of full rank, or not an
-O_F-module, raises ``LatticeCheckError``, also under ``python -O``.
-Membership of an element is two divisibility tests on
-its coordinates (``FracIdeal._contains``), with no product; with norms, it
+(``lattice_product``), which keeps everything exact; a Hermite form that
+is not of full rank, or not an O_F-module, raises ``LatticeCheckError``,
+also under ``python -O``.  Membership of an element is two divisibility
+tests on its coordinates (``FracIdeal._contains``), with no product; with norms, it
 decides whether an ideal is z times another (``FracIdeal.is_product``),
 which is how generators are checked.  Valuations of ideals are read off (n, d, a,
 b) (``ideal_valuation``) and those of elements off their coordinates

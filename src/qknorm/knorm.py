@@ -13,10 +13,12 @@ that of t0 in [t, I] = [N(z)*t0, z*i0].  ``k0_rep`` builds the
 representative [t0, i0] of a key.
 
 The closure (``k0_group``) multiplies keys by class pairs: the product of
-(s1, c1) and (s2, c2) is (s1*s2*sign N(z), c), where i1*i2 = z*i0 is found
-once per pair (c1, c2), so it costs one ideal product and one checked class
-lookup per class pair it meets, about h + r of them for r class-group
-generators, shared by both signs.
+(s1, c1) and (s2, c2) is (s1*s2*sign N(z), c), where i1*i2 = z*i0 is the
+class group's product of the pair (c1, c2) (``ClassGroupData.product``).
+It takes the class group's elements as generators in the order its closure
+did, so it meets the same class pairs and reads each product from the
+class group's table; the sign comes from ``k0_sign``, which ``k0_key``
+shares.
 """
 
 from __future__ import annotations
@@ -94,6 +96,14 @@ def k0_context(disc: Discriminant) -> K0Context:
                      units=fundamental_unit(disc))
 
 
+def k0_sign(ctx: K0Context, sign: int, z: QuadNum) -> int:
+    """The sign of a key: that of t0 in [sign * N(I), I] = [N(z) * t0, z * i0]
+    when the sign is an invariant of the class, else 1."""
+    if not ctx.sign_is_invariant:
+        return 1
+    return sign if z.x * z.x > ctx.disc.delta * z.y * z.y else -sign
+
+
 def k0_key(ctx: K0Context, e: K0Elt):
     """Canonical key (sign, wide class key); equal keys iff equal classes.
 
@@ -101,11 +111,7 @@ def k0_key(ctx: K0Context, e: K0Elt):
     of I over the class's representative i0
     (``ClassGroupData.class_and_generator``)."""
     key, z = ctx.cg.class_and_generator(e.ideal)
-    if not ctx.sign_is_invariant:
-        return (1, key)
-    # e = [N(z) * t0, z * i0]; the key keeps the sign of t0
-    sign = e.sign if z.x * z.x > ctx.disc.delta * z.y * z.y else -e.sign
-    return (sign, key)
+    return (k0_sign(ctx, e.sign, z), key)
 
 
 def k0_rep(ctx: K0Context, key) -> K0Elt:
@@ -150,33 +156,32 @@ K0_BUDGET = 1_000_000
 
 
 def k0_group(ctx: K0Context) -> K0Group:
-    """All classes, enumerated from sigma(-1) and the class-group basis,
-    with the abelian structure; ClosureBudgetExceeded past ``K0_BUDGET``.
+    """All classes, enumerated from sigma(-1) and the class group's
+    elements, with the abelian structure; ClosureBudgetExceeded past
+    ``K0_BUDGET``.
 
     The representatives of (s1, c1) and (s2, c2) multiply to
     [s1*s2, i1*i2], and with i1*i2 = z*i0 its key is (s1*s2*sign N(z), c)
-    (``k0_key``).  So the ideal product and the checked class lookup depend
-    on the class pair (c1, c2) alone: each pair the closure meets, about
-    h + r of them for r class-group generators, costs one of each, done on
-    the sign +1 product and shared by both signs through a table local to
-    this call.
+    (``k0_sign``).  So the ideal product and its checked class lookup depend
+    on the class pair (c1, c2) alone, and come from the class group's table
+    (``ClassGroupData.product``).  The generators are the keys (1, c) of
+    the representatives [N(i0), i0] (a unit's norm is 1 where the sign is
+    an invariant) in ``class_group``'s order, after sigma(-1): the sign
+    classes lie over the identity class, so the closure meets the class
+    pairs ``class_group``'s closure met and computes no product of its own
+    but sigma(-1)'s, of the identity class with itself.
     """
     cg = ctx.cg
-    table = {}  # {(c1, c2): k0_key of [1, i1 * i2]}
 
     def mul(k1, k2):
         (s1, c1), (s2, c2) = k1, k2
-        f_c = table.get((c1, c2))
-        if f_c is None:
-            f_c = table[c1, c2] = k0_key(
-                ctx, K0Elt(1, cg.rep_ideal(c1) * cg.rep_ideal(c2)))
-        f, c = f_c
-        return (s1 * s2 * f, c)
+        c, z = cg.product(c1, c2)
+        return (k0_sign(ctx, s1 * s2, z), c)
 
-    gens = [k0_key(ctx, sigma(ctx, -1))]
-    gens += [k0_key(ctx, K0Elt(1, g)) for g in cg.generators]
-    elements, divisors, _ = abelian_closure(
-        gens, mul, k0_key(ctx, k0_identity(ctx.disc)), K0_BUDGET)
+    one = cg.identity_key()
+    # sigma(-1) = [-1, O_F * O_F], the product of (-1, one) and (1, one)
+    gens = [mul((-1, one), (1, one))] + [(1, c) for c in cg.elements()]
+    elements, divisors, _ = abelian_closure(gens, mul, (1, one), K0_BUDGET)
     keys = sorted(elements)
     return K0Group(order=len(keys), divisors=divisors, keys=keys, ctx=ctx)
 

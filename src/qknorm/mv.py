@@ -512,8 +512,12 @@ def genus_engine(discs: list[Discriminant],
     dim V and dim H come from the block kernel (``block_genus_dims``); a
     field it cannot certify goes to ``genus_char_space`` and
     ``is_global_norm(-1, .)``, whose cap raises ``SplitPrimeCapExceeded``.
-    The fields are taken in order, each check before the next field, so the
-    first failing field names the error, whichever check fails.
+    dim V must then be t_all - 1, or ``ScanCountError`` names D: Hilbert
+    reciprocity bounds it by t_all - 1, and the existence of rationals with
+    given symbols (Serre, A Course in Arithmetic, III.2.2, Theorem 4) meets
+    the bound.  The fields are taken in order, each check before the next
+    field, so the first failing field names the error, whichever check
+    fails.
     """
     dims_v, dims_h = block_genus_dims(discs)
     reports = []
@@ -538,6 +542,9 @@ def genus_engine(discs: list[Discriminant],
         if dim_v < 0:  # a field the kernel cannot certify
             dim_v = genus_char_space(disc).dim
             dim_h = 0 if is_global_norm(-1, disc) else 1
+        if dim_v != disc.t_all - 1:
+            raise ScanCountError(f"D = {D}: dim V = {dim_v} is not "
+                                 f"t_all - 1 = {disc.t_all - 1}")
         expected = disc.t_fin - 1 - (1 if exceptional else 0)
         verdict_69 = rank2 == expected
         verdict_67 = dim_v == dim_h + rank2

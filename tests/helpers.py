@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qknorm.ideals import rational_prime_of
+from qknorm.ideals import lattice_product, rational_prime_of
 from qknorm.quadfield import DiscMismatch, QuadNum
 
 
@@ -58,3 +58,11 @@ def support_primes(z) -> list[int]:
     """The rational primes below the primes where the idele z has a
     component."""
     return sorted({rational_prime_of(p) for p in z.components})
+
+
+def compose_forms(f1, f2, D: int):
+    """Gauss composition of two forms with a > 0 at class level: the form
+    of the product of their ideals, with the content dropped."""
+    assert f1[0] > 0 and f2[0] > 0
+    _, a, b = lattice_product(f1[0], f1[1], f2[0], f2[1], D)
+    return (a, b, (b * b - D) // (4 * a))

@@ -6,15 +6,15 @@ from math import isqrt, prod, sqrt
 import pytest
 
 from qknorm import classgroup, scancounts
-from qknorm.classgroup import (block_counts, class_group, compose_forms,
-                               cycle_of, enumerate_reduced_definite,
+from qknorm.classgroup import (block_counts, class_group, cycle_of,
+                               enumerate_reduced_definite,
                                enumerate_reduced_indefinite, principal_form,
                                principal_generator, reduce_definite,
                                scan_counts)
 from qknorm.ideals import FracIdeal, primes_above, principal_ideal
 from qknorm.quadfield import QuadNum, is_fundamental, make_discriminant
 
-from helpers import is_unit_ideal, workspace_nbytes
+from helpers import compose_forms, is_unit_ideal, workspace_nbytes
 from oracle import (KNOWN_CLASS_NUMBERS, definite_reduced_count,
                     imaginary_class_number, invariant_factors_by_torsion,
                     real_class_number_analytic)
@@ -499,6 +499,18 @@ def test_compose_identity():
             if g[0] < 0:
                 continue
             assert _canonical(compose_forms(g, f, D), D) == _canonical(g, D)
+
+
+def test_class_products_match_form_composition():
+    # the table's checked ideal products against Gauss composition of the
+    # keys, on every class pair
+    for D in (-84, -420, -47, 60, 316, 904, 2024):
+        cg = class_group(make_discriminant(D))
+        elements = cg.elements()
+        for c1 in elements:
+            for c2 in elements:
+                assert cg.mul(c1, c2) == \
+                    cg.key_of_form(compose_forms(c1, c2, D)), (D, c1, c2)
 
 
 def test_reduce_definite_idempotent_and_equivalent():

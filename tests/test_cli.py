@@ -213,39 +213,56 @@ def test_verify_class_keys_linear_in_samples(capsys, monkeypatch):
 
 def test_k0_key_reduces_once(capsys, monkeypatch):
     # the reduction that finds a class also gives its generator, so each
-    # key costs one reduction; the closure keys the product of a class pair
-    # once for both signs, so its keys number about h + r, not one per K0
-    # class (h = 139 here)
-    counts = {"keys": 0, "reductions": 0}
-    in_key = [False]
+    # class lookup of k0 is one checked class_and_generator with one
+    # reduction: one lookup per class pair of class_group's closure (about
+    # h + r of them, h = 139 and r = 1 here), kept in a table that
+    # k0_group's closure reads, which meets the same pairs; it looks up only
+    # sigma(-1)'s pair itself
+    counts = {"command": 0, "k0_group": 0, "reductions": 0}
+    in_group, in_lookup = [False], [False]
     reduce_t = classgroup.reduce_definite_t
-    key = knorm.k0_key
+    lookup = classgroup.ClassGroupData.class_and_generator
+    group = knorm.k0_group
 
     def counted_reduce(f):
-        counts["reductions"] += in_key[0]
+        counts["reductions"] += in_lookup[0]
         return reduce_t(f)
 
-    def counted_key(ctx, e):
-        counts["keys"] += 1
-        in_key[0] = True
+    def counted_lookup(self, i):
+        counts["command"] += 1
+        counts["k0_group"] += in_group[0]
+        in_lookup[0] = True
         try:
-            return key(ctx, e)
+            return lookup(self, i)
         finally:
-            in_key[0] = False
+            in_lookup[0] = False
+
+    def counted_group(ctx):
+        in_group[0] = True
+        try:
+            return group(ctx)
+        finally:
+            in_group[0] = False
 
     monkeypatch.setattr(classgroup, "reduce_definite_t", counted_reduce)
-    monkeypatch.setattr(knorm, "k0_key", counted_key)
+    monkeypatch.setattr(classgroup.ClassGroupData, "class_and_generator",
+                        counted_lookup)
+    monkeypatch.setattr(knorm, "k0_group", counted_group)
     code, out = _run(capsys, ["k0", "--disc", "-85159"])
-    assert code == EXIT_OK and json.loads(out)["k0_order"] == "278"
-    assert 139 <= counts["keys"] <= 139 + 8
-    assert 0 < counts["reductions"] <= counts["keys"]
+    doc = json.loads(out)
+    assert code == EXIT_OK and doc["k0_order"] == "278"
+    h, r = int(doc["h"]), 1
+    assert h <= counts["command"] <= h + r + 8
+    assert 0 < counts["k0_group"] <= 2
+    assert 0 < counts["reductions"] <= counts["command"]
 
 
 def test_k0_checks_generators_without_products(capsys, monkeypatch):
     # generators are checked by norm and membership, so the Hermite forms
-    # of k0 are those of the K0 and class products alone (986 when each
-    # check was an ideal product), and the K0 closure makes one product per
-    # class pair, not per K0 class
+    # of k0 are those of the class products alone (986 when each check was
+    # an ideal product, 279 when class_group and the K0 closure multiplied
+    # each class pair apart): one per class pair of class_group's closure,
+    # about h + r (h = 139, r = 1), which the K0 closure reads from a table
     calls = [0]
     hnf2 = ideals._hnf2
 
@@ -256,7 +273,7 @@ def test_k0_checks_generators_without_products(capsys, monkeypatch):
     monkeypatch.setattr(ideals, "_hnf2", counted)
     code, out = _run(capsys, ["k0", "--disc", "-85159"])
     assert code == EXIT_OK and json.loads(out)["k0_order"] == "278"
-    assert 0 < calls[0] <= 280
+    assert 0 < calls[0] <= 139 + 1 + 8
 
 
 def test_fundamental_range_contents():
@@ -405,7 +422,7 @@ def test_numpy_is_imported_by_scancounts_only():
 
 # the asserts left in src/; a check that must hold under -O raises a named
 # error instead, so this bound may only go down
-ASSERT_BOUND = 7
+ASSERT_BOUND = 6
 
 
 def test_asserts_in_src_do_not_grow():
@@ -530,87 +547,6 @@ def test_idele_norm_check_survives_optimize(src_env):
     assert proc.stderr.startswith(
         "verify: idele_norm: D = -15: the components above the split prime "
         "2 have no rational joint image"), proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-# K0 classes are keyed through checked generators; a read-off that returns
-# 2z names an ideal of four times the norm, which the generator check catches
-BROKEN_GENERATORS = (
-    "import sys\n"
-    "import qknorm.classgroup as cg\n"
-    "from qknorm.cli import main\n"
-    "read_off = cg._generator_from_transform\n"
-    "cg._generator_from_transform = lambda *a: 2 * read_off(*a)\n"
-    "codes = [main(['k0', '--disc', '-23']),\n"
-    "         main(['verify', '--disc', '-23', '--samples', '5'])]\n"
-    "print(*codes)\n"
-    "sys.exit(max(codes))\n")
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_broken_generator_fails_k0_and_verify(flags, src_env):
-    proc = subprocess.run([sys.executable, *flags, "-c", BROKEN_GENERATORS],
-                          capture_output=True, text=True, env=src_env,
-                          timeout=120)
-    assert proc.returncode == EXIT_VERDICT, proc.stderr
-    assert proc.stdout.split() == [str(EXIT_VERDICT)] * 2
-    for command in ("k0", "verify"):
-        assert f"{command}: class_and_generator: D = -23: " in proc.stderr
-
-
-# a conjugated read-off has the right norm but names the conjugate ideal,
-# which only the membership half of the generator check catches
-CONJUGATED_GENERATORS = (
-    "import sys\n"
-    "import qknorm.classgroup as cg\n"
-    "from qknorm.cli import main\n"
-    "read_off = cg._generator_from_transform\n"
-    "cg._generator_from_transform = lambda *a: read_off(*a).conj()\n"
-    "codes = [main(['k0', '--disc', '-23']),\n"
-    "         main(['k0', '--disc', '-85159']),\n"
-    "         main(['verify', '--disc', '-23', '--samples', '5'])]\n"
-    "print(*codes)\n"
-    "sys.exit(max(codes))\n")
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_conjugated_generator_fails_k0_and_verify(flags, src_env):
-    proc = subprocess.run([sys.executable, *flags, "-c",
-                           CONJUGATED_GENERATORS],
-                          capture_output=True, text=True, env=src_env,
-                          timeout=120)
-    assert proc.returncode == EXIT_VERDICT, proc.stderr
-    assert proc.stdout.split() == [str(EXIT_VERDICT)] * 3
-    for command, delta in (("k0", -23), ("k0", -85159), ("verify", -23)):
-        assert f"{command}: class_and_generator: D = {delta}: " \
-            in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-# the unit read-off times x/conj(x), x = (3+sqrt(229))/2 of norm -55: an
-# element of norm one that is no unit, which the check eps*O_F = O_F catches
-SKEWED_UNIT = (
-    "import sys\n"
-    "import qknorm.classgroup as cg\n"
-    "from qknorm.cli import main\n"
-    "from qknorm.quadfield import QuadNum\n"
-    "read_off = cg._generator_from_transform\n"
-    "def skewed(i, m, g):\n"
-    "    x = QuadNum(3, 1, 1, i.disc)\n"
-    "    return read_off(i, m, g) * x / x.conj()\n"
-    "cg._generator_from_transform = skewed\n"
-    "sys.exit(main(['classgroup', '--disc', '229']))\n")
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_skewed_unit_fails_classgroup(flags, src_env):
-    proc = subprocess.run([sys.executable, *flags, "-c", SKEWED_UNIT],
-                          capture_output=True, text=True, env=src_env,
-                          timeout=120)
-    assert proc.returncode == EXIT_VERDICT, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr.startswith(
-        "classgroup: fundamental_unit: D = 229: "), proc.stderr
     assert "Traceback" not in proc.stderr
 
 

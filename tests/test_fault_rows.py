@@ -127,8 +127,9 @@ PAIR_IDELE_NOT_NORM_ONE = (
     "sys.exit(main(['verify', '--disc', '-23', '--samples', '20']))\n")
 
 # the Hermite forms of ideal products with n and e tripled: the first
-# product of two ideals is no longer an O_F-module, which k0 must report as
-# a failed check under -O too, with no report on stdout and no traceback
+# product of two ideals, met in class_group's closure, is no longer an
+# O_F-module, which k0 must report as a failed check under -O too, with no
+# report on stdout and no traceback
 HNF_PRODUCT_TRIPLED = (
     "import sys\n"
     "import qknorm.ideals as ideals\n"
@@ -143,7 +144,9 @@ HNF_PRODUCT_TRIPLED = (
 # the transform of a reduction sheared, its first column (u, v) moved to
 # (u + u', v + v'): the generator read off it is wrong, which the check of
 # every read-off generator (``_checked_generator``) must catch, since
-# nothing else checks the transform
+# nothing else checks the transform.  class_group multiplies its classes by
+# checked products, so the first class pair of its closure fails, for
+# classgroup as for k0
 TRANSFORM_SHEARED = (
     "import sys\n"
     "import qknorm.classgroup as cg\n"
@@ -153,7 +156,55 @@ TRANSFORM_SHEARED = (
     "    g, (p, q, r, s) = reduce(*args)\n"
     "    return g, (p + q, q, r + s, s)\n"
     "cg.{name} = sheared\n"
-    "sys.exit(main(['k0', '--disc', '{disc}']))\n")
+    "sys.exit(main(['{command}', '--disc', '{disc}']))\n")
+
+# K0 classes are keyed through checked generators; a read-off that returns
+# 2z names an ideal of four times the norm, which the generator check
+# catches.  Each command's exit code goes to stderr after its message
+BROKEN_GENERATORS = (
+    "import sys\n"
+    "import qknorm.classgroup as cg\n"
+    "from qknorm.cli import main\n"
+    "read_off = cg._generator_from_transform\n"
+    "cg._generator_from_transform = lambda *a: 2 * read_off(*a)\n"
+    "codes = [main(['k0', '--disc', '-23']),\n"
+    "         main(['verify', '--disc', '-23', '--samples', '5'])]\n"
+    "print(*codes, file=sys.stderr)\n"
+    "sys.exit(max(codes))\n")
+
+# a conjugated read-off has the right norm but names the conjugate ideal,
+# which only the membership half of the generator check catches
+CONJUGATED_GENERATORS = (
+    "import sys\n"
+    "import qknorm.classgroup as cg\n"
+    "from qknorm.cli import main\n"
+    "read_off = cg._generator_from_transform\n"
+    "cg._generator_from_transform = lambda *a: read_off(*a).conj()\n"
+    "codes = [main(['k0', '--disc', '-23']),\n"
+    "         main(['k0', '--disc', '-85159']),\n"
+    "         main(['verify', '--disc', '-23', '--samples', '5'])]\n"
+    "print(*codes, file=sys.stderr)\n"
+    "sys.exit(max(codes))\n")
+
+# the unit read-off times x/conj(x), x = (3+sqrt(229))/2 of norm -55: an
+# element of norm one that is no unit, which the check eps*O_F = O_F
+# catches.  Only generators of O_F itself are skewed, so the class group's
+# products (none of which is O_F at 229) keep their read-offs and the unit
+# check is the one that fails
+SKEWED_UNIT = (
+    "import sys\n"
+    "import qknorm.classgroup as cg\n"
+    "from qknorm.cli import main\n"
+    "from qknorm.quadfield import QuadNum\n"
+    "read_off = cg._generator_from_transform\n"
+    "def skewed(i, m, g):\n"
+    "    z = read_off(i, m, g)\n"
+    "    if (i.n, i.d, i.a) != (1, 1, 1):\n"
+    "        return z\n"
+    "    x = QuadNum(3, 1, 1, i.disc)\n"
+    "    return z * x / x.conj()\n"
+    "cg._generator_from_transform = skewed\n"
+    "sys.exit(main(['classgroup', '--disc', '229']))\n")
 
 # every h one too high, with h_narrow following it (h + 1 or 2h + 2): only
 # the 2^rank2 | h check can see it, at the first field with rank2 >= 1
@@ -176,9 +227,9 @@ H_NARROW_FLIPPED = (
     "sys.exit(cli.main(['scan', '--min', '{lo}', '--max', '200']))\n")
 
 # a genus space one dimension too large, patched into the block engine's
-# kernel before the scan: it reaches the forked workers, so verdict (67)
-# fails on every row of -1200..1200 (none falls back to the per-field
-# path), and the output at two jobs is byte for byte that at one
+# kernel before the scan: it reaches the forked workers, so the first row
+# of -1200..1200 fails the check dim V = t_all - 1 at one job and at two,
+# with no rows on stdout
 WIDE_GENUS_SPACE = (
     "import contextlib, io, os, sys\n"
     "import qknorm.mv as mv\n"
@@ -203,9 +254,11 @@ WIDE_GENUS_SPACE = (
 # the kernel's row of -1 flipped at every ramified p = 1 mod 4, as if
 # (-1/p) were -1 there.  An imaginary field is untouched: dim H = 1 for
 # D < 0, and a span short of its bound falls back to the per-field path.
-# A real field with such a p reads dim H = 1; verdict (67) fails on 90 of
-# the 185 of 1..1000, and holds on the others, where the flipped row also
-# lifts dim V past the bound t_fin - 1 (on D = p among them)
+# A real field with such a p reads dim H = 1, and on D = p the flipped row
+# lifts dim V past t_all - 1 = 0, which verdict (67) alone would not see
+# (dim V = 1 = dim H + rank2); the check dim V = t_all - 1 names D = 5.
+# On D = 65 = 5 * 13 dim V stays at its bound 1, and the wrong dim H = 1
+# alone turns verdict (67) false
 MINUS_ONE_ROW_FLIPPED = (
     "import sys\n"
     "import qknorm.scancounts as sc\n"
@@ -218,7 +271,7 @@ MINUS_ONE_ROW_FLIPPED = (
     "                           enumerate(d.ramified_primes) if p % 4 == 1)\n"
     "    return masks, far\n"
     "sc._genus_rows = flipped\n"
-    "sys.exit(main(['scan', '--min', '-1000', '--max', '1000', '--json']))\n")
+    "sys.exit(main(['scan', '--min', '{lo}', '--max', '{hi}', '--json']))\n")
 
 FAULT_ROWS = {
     "rank2_off_by_one": (RANK2_OFF_BY_ONE, None,
@@ -247,16 +300,41 @@ FAULT_ROWS = {
     "boundary_not_multiplicative": (BOUNDARY_NOT_MULTIPLICATIVE, {
         "boundary_is_homomorphism": 1}, ""),
     "hnf_product_tripled": (HNF_PRODUCT_TRIPLED, None,
-        "k0: lattice_product: D = 136: [1, 10] * [3, 8] has Hermite form "
+        "k0: lattice_product: D = 136: [1, 0] * [3, 2] has Hermite form "
         "(9, 2, 3), not an O_F-module\n"),
-    "definite_transform_sheared": (TRANSFORM_SHEARED.format(
-        name="reduce_definite_t", disc=-84), None,
-        "k0: generator read-off: D = -84: N(QuadNum((2+1*sqrt(-84))/2)) is "
-        "not 1 * 1\n"),
-    "indefinite_transform_sheared": (TRANSFORM_SHEARED.format(
-        name="reduce_indef_t", disc=136), None,
-        "k0: generator read-off: D = 136: N(QuadNum((12+1*sqrt(136))/2)) "
-        "is not 1 * 1\n"),
+    **{f"{kind}_transform_sheared{suffix}": (TRANSFORM_SHEARED.format(
+        name=name, command=command, disc=disc), None,
+        f"{command}: generator read-off: D = {disc}: {message}\n")
+       for kind, name, disc, message in (
+           ("definite", "reduce_definite_t", -84,
+            "N(QuadNum((6+1*sqrt(-84))/2)) is not 2 * 2"),
+           ("indefinite", "reduce_indef_t", 136,
+            "N(QuadNum((14+1*sqrt(136))/2)) is not 3 * 3"))
+       for command, suffix in (("k0", ""), ("classgroup", "_classgroup"))},
+    "broken_generators": (BROKEN_GENERATORS, None,
+        "k0: class_and_generator: D = -23: QuadNum((4+0*sqrt(-23))/2) times "
+        "FracIdeal(1*[2, (1+sqrt(-23))/2]) is not "
+        "FracIdeal(1*[2, (1+sqrt(-23))/2])\n"
+        "verify: class_and_generator: D = -23: QuadNum((4+0*sqrt(-23))/2) "
+        "times FracIdeal(1*[2, (1+sqrt(-23))/2]) is not "
+        "FracIdeal(1*[2, (1+sqrt(-23))/2])\n"
+        "1 1\n"),
+    "conjugated_generators": (CONJUGATED_GENERATORS, None,
+        "k0: class_and_generator: D = -23: QuadNum((-3+-1*sqrt(-23))/4) "
+        "times FracIdeal(1*[2, (-1+sqrt(-23))/2]) is not "
+        "FracIdeal(1*[4, (-3+sqrt(-23))/2])\n"
+        "k0: class_and_generator: D = -85159: "
+        "QuadNum((-219+-1*sqrt(-85159))/260) times "
+        "FracIdeal(1*[130, (-41+sqrt(-85159))/2]) is not "
+        "FracIdeal(1*[256, (-219+sqrt(-85159))/2])\n"
+        "verify: class_and_generator: D = -23: QuadNum((-3+-1*sqrt(-23))/4) "
+        "times FracIdeal(1*[2, (-1+sqrt(-23))/2]) is not "
+        "FracIdeal(1*[4, (-3+sqrt(-23))/2])\n"
+        "1 1 1\n"),
+    "skewed_unit": (SKEWED_UNIT, None,
+        "classgroup: fundamental_unit: D = 229: "
+        "QuadNum((-1236+-82*sqrt(229))/110) times O_F is not "
+        "FracIdeal(1*[1, (1+sqrt(229))/2])\n"),
     "h_plus_one": (H_PLUS_ONE, None,
         "scan: inconclusive: D = -195: h = 5 is not divisible by 2^rank2 = "
         "4\n"),
@@ -266,9 +344,15 @@ FAULT_ROWS = {
     "h_narrow_flipped_real": (H_NARROW_FLIPPED.format(lo=1), None,
         "scan: inconclusive: D = 12: h_narrow = 1 is not 2h = 2 for an "
         "exceptional real D\n"),
-    "wide_genus_space": (WIDE_GENUS_SPACE, {"verdict_67": 729}, ""),
-    "minus_one_row_flipped": (MINUS_ONE_ROW_FLIPPED, {"verdict_67": 90},
-                              ""),
+    "wide_genus_space": (WIDE_GENUS_SPACE, None,
+        "scan: inconclusive: D = -1199: dim V = 3 is not t_all - 1 = 2\n"
+        * 2),
+    "minus_one_row_flipped": (MINUS_ONE_ROW_FLIPPED.format(lo=-1000,
+                                                           hi=1000), None,
+        "scan: inconclusive: D = 5: dim V = 1 is not t_all - 1 = 0\n"),
+    "minus_one_row_flipped_at_65": (MINUS_ONE_ROW_FLIPPED.format(lo=65,
+                                                                 hi=65), {
+        "verdict_67": 1}, ""),
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -8,13 +9,15 @@ from pathlib import Path
 import pytest
 
 from qknorm import knorm
+from qknorm.cli import main
 from qknorm.classgroup import abelian_closure, principal_generator
 from qknorm.ideals import FracIdeal, primes_above, principal_ideal
 from qknorm.knorm import (K0Elt, bass_sequence_report, k0_eq, k0_context,
                           k0_group, k0_identity, k0_key, k0_mul, k0_rep, sigma,
                           solve_norm_equation)
 from qknorm.local import is_global_norm
-from qknorm.quadfield import QuadNum, make_discriminant
+from qknorm.quadfield import (QuadNum, fundamental_discriminants,
+                              make_discriminant)
 
 from helpers import is_integral_ideal
 from oracle import invariant_factors_by_torsion
@@ -183,11 +186,11 @@ def test_structure_keeps_the_sign_of_the_generator_norm():
 
 def test_key_without_the_generator_norm_sign_moves_the_structure(
         monkeypatch):
-    def key_without_norm_sign(ctx, e):
-        key, _ = ctx.cg.class_and_generator(e.ideal)
-        return (e.sign if ctx.sign_is_invariant else 1, key)
+    # k0_key and the closure's products share one sign rule
+    def sign_without_norm_sign(ctx, sign, z):
+        return sign if ctx.sign_is_invariant else 1
 
-    monkeypatch.setattr(knorm, "k0_key", key_without_norm_sign)
+    monkeypatch.setattr(knorm, "k0_sign", sign_without_norm_sign)
     grp = k0_group(k0_context(make_discriminant(136)))
     assert grp.order == 4 and grp.divisors == [2, 2]
 
@@ -203,7 +206,8 @@ def _closure_by_elements(ctx):
 
 POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / \
     "pools.json"
-REAL_K0_POOL = [d for stratum in json.loads(POOLS.read_text())["k0"]["strata"]
+K0_POOL_STRATA = json.loads(POOLS.read_text())["k0"]["strata"]
+REAL_K0_POOL = [d for stratum in K0_POOL_STRATA
                 if stratum["label"].startswith("real")
                 for d, _ in stratum["fields"]]
 
@@ -212,7 +216,12 @@ REAL_K0_POOL = [d for stratum in json.loads(POOLS.read_text())["k0"]["strata"]
                                    12, 60, 136, 229, 316, 505] + REAL_K0_POOL)
 def test_class_pair_table_matches_closure_by_elements(delta):
     ctx = k0_context(make_discriminant(delta))
+    # the K0 closure meets the class pairs of class_group's closure, so it
+    # multiplies no pair but sigma(-1)'s, of the identity class with itself
+    pairs = set(ctx.cg._products)
     grp = k0_group(ctx)
+    one = ctx.cg.identity_key()
+    assert set(ctx.cg._products) - pairs <= {(one, one)}
     keys, divisors = _closure_by_elements(ctx)
     assert grp.keys == keys and grp.order == len(keys)
     assert grp.divisors == divisors
@@ -350,3 +359,21 @@ def test_norm_equation_checks_survive_optimize(src_env):
         ["ValueError", "ValueError", "GeneratorCheckError"], lines
     assert "m = 0" in lines[0] and "N(x) = 0" in lines[1]
     assert "norm 25, not 5" in lines[2]
+
+
+# sha256 of the stdout of k0 and then classgroup on each fundamental
+# |Delta| <= 1000 in increasing order, then on each field of the k0 pool in
+# pool order
+REPORTS_SHA256 = \
+    "21e9d770a81833932efdf33c8a846f9a4ca0db2e73f54769a17a83409dc26d74"
+
+
+def test_k0_and_classgroup_reports_are_pinned(capsys):
+    pool = [d for stratum in K0_POOL_STRATA for d, _ in stratum["fields"]]
+    deltas = [d.delta for d in fundamental_discriminants(-1000, 1000)]
+    digest = hashlib.sha256()
+    for delta in deltas + pool:
+        for command in ("k0", "classgroup"):
+            assert main([command, "--disc", str(delta)]) == 0, delta
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == REPORTS_SHA256
