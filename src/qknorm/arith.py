@@ -1,6 +1,6 @@
 """Integer arithmetic on plain ints: one table of small primes, Legendre
-symbols, primality, factoring, and the Smith form of a square matrix with
-the inverse of its column transform.
+symbols by Euler's criterion, primality, factoring, and the Smith form of a
+square matrix with the inverse of its column transform.
 
 Primality is deterministic Miller-Rabin on the first k prime bases, with k
 read off the smallest strong pseudoprime to those bases, which makes the
@@ -32,38 +32,9 @@ PRIMES = _sieve(TABLE_BOUND)  # the primes below TABLE_BOUND, in order
 _TABLE = frozenset(PRIMES)
 
 
-class _ResidueTables(dict):
-    """p -> the tuple of (x/p) at x = 0, ..., p - 1, for the odd primes below
-    TABLE_BOUND; each table is built on its first lookup."""
-
-    def __missing__(self, p: int) -> tuple[int, ...]:
-        table = [-1] * p
-        table[0] = 0
-        for x in range(1, p // 2 + 1):
-            table[x * x % p] = 1
-        self[p] = table = tuple(table)
-        return table
-
-
-_RESIDUES = _ResidueTables()
-
-
 def legendre(x: int, p: int) -> int:
-    """The Legendre symbol (x/p) for an odd prime p.
-
-    Below TABLE_BOUND it is read from p's table of residues.  Above it, x =
-    -1, 2 or an odd prime q of the table goes by reciprocity to q's table,
-    (q/p) = (p/q) (-1)^((p-1)/2 (q-1)/2); any other x by Euler's criterion.
-    """
-    if p < TABLE_BOUND:
-        return _RESIDUES[p][x % p]
-    if x == -1:
-        return 1 if p & 3 == 1 else -1
-    if x == 2:
-        return 1 if p & 7 in (1, 7) else -1
-    if x in _TABLE:
-        r = _RESIDUES[x][p % x]
-        return -r if x & p & 2 else r
+    """The Legendre symbol (x/p) for an odd prime p, by Euler's criterion:
+    x^((p-1)/2) is 1, p - 1 or 0 mod p."""
     r = pow(x, p >> 1, p)
     return -1 if r == p - 1 else r
 

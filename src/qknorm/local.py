@@ -5,20 +5,21 @@ Places are labelled by rational primes together with the symbol "oo".  An
 F2 vector over places is a ``frozenset`` of primes, those whose coordinate
 is 1: the sum is ``^`` and the zero vector is the empty set.
 
-The Hilbert symbol has one formula (Serre, A Course in Arithmetic, III.1.2),
-on arguments already split as p^alpha u with u prime to p, and every
-Legendre symbol in it is ``arith.legendre``.  ``_hilbert_core`` evaluates
-it; ``hilbert_symbol`` is the checked entry for ints and Fractions, and
-``is_global_norm`` passes places that are primes by construction straight
-to the core.  ``genus_char_space`` writes the formula out for its
-candidates, each -1 or a prime q, so that v_p(q) = [q = p]: it strips Delta
-once per ramified prime and keeps its F2 span as int bitmasks over the
-ramified primes, one per pivot.
+The Hilbert symbol has one scalar formula (Serre, A Course in Arithmetic,
+III.1.2), on arguments already split as p^alpha u with u prime to p, and
+every Legendre symbol in it is ``arith.legendre``.  ``_hilbert_core``
+evaluates it; ``hilbert_symbol`` is the checked entry for ints and
+Fractions, and every place that is a prime by construction goes straight to
+the core: the finite places of ``is_global_norm`` and
+``h0_class_of_rational``, the ramified primes of ``mv.map_i``, and the
+ramified primes of ``genus_char_space``, which strips Delta once per
+ramified prime and keeps its F2 span as int bitmasks over them.
 
 The scan takes its genus dims a block at a time from ``block_genus_dims``,
-whose kernel (in ``scancounts``, imported on the first call) evaluates the
-same formula for -1, the ramified primes and the split primes up to 43 of
-every field at once.  ``genus_char_space`` and ``is_global_norm`` stay the
+whose kernel (in ``scancounts``, imported on the first call) writes the
+same formula out for -1, the ramified primes and the split primes up to 43
+of every field at once; the tests compare its symbols with the core's
+bit for bit.  ``genus_char_space`` and ``is_global_norm`` stay the
 reference, and the path of a field the kernel cannot certify: one whose span
 needs a split prime past 43, or with two ramified primes past the prime
 table.  The cap on split primes binds both, and only ``genus_char_space``
@@ -112,36 +113,26 @@ def is_global_norm(q, disc: Discriminant) -> bool:
 
 def h0_class_of_rational(q, disc: Discriminant) -> frozenset[int]:
     """Image of a rational in the sum of local norm-residue groups at
-    nonsplit finite places: the primes where q fails to be a local norm."""
+    nonsplit finite places: the primes where q fails to be a local norm.
+    They are primes by construction, so their symbols go to the core."""
+    n = q.numerator * q.denominator
+    if not n:
+        raise ValueError("the Hilbert symbol needs nonzero arguments")
     return frozenset(p for p in _norm_test_primes(q, disc)
                      if kronecker(disc, p) != 1
-                     and hilbert_symbol(q, disc.delta, p) == -1)
+                     and _hilbert_core(*_strip(n, p), *_strip(disc.delta, p),
+                                       p) == -1)
 
 
 class GenusCharSpace(NamedTuple):
-    """The genus character space of ``disc`` as its pivots: lowest set bit
-    -> (vec, q), vec a bitmask over the ramified primes (bit i for the i-th)
-    and q the product of the candidates that were xored into it.
-
-    The witness, ``basis`` and ``generating_rationals`` in pivot order, is
-    derived from the pivots when it is read.
-    """
+    """The genus character space of ``disc``: its dimension and a witness,
+    a basis over the ramified primes (each vector a frozenset of them) and
+    the rationals that generate it, in order of each vector's least
+    ramified prime."""
     disc: Discriminant
     dim: int
-    pivots: dict[int, tuple[int, int]]
-
-    def _in_order(self) -> list[tuple[int, int]]:
-        return [self.pivots[bit] for bit in sorted(self.pivots)]
-
-    @property
-    def basis(self) -> tuple[frozenset[int], ...]:
-        ram = self.disc.ramified_primes
-        return tuple(frozenset(p for i, p in enumerate(ram) if vec >> i & 1)
-                     for vec, _ in self._in_order())
-
-    @property
-    def generating_rationals(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(q) for _, q in self._in_order())
+    basis: tuple[frozenset[int], ...]
+    generating_rationals: tuple[Fraction, ...]
 
 
 _SPLIT_PRIME_CAP = 25
@@ -175,32 +166,23 @@ def genus_char_space(disc: Discriminant) -> GenusCharSpace:
     there.  Running out of them first raises SplitPrimeCapExceeded.
 
     Vectors are int bitmasks, bit i for the i-th ramified prime p, with
-    Delta = p^beta w.  One loop runs over the candidates q: -1, the
-    ramified primes, then the split primes.  Each q is -1 or a prime, so
-    (q, Delta)_p is ``_hilbert_core``'s formula with v_p(q) = [q = p],
-    written out: (q/p)^beta at an odd p != q, a sign read off q and w mod 8
-    at p = 2 != q, and at p = q the symbol (p, Delta)_p, computed once per
-    field.  The span keeps one vector per pivot, its lowest set bit; a new
-    vector is reduced against the pivots in increasing order.
+    Delta = p^beta w stripped once per p.  One loop runs over the candidates
+    q: -1, the ramified primes, then the split primes.  Each q is -1 or a
+    prime, so v_p(q) = [q = p], and (q, Delta)_p is ``_hilbert_core`` on
+    (v_p(q), q / p^v_p(q), beta, w).  The span keeps one vector per pivot,
+    its lowest set bit; a new vector is reduced against the pivots in
+    increasing order.
     """
-    D = disc.delta
     ram = disc.ramified_primes
     bound = len(ram) - disc.is_real  # = t_all - 1
-    places = []  # (bit, p, beta mod 2, w, bit of (p, Delta)_p)
-    for i, p in enumerate(ram):
-        beta, w = _strip(D, p)
-        if p == 2:
-            own = (w & 7) in (3, 5)  # omega(w)
-        else:
-            own = (beta & p >> 1 ^ (legendre(w, p) < 0)) & 1
-        places.append((1 << i, p, beta & 1, w, own))
+    places = [(1 << i, p, *_strip(disc.delta, p)) for i, p in enumerate(ram)]
     pivots: dict[int, tuple[int, int]] = {}  # lowest set bit -> (vec, q)
     fixed, used = len(ram), 0
     for n, q in enumerate(chain((-1,), ram, primes())):
         if n > fixed:  # past -1 and the ramified primes
             if len(pivots) == bound:
                 break
-            if (D & 7 != 1) if q == 2 else legendre(D, q) != 1:
+            if kronecker(disc, q) != 1:
                 continue  # q does not split
             if used == _SPLIT_PRIME_CAP:
                 raise SplitPrimeCapExceeded(
@@ -209,21 +191,19 @@ def genus_char_space(disc: Discriminant) -> GenusCharSpace:
                     f"bound {bound}")
             used += 1
         vec = 0
-        for bit, p, odd_beta, w, own in places:
-            if q == p:
-                e = own
-            elif p == 2:
-                # eps(q) eps(w) + beta omega(q), as in _hilbert_core
-                e = (q & w & 2) >> 1 ^ (odd_beta and (q & 7) in (3, 5))
-            else:
-                e = odd_beta and legendre(q, p) < 0
-            if e:
+        for bit, p, beta, w in places:
+            if _hilbert_core(int(q == p), 1 if q == p else q, beta, w, p) < 0:
                 vec |= bit
-        for bit, _, _, _, _ in places:  # the pivots in increasing order
+        for bit, _, _, _ in places:  # the pivots in increasing order
             if vec & bit and bit in pivots:
                 bvec, bq = pivots[bit]
                 vec ^= bvec
                 q *= bq
         if vec:
             pivots[vec & -vec] = (vec, q)
-    return GenusCharSpace(disc, len(pivots), pivots)
+    order = [pivots[bit] for bit in sorted(pivots)]
+    return GenusCharSpace(
+        disc, len(order),
+        tuple(frozenset(p for i, p in enumerate(ram) if vec >> i & 1)
+              for vec, _ in order),
+        tuple(Fraction(q) for _, q in order))

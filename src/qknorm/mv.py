@@ -30,8 +30,8 @@ from .ideals import Decomposition, DiscMismatch, FracIdeal, \
     rational_prime_of, split_power_product
 from .knorm import K0Context, K0Elt, k0_eq, k0_group, k0_identity, k0_key, \
     k0_mul, k0_rep, solve_norm_equation
-from .local import _primes_of, block_genus_dims, genus_char_space, \
-    h0_class_of_rational, hilbert_symbol, is_global_norm
+from .local import _hilbert_core, _primes_of, _strip, block_genus_dims, \
+    genus_char_space, h0_class_of_rational, is_global_norm
 from .quadfield import Discriminant, QuadNum, kronecker
 
 
@@ -263,12 +263,14 @@ def map_i(e: K0Elt) -> tuple[Fraction, frozenset[int]]:
     symbol is bimultiplicative, so (a*pi, Delta)_p = (a, Delta)_p when
     (pi, Delta)_p = 1.  The set does not depend on the presentation [t, I]
     of the class: another one is [N(z)*t, z*I], and N(z) is a norm at every
-    place, so (N(z), Delta)_p = 1.
+    place, so (N(z), Delta)_p = 1.  The ramified primes are primes by
+    construction, so their symbols go to ``local._hilbert_core``.
     """
     disc = e.disc
     a = e.sign * e.ideal.a
-    return e.t, frozenset(p for p in disc.ramified_primes
-                          if hilbert_symbol(a, disc.delta, p) == -1)
+    return e.t, frozenset(
+        p for p in disc.ramified_primes
+        if _hilbert_core(*_strip(a, p), *_strip(disc.delta, p), p) == -1)
 
 
 def mu(disc: Discriminant, t: Fraction, y: frozenset[int]) -> frozenset[int]:

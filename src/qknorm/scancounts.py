@@ -15,10 +15,11 @@ numpy buffers per process (``_Workspace``).
 The genus dims (``block_genus_dims``) are ``local.genus_char_space`` and
 ``is_global_norm(-1, .)`` for a whole block: the Hilbert symbols of -1, the
 ramified primes and a fixed list of small split primes at every ramified
-prime, from one table of Legendre symbols of the primes below TABLE_BOUND
-(built on first use), as int bitmasks, and their F2 rank by elimination,
-one round per bit for all fields at once.  A field whose rank falls short
-of t_all - 1 is left to the per-field loop.
+prime, the scalar ``local._hilbert_core`` written out on arrays (the tests
+compare the two bit for bit) with a table of Legendre symbols of the primes
+below TABLE_BOUND, as int bitmasks, and their F2 rank by elimination, one
+round per bit for all fields at once.  A field whose rank falls short of
+t_all - 1 is left to the per-field loop.
 
 This is the only module that imports numpy, and only the scan imports it,
 through ``classgroup.block_counts``, ``classgroup.scan_counts`` and

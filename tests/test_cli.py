@@ -523,86 +523,6 @@ def test_unwritable_out_is_a_usage_error(argv, flags, src_env, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == []
 
 
-# a unit idele with a single irrational component above the split 2 of -15
-# has no rational idele norm; the explicit check must stop verify also
-# under -O, where the old assert vanished
-LOPSIDED_UNIT_IDELE = (
-    "import sys\n"
-    "import qknorm.mv as mv\n"
-    "from qknorm.cli import main\n"
-    "from qknorm.quadfield import QuadNum\n"
-    "def lopsided(disc, rng, primes):\n"
-    "    pid = mv.primes_above(disc, 2).primes[0]\n"
-    "    return mv.IdeleFS({pid: QuadNum(1, 1, 1, disc)}, disc)\n"
-    "mv.random_unit_idele = lopsided\n"
-    "sys.exit(main(['verify', '--disc', '-15', '--samples', '5']))\n")
-
-
-def test_idele_norm_check_survives_optimize(src_env):
-    proc = subprocess.run([sys.executable, "-O", "-c", LOPSIDED_UNIT_IDELE],
-                          capture_output=True, text=True, env=src_env,
-                          timeout=120)
-    assert proc.returncode == EXIT_VERDICT, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr.startswith(
-        "verify: idele_norm: D = -15: the components above the split prime "
-        "2 have no rational joint image"), proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-# h rests on two checks of the class enumeration: the enumerated classes
-# must be closed under products, and every rho-cycle must stay inside the
-# enumerated forms; an enumerator that drops a form fails one of them
-DROPPED_FORM = (
-    "import sys\n"
-    "import qknorm.classgroup as cg\n"
-    "from qknorm.cli import main\n"
-    "enum = cg.{0}\n"
-    "cg.{0} = lambda D: enum(D)[:-1]\n"
-    "sys.exit(main(['classgroup', '--disc', '{1}']))\n")
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-@pytest.mark.parametrize("enumerator,delta,message", [
-    ("enumerate_reduced_definite", -23,
-     "the 2 enumerated classes generate a group of order 3"),
-    ("enumerate_reduced_indefinite", 60,
-     "the cycle of (1, 6, -6) leaves the enumerated reduced forms"),
-])
-def test_class_enumeration_checks_survive_optimize(enumerator, delta,
-                                                   message, flags, src_env):
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", DROPPED_FORM.format(enumerator, delta)],
-        capture_output=True, text=True, env=src_env, timeout=120)
-    assert proc.returncode == EXIT_VERDICT, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == \
-        f"classgroup: class_group: D = {delta}: {message}\n"
-
-
-# k0's exact compares the enumerated K0 with units-mod-norms times Cl; a
-# context that drops the sign from every key at -23 (where it is part of
-# the class) halves K0, which exact must report without any check raising
-SIGNLESS_KEYS = (
-    "import sys\n"
-    "import qknorm.knorm as knorm\n"
-    "from qknorm.cli import main\n"
-    "knorm.K0Context.sign_is_invariant = False\n"
-    "sys.exit(main(['k0', '--disc', '-23']))\n")
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_k0_exact_fails_on_a_halved_group(flags, src_env):
-    proc = subprocess.run([sys.executable, *flags, "-c", SIGNLESS_KEYS],
-                          capture_output=True, text=True, env=src_env,
-                          timeout=120)
-    assert proc.returncode == EXIT_VERDICT, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert (doc["h"], doc["k0_order"]) == ("3", "3")
-    assert doc["exact"] == "false"
-    assert proc.stderr == ""
-
-
 def _capped_scan(lo, hi, jobs):
     """A scan of lo..hi with no split prime allowed for any genus space; at
     two jobs on two CPUs, so that a worker takes every other block."""

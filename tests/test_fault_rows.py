@@ -1,7 +1,7 @@
 """Fault rows: a minimal fault, patched in at start-up of a subprocess, must
 turn the verdicts it breaks false and make the command exit 1, under
 default Python and ``-O``.  Each row names its fault, the command, and the
-number of rows (scan) or reports (verify) in which each verdict reads
+number of rows (scan) or reports (verify, k0) in which each verdict reads
 false; every other verdict must stay true.  A row may run its command more
 than once, each run writing one JSON document, and the counts are summed
 over them.  A row with no counts names a fault that a check catches before
@@ -18,6 +18,8 @@ from qknorm.cli import EXIT_VERDICT, SCAN_COLUMNS
 VERIFY_VERDICTS = ("i_after_boundary_trivial", "mu_after_i_trivial",
                    "boundary_after_mu1_trivial", "boundary_is_homomorphism",
                    "constructive_kernel")
+K0_VERDICTS = ("sigma_injective", "kernel_rho_is_image_sigma",
+               "rho_surjective", "exact")
 SCAN_VERDICTS = tuple(c for c in SCAN_COLUMNS if c.startswith("verdict_"))
 
 # the scan's 2-ranks one too high: the first row whose h is not divisible
@@ -273,6 +275,46 @@ MINUS_ONE_ROW_FLIPPED = (
     "sc._genus_rows = flipped\n"
     "sys.exit(main(['scan', '--min', '{lo}', '--max', '{hi}', '--json']))\n")
 
+# a unit idele with a single irrational component above the split 2 of -15
+# has no rational idele norm; the explicit check stops verify, under -O too
+LOPSIDED_UNIT_IDELE = (
+    "import sys\n"
+    "import qknorm.mv as mv\n"
+    "from qknorm.cli import main\n"
+    "from qknorm.quadfield import QuadNum\n"
+    "def lopsided(disc, rng, primes):\n"
+    "    pid = mv.primes_above(disc, 2).primes[0]\n"
+    "    return mv.IdeleFS({pid: QuadNum(1, 1, 1, disc)}, disc)\n"
+    "mv.random_unit_idele = lopsided\n"
+    "sys.exit(main(['verify', '--disc', '-15', '--samples', '5']))\n")
+
+# h rests on two checks of the class enumeration: the enumerated classes
+# must be closed under products, and every rho-cycle must stay inside the
+# enumerated forms; an enumerator that drops a form fails one of them
+DROPPED_FORM = (
+    "import sys\n"
+    "import qknorm.classgroup as cg\n"
+    "from qknorm.cli import main\n"
+    "enum = cg.{name}\n"
+    "cg.{name} = lambda D: enum(D)[:-1]\n"
+    "sys.exit(main(['classgroup', '--disc', '{disc}']))\n")
+
+# k0's exact compares the enumerated K0 with units-mod-norms times Cl; a
+# context that drops the sign from every key at -23 (where it is part of
+# the class) halves K0, which its verdicts must report without any check
+# raising.  h and the order of K0 go to stderr after the report
+SIGNLESS_KEYS = (
+    "import contextlib, io, json, sys\n"
+    "import qknorm.knorm as knorm\n"
+    "from qknorm.cli import main\n"
+    "knorm.K0Context.sign_is_invariant = False\n"
+    "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "    code = main(['k0', '--disc', '-23'])\n"
+    "doc = json.loads(out.getvalue())\n"
+    "print(doc['h'], doc['k0_order'], file=sys.stderr)\n"
+    "sys.stdout.write(out.getvalue())\n"
+    "sys.exit(code)\n")
+
 FAULT_ROWS = {
     "rank2_off_by_one": (RANK2_OFF_BY_ONE, None,
         "scan: inconclusive: D = -199: h = 9 is not divisible by 2^rank2 = "
@@ -353,6 +395,18 @@ FAULT_ROWS = {
     "minus_one_row_flipped_at_65": (MINUS_ONE_ROW_FLIPPED.format(lo=65,
                                                                  hi=65), {
         "verdict_67": 1}, ""),
+    "lopsided_unit_idele": (LOPSIDED_UNIT_IDELE, None,
+        "verify: idele_norm: D = -15: the components above the split prime "
+        "2 have no rational joint image\n"),
+    **{f"dropped_form_{kind}": (DROPPED_FORM.format(name=name, disc=disc),
+        None, f"classgroup: class_group: D = {disc}: {message}\n")
+       for kind, name, disc, message in (
+           ("definite", "enumerate_reduced_definite", -23,
+            "the 2 enumerated classes generate a group of order 3"),
+           ("indefinite", "enumerate_reduced_indefinite", 60,
+            "the cycle of (1, 6, -6) leaves the enumerated reduced forms"))},
+    "signless_keys": (SIGNLESS_KEYS, {
+        "sigma_injective": 1, "exact": 1}, "3 3\n"),
 }
 
 
@@ -374,7 +428,8 @@ def test_fault_turns_its_verdicts_false(fault, flags, src_env):
         doc, at = decoder.raw_decode(proc.stdout, at)
         docs.append(doc)
         at += 1
-    verdicts = SCAN_VERDICTS if "rows" in docs[0] else VERIFY_VERDICTS
+    verdicts = (SCAN_VERDICTS if "rows" in docs[0] else
+                K0_VERDICTS if "k0_order" in docs[0] else VERIFY_VERDICTS)
     rows = [row for doc in docs for row in doc.get("rows", [doc])]
     got = {v: sum(row[v] == "false" for row in rows) for v in verdicts}
     assert got == {v: false_counts.get(v, 0) for v in verdicts}

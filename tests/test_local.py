@@ -433,6 +433,53 @@ def test_block_kernel_reads_the_cap_at_call_time(monkeypatch):
     assert block_genus_dims(discs)[0] == [2, 1, 2, 2]
 
 
+def _core_mask(q, disc):
+    """The bitmask over the ramified primes of (q, Delta)_p = -1, for q = -1
+    or a prime, from ``_hilbert_core`` on stripped ints."""
+    mask = 0
+    for i, p in enumerate(disc.ramified_primes):
+        beta, w = local._strip(disc.delta, p)
+        alpha, u = local._strip(q, p)
+        if local._hilbert_core(alpha, u, beta, w, p) < 0:
+            mask |= 1 << i
+    return mask
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 300), (99701, 100000),
+                                   (999701, 999999)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_block_kernel_symbols_match_the_core(lo, hi, sign):
+    # every row the kernel builds, bit for bit: the row of -1, each list
+    # prime (zero unless it splits within the cap) and each ramified prime
+    # with its own symbol (zero past t_fin)
+    import numpy as np
+
+    from qknorm import scancounts
+
+    lo, hi = sorted((sign * lo, sign * hi))
+    discs = fundamental_discriminants(lo, hi)
+    D = np.array([d.delta for d in discs], dtype=np.int64)
+    t = np.array([d.t_fin for d in discs], dtype=np.int64)
+    cap = local._SPLIT_PRIME_CAP
+    masks, far = scancounts._genus_rows(discs, D, t, cap)
+    width = int(t.max())
+    checked = 0
+    for f, disc in enumerate(discs):
+        if far[f]:
+            continue
+        split = [q for q in scancounts._SPLIT_PRIMES.tolist()
+                 if kronecker(disc, q) == 1][:cap]
+        ram = disc.ramified_primes
+        want = [_core_mask(-1, disc),
+                *(_core_mask(q, disc) if q in split else 0
+                  for q in scancounts._SPLIT_PRIMES.tolist()),
+                *(_core_mask(q, disc) for q in ram),
+                *[0] * (width - len(ram))]
+        assert masks[:, f].tolist() == want, disc.delta
+        checked += 1
+    assert checked > 80
+
+
 def test_block_f2_rank_matches_a_plain_rank():
     from qknorm import scancounts
     import numpy as np
