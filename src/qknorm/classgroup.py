@@ -8,9 +8,9 @@ read off the forms with a > 0 of a rho-cycle of reduced forms: the key is
 the least of them (``_real_class_keys``), and h_narrow is the number of
 cycles.  ``class_group`` has one enumerator per sign of the discriminant
 and one reduction loop per kind of form, all in plain Python.  The abelian
-structure, of the class group here and of K0 in ``knorm``, is read off one
-coset enumeration and the Smith form of its relation matrix
-(``abelian_closure``).
+structure is read off one coset enumeration and the Smith form of its
+relation matrix (``abelian_closure``), which also gives the basis that
+``knorm`` presents K0 on.
 
 The scan's ``block_counts`` shares no logic with ``class_group``, so for both
 signs it is an independent second path.  It counts a whole block of
@@ -34,8 +34,8 @@ c1 and c2 is the class of the ideal product rep(c1) * rep(c2), read off with
 its generator over rep(c) by the same checked lookup.  Each class pair is
 multiplied once per group and kept with its generator
 (``ClassGroupData.product``); ``class_group``'s closure, the table of
-squares and K0's closure (``knorm.k0_group``, which meets the same pairs)
-all read that table.
+squares and the power chains of K0's presentation (``knorm.k0_group``) all
+read that table.
 """
 
 from __future__ import annotations
@@ -318,7 +318,8 @@ class ClassGroupData:
     h: int
     h_narrow: int
     divisors: list[int]
-    generators: list[FracIdeal]
+    # the class keys of a basis, basis[i] of order divisors[i]
+    basis: list[Form]
     rank2: int
     disc: Discriminant
     # the class keys (elements()), reduced forms with a > 0
@@ -332,6 +333,10 @@ class ClassGroupData:
     _reps: dict = field(repr=False, compare=False, default_factory=dict)
     # {(c1, c2): (key, z)}, filled by product as class pairs are asked for
     _products: dict = field(repr=False, compare=False, default_factory=dict)
+
+    @property
+    def generators(self) -> list[FracIdeal]:
+        return [self.rep_ideal(k) for k in self.basis]
 
     def key_of_form(self, f: Form) -> Form:
         if self._keys is None:
@@ -409,11 +414,7 @@ class ClassGroupData:
         return self._roots.get(key, [])
 
 
-class ClosureBudgetExceeded(RuntimeError):
-    """Raised when group closure does not stabilize within the budget."""
-
-
-def abelian_closure(gens, mul, identity, budget=None):
+def abelian_closure(gens, mul, identity):
     """The finite abelian group generated by ``gens``: (elements, divisors,
     basis), with invariant factors d1 | d2 | ... > 1 and basis[i] of order
     divisors[i].
@@ -436,9 +437,6 @@ def abelian_closure(gens, mul, identity, budget=None):
         base = [(x, v + (0,) * (n - len(v))) for x, v in exps.items()]
         coset, j = [x for x, _ in base], 1
         while (y := mul(coset[0], g)) not in exps:
-            if budget is not None and len(exps) + len(base) > budget:
-                raise ClosureBudgetExceeded(
-                    f"more than {budget} classes generated")
             coset = [y] + [mul(x, g) for x in coset[1:]]
             for x, (_, v) in zip(coset, base):
                 exps[x] = v + (j,)
@@ -474,16 +472,15 @@ def class_group(disc: Discriminant) -> ClassGroupData:
         keys, h_narrow = _real_class_keys(D)
         elements = sorted(set(keys.values()))
     data = ClassGroupData(h=len(elements), h_narrow=h_narrow, divisors=[],
-                          generators=[], rank2=0, disc=disc,
+                          basis=[], rank2=0, disc=disc,
                           _elements=elements, _keys=keys)
-    closure, data.divisors, gen_keys = abelian_closure(elements, data.mul,
-                                                       data.identity_key())
+    closure, data.divisors, data.basis = abelian_closure(
+        elements, data.mul, data.identity_key())
     if len(closure) != len(elements):
         raise ClassGroupCheckError(
             f"class_group: D = {D}: the {len(elements)} enumerated classes "
             f"generate a group of order {len(closure)}")
     data.rank2 = sum(1 for d in data.divisors if d % 2 == 0)
-    data.generators = [data.rep_ideal(k) for k in gen_keys]
     return data
 
 

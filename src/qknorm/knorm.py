@@ -4,7 +4,7 @@ An element is a pair [t, I] with t a nonzero rational, I a fractional ideal
 and |t| = N(I), stored as (sign, I) with t = sign * N(I); two pairs are
 identified when [t', I'] = [N(z)*t, z*I] for some z in F*.  The group sits
 in an exact sequence between the units-mod-norms group of the field and its
-class group, verified here by explicit enumeration.
+class group, which ``bass_sequence_report`` checks.
 
 A class is keyed by (sign, wide class of I) (``k0_key``): one class lookup
 gives the class and a checked z with I = z * i0 for the class's
@@ -12,13 +12,9 @@ representative i0, and the sign, where it is an invariant of the class, is
 that of t0 in [t, I] = [N(z)*t0, z*i0].  ``k0_rep`` builds the
 representative [t0, i0] of a key.
 
-The closure (``k0_group``) multiplies keys by class pairs: the product of
-(s1, c1) and (s2, c2) is (s1*s2*sign N(z), c), where i1*i2 = z*i0 is the
-class group's product of the pair (c1, c2) (``ClassGroupData.product``).
-It takes the class group's elements as generators in the order its closure
-did, so it meets the same class pairs and reads each product from the
-class group's table; the sign comes from ``k0_sign``, which ``k0_key``
-shares.
+``k0_group`` presents the group on sigma(-1) and lifts of the class
+group's basis, reading the sign of each lift's power off the class group's
+table of products with ``k0_sign``, the sign rule ``k0_key`` shares.
 """
 
 from __future__ import annotations
@@ -27,10 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .arith import factorint
-# ClosureBudgetExceeded is raised by k0_group and importable from here
-from .classgroup import (ClassGroupData, ClosureBudgetExceeded,
-                         GeneratorCheckError, abelian_closure, class_group,
+from .arith import factorint, smith_form
+from .classgroup import (ClassGroupCheckError, ClassGroupData,
+                         GeneratorCheckError, class_group,
                          principal_generator)
 from .ideals import FracIdeal, primes_above
 from .quadfield import Discriminant, QuadNum
@@ -148,42 +143,52 @@ class K0Group:
     order: int
     divisors: list[int]
     keys: list
+    im_sigma: set  # the keys of sigma(1) and sigma(-1)
     ctx: K0Context
 
 
-# k0_group raises ClosureBudgetExceeded past this many K0 classes
-K0_BUDGET = 1_000_000
-
-
 def k0_group(ctx: K0Context) -> K0Group:
-    """All classes, enumerated from sigma(-1) and the class group's
-    elements, with the abelian structure; ClosureBudgetExceeded past
-    ``K0_BUDGET``.
+    """K0 presented on the class group's basis g_i, of orders d_i.
 
-    The representatives of (s1, c1) and (s2, c2) multiply to
-    [s1*s2, i1*i2], and with i1*i2 = z*i0 its key is (s1*s2*sign N(z), c)
-    (``k0_sign``).  So the ideal product and its checked class lookup depend
-    on the class pair (c1, c2) alone, and come from the class group's table
-    (``ClassGroupData.product``).  The generators are the keys (1, c) of
-    the representatives [N(i0), i0] (a unit's norm is 1 where the sign is
-    an invariant) in ``class_group``'s order, after sigma(-1): the sign
-    classes lie over the identity class, so the closure meets the class
-    pairs ``class_group``'s closure met and computes no product of its own
-    but sigma(-1)'s, of the identity class with itself.
+    K0 is an extension of Cl by im sigma (units-mod-norms -> K0 -> Cl -> 1),
+    so it is generated by sigma(-1) and the lifts l_i = (1, g_i) with the
+    relations sigma(-1)^|im sigma| = 1 and l_i^(d_i) = sigma(-1)^(e_i); its
+    divisors are the Smith form of those relations, its keys the signs of
+    im sigma times the classes.  |im sigma| counts the keys ``k0_key`` gives
+    sigma(1) and sigma(-1), never ``h0_units_order``, which ``exact``
+    compares the order with.
+
+    e_i = 1 when l_i^(d_i) has sign -1, read by ``k0_sign`` along the
+    checked power chain of g_i (``ClassGroupData.product``), which must end
+    at the identity class.  Only Delta > 0 with the sign invariant needs
+    the chain: for Delta < 0 every N(z) > 0, and where the sign is not
+    invariant ``k0_sign`` returns 1, so e_i = 0.
+
+    The k0 fault rows: ``signless_keys`` leaves one sigma key
+    (``sigma_injective`` and ``exact`` false), ``halved_class_order`` fails
+    the chain's check, and broken products and generators fail their checks
+    in ``class_group`` or ``k0_key``.  ``rho_surjective`` holds by
+    construction.
     """
-    cg = ctx.cg
-
-    def mul(k1, k2):
-        (s1, c1), (s2, c2) = k1, k2
-        c, z = cg.product(c1, c2)
-        return (k0_sign(ctx, s1 * s2, z), c)
-
-    one = cg.identity_key()
-    # sigma(-1) = [-1, O_F * O_F], the product of (-1, one) and (1, one)
-    gens = [mul((-1, one), (1, one))] + [(1, c) for c in cg.elements()]
-    elements, divisors, _ = abelian_closure(gens, mul, (1, one), K0_BUDGET)
-    keys = sorted(elements)
-    return K0Group(order=len(keys), divisors=divisors, keys=keys, ctx=ctx)
+    cg, r = ctx.cg, len(ctx.cg.basis)
+    im_sigma = {k0_key(ctx, sigma(ctx, s)) for s in (1, -1)}
+    chains = ctx.disc.delta > 0 and ctx.sign_is_invariant
+    rels = [[len(im_sigma)] + [0] * r]
+    for i, (g, d) in enumerate(zip(cg.basis, cg.divisors), 1):
+        s, c = 1, g
+        for _ in range(d - 1 if chains else 0):
+            c, z = cg.product(c, g)
+            s = k0_sign(ctx, s, z)
+        if chains and c != cg.identity_key():
+            raise ClassGroupCheckError(
+                f"k0_group: D = {ctx.disc.delta}: the class {g} to the "
+                f"power {d} is {c}, not the identity class")
+        rels.append([-int(s < 0)] + [d * (j == i) for j in range(1, r + 1)])
+    keys = sorted((s, c) for s in {s for s, _ in im_sigma}
+                  for c in cg.elements())
+    divisors = [d for d in smith_form(rels)[0] if d != 1]
+    return K0Group(order=len(keys), divisors=divisors, keys=keys,
+                   im_sigma=im_sigma, ctx=ctx)
 
 
 @dataclass(frozen=True)
@@ -209,7 +214,7 @@ def bass_sequence_report(disc: Discriminant) -> BassReport:
     """Check exactness of units-mod-norms -> K0 -> class group -> 1."""
     ctx = k0_context(disc)
     grp = k0_group(ctx)
-    im_sigma = {k0_key(ctx, sigma(ctx, 1)), k0_key(ctx, sigma(ctx, -1))}
+    im_sigma = grp.im_sigma
     unit_key = ctx.cg.key_of_ideal(FracIdeal.unit(disc))
     ker_rho = {k for k in grp.keys if k[1] == unit_key}
     classes_hit = {k[1] for k in grp.keys}

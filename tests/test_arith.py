@@ -137,18 +137,20 @@ def _check_smith(m):
 
 
 def test_smith_form_on_relation_matrices(monkeypatch):
-    # every relation matrix that class_group and k0_group build over the
-    # fundamental |D| <= 3000 (lower-triangular, so |det| is the product of
-    # the diagonal); test_classgroup and test_knorm check the invariants
-    # against torsion counts, which share nothing with either Smith form
+    # every relation matrix that class_group's closure and k0_group's
+    # presentation build over the fundamental |D| <= 3000 (lower-triangular,
+    # so |det| is the product of the diagonal); test_classgroup and
+    # test_knorm check the invariants against torsion counts, which share
+    # nothing with either Smith form
     mats = []
-    snf = classgroup.smith_form
+    snf = arith.smith_form
 
     def record(m):
         mats.append([list(row) for row in m])
         return snf(m)
 
     monkeypatch.setattr(classgroup, "smith_form", record)
+    monkeypatch.setattr(knorm, "smith_form", record)
     for disc in fundamental_discriminants(-3000, 3000):
         knorm.k0_group(knorm.k0_context(disc))
     assert len(mats) == 2 * 1820

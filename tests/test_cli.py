@@ -8,9 +8,8 @@ import sys
 import pytest
 
 from qknorm import classgroup, cli, ideals, knorm, mv
-from qknorm.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERDICT, ScanConfig,
-                        ScanConfigError, _row, fundamental_range, main,
-                        run_scan)
+from qknorm.cli import (EXIT_OK, EXIT_USAGE, ScanConfig, ScanConfigError,
+                        _row, fundamental_range, main, run_scan)
 from qknorm.mv import genus_engine
 from qknorm.quadfield import make_discriminant
 from qknorm.units import fundamental_unit
@@ -215,9 +214,9 @@ def test_k0_key_reduces_once(capsys, monkeypatch):
     # the reduction that finds a class also gives its generator, so each
     # class lookup of k0 is one checked class_and_generator with one
     # reduction: one lookup per class pair of class_group's closure (about
-    # h + r of them, h = 139 and r = 1 here), kept in a table that
-    # k0_group's closure reads, which meets the same pairs; it looks up only
-    # sigma(-1)'s pair itself
+    # h + r of them, h = 139 and r = 1 here), kept in a table; k0_group
+    # presents K0 on the class group's basis, and at D < 0 it multiplies no
+    # class pair, so it looks up only the keys of sigma(1) and sigma(-1)
     counts = {"command": 0, "k0_group": 0, "reductions": 0}
     in_group, in_lookup = [False], [False]
     reduce_t = classgroup.reduce_definite_t
@@ -253,7 +252,7 @@ def test_k0_key_reduces_once(capsys, monkeypatch):
     assert code == EXIT_OK and doc["k0_order"] == "278"
     h, r = int(doc["h"]), 1
     assert h <= counts["command"] <= h + r + 8
-    assert 0 < counts["k0_group"] <= 2
+    assert counts["k0_group"] == 2
     assert 0 < counts["reductions"] <= counts["command"]
 
 
@@ -262,18 +261,36 @@ def test_k0_checks_generators_without_products(capsys, monkeypatch):
     # of k0 are those of the class products alone (986 when each check was
     # an ideal product, 279 when class_group and the K0 closure multiplied
     # each class pair apart): one per class pair of class_group's closure,
-    # about h + r (h = 139, r = 1), which the K0 closure reads from a table
-    calls = [0]
+    # about h + r (h = 139, r = 1); k0_group's presentation reads no class
+    # product at D < 0, from the table or otherwise
+    calls, products, in_group = [0, 0], [0], [False]
     hnf2 = ideals._hnf2
+    product = classgroup.ClassGroupData.product
+    group = knorm.k0_group
 
     def counted(vectors):
-        calls[0] += 1
+        calls[in_group[0]] += 1
         return hnf2(vectors)
 
+    def counted_product(self, c1, c2):
+        products[0] += in_group[0]
+        return product(self, c1, c2)
+
+    def counted_group(ctx):
+        in_group[0] = True
+        try:
+            return group(ctx)
+        finally:
+            in_group[0] = False
+
     monkeypatch.setattr(ideals, "_hnf2", counted)
+    monkeypatch.setattr(classgroup.ClassGroupData, "product",
+                        counted_product)
+    monkeypatch.setattr(knorm, "k0_group", counted_group)
     code, out = _run(capsys, ["k0", "--disc", "-85159"])
     assert code == EXIT_OK and json.loads(out)["k0_order"] == "278"
     assert 0 < calls[0] <= 139 + 1 + 8
+    assert calls[1] == products[0] == 0
 
 
 def test_fundamental_range_contents():
@@ -521,84 +538,3 @@ def test_unwritable_out_is_a_usage_error(argv, flags, src_env, tmp_path):
         assert proc.stderr.startswith(f"error: cannot write --out {out}: ")
         assert "Traceback" not in proc.stderr
     assert [p.name for p in tmp_path.iterdir()] == []
-
-
-def _capped_scan(lo, hi, jobs):
-    """A scan of lo..hi with no split prime allowed for any genus space; at
-    two jobs on two CPUs, so that a worker takes every other block."""
-    return ("import os, sys\n"
-            "import qknorm.local as local\n"
-            "from qknorm.cli import main\n"
-            "local._SPLIT_PRIME_CAP = 0\n"
-            "os.cpu_count = lambda: 2\n"
-            f"sys.exit(main(['scan', '--min', '{lo}', '--max', '{hi}', "
-            f"'--jobs', '{jobs}']))\n")
-
-
-# a cap or budget hit leaves the verdict open: no split prime allowed for
-# the genus space of -56 in the scan, and a K0 closure budget of two classes;
-# over several blocks the first failure in block order is the one reported,
-# at any job count
-INCONCLUSIVE = {
-    "scan": (
-        [_capped_scan(-60, -50, 1)],
-        "scan: inconclusive: genus character space of Discriminant(-56)"),
-    "scan_blocks": (
-        [_capped_scan(-1200, -50, jobs) for jobs in (1, 2)],
-        "scan: inconclusive: genus character space of Discriminant(-1195)"),
-    "k0": (
-        ["import sys\n"
-         "import qknorm.knorm as knorm\n"
-         "from qknorm.cli import main\n"
-         "knorm.K0_BUDGET = 2\n"
-         "sys.exit(main(['k0', '--disc', '-23']))\n"],
-        "k0: inconclusive: more than 2 classes generated"),
-}
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-@pytest.mark.parametrize("command", sorted(INCONCLUSIVE))
-def test_cap_hit_is_inconclusive(command, flags, src_env):
-    codes, message = INCONCLUSIVE[command]
-    stderrs = []
-    for code in codes:
-        proc = subprocess.run([sys.executable, *flags, "-c", code],
-                              capture_output=True, text=True, env=src_env,
-                              timeout=120)
-        assert proc.returncode == EXIT_VERDICT, proc.stderr
-        assert proc.stdout == ""
-        assert proc.stderr.startswith(message), proc.stderr
-        assert "Traceback" not in proc.stderr
-        stderrs.append(proc.stderr)
-    assert stderrs == stderrs[:1] * len(codes)
-
-
-# a stripe worker that dies inside a block must fail the scan, not hang it
-DYING_WORKER = (
-    "import os, sys\n"
-    "from qknorm import cli\n"
-    "parent = os.getpid()\n"
-    "scan_block = cli.scan_block\n"
-    "def dying(bounds):\n"
-    "    if os.getpid() != parent:\n"
-    "        os._exit(3)\n"
-    "    return scan_block(bounds)\n"
-    "cli.scan_block = dying\n"
-    "os.cpu_count = lambda: 2\n"
-    "sys.exit(cli.main(['scan', '--min', '-1200', '--max', '-1', "
-    "'--jobs', '2']))\n")
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_dead_worker_fails_scan(flags, src_env):
-    proc = subprocess.run([sys.executable, *flags, "-c", DYING_WORKER],
-                          capture_output=True, text=True, env=src_env,
-                          timeout=60)
-    assert proc.returncode == EXIT_VERDICT, proc.stderr
-    assert proc.stdout == ""
-    # the worker dies in its first block, the second block of the scan
-    w = cli.BLOCK_WIDTH
-    assert 2 * w <= 1200
-    assert proc.stderr == ("scan: stripe worker 1 ended with exit code 3 "
-                           f"before sending the rows of {-1200 + w}.."
-                           f"{-1201 + 2 * w}\n")

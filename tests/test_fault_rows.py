@@ -5,7 +5,8 @@ number of rows (scan) or reports (verify, k0) in which each verdict reads
 false; every other verdict must stay true.  A row may run its command more
 than once, each run writing one JSON document, and the counts are summed
 over them.  A row with no counts names a fault that a check catches before
-any report: stdout stays empty and stderr names the check."""
+any report, or a cap hit that leaves the verdict open: stdout stays empty
+and stderr names the check or the cap."""
 
 import json
 import subprocess
@@ -315,6 +316,49 @@ SIGNLESS_KEYS = (
     "sys.stdout.write(out.getvalue())\n"
     "sys.exit(code)\n")
 
+# the class group's largest invariant factor halved by its Smith form, at
+# 505 where Cl = Z/4: k0_group presents K0 on the basis, and the power
+# chain of a basis class to its claimed order must end at the identity
+# class, so k0 fails that check where classgroup has none to fail
+HALVED_CLASS_ORDER = (
+    "import sys\n"
+    "import qknorm.classgroup as cg\n"
+    "from qknorm.cli import main\n"
+    "snf = cg.smith_form\n"
+    "def halved(m):\n"
+    "    invs, w = snf(m)\n"
+    "    return invs[:-1] + (invs[-1] // 2,), w\n"
+    "cg.smith_form = halved\n"
+    "sys.exit(main(['k0', '--disc', '505']))\n")
+
+# a cap hit leaves the verdict open: no split prime allowed for the genus
+# space of -56, or of -1195 over several blocks, where the first failure in
+# block order is the one reported, at one job and at two on two CPUs
+SPLIT_PRIME_CAP_ZERO = (
+    "import os, sys\n"
+    "import qknorm.local as local\n"
+    "from qknorm.cli import main\n"
+    "local._SPLIT_PRIME_CAP = 0\n"
+    "os.cpu_count = lambda: 2\n"
+    "sys.exit(max(main(['scan', '--min', '{lo}', '--max', '-50',\n"
+    "                   '--jobs', jobs]) for jobs in {jobs}))\n")
+
+# a stripe worker that dies inside a block must fail the scan, not hang it;
+# the worker dies in its first block, the second block of the scan
+DYING_WORKER = (
+    "import os, sys\n"
+    "from qknorm import cli\n"
+    "parent = os.getpid()\n"
+    "scan_block = cli.scan_block\n"
+    "def dying(bounds):\n"
+    "    if os.getpid() != parent:\n"
+    "        os._exit(3)\n"
+    "    return scan_block(bounds)\n"
+    "cli.scan_block = dying\n"
+    "os.cpu_count = lambda: 2\n"
+    "sys.exit(cli.main(['scan', '--min', '-1200', '--max', '-1', "
+    "'--jobs', '2']))\n")
+
 FAULT_ROWS = {
     "rank2_off_by_one": (RANK2_OFF_BY_ONE, None,
         "scan: inconclusive: D = -199: h = 9 is not divisible by 2^rank2 = "
@@ -407,6 +451,18 @@ FAULT_ROWS = {
             "the cycle of (1, 6, -6) leaves the enumerated reduced forms"))},
     "signless_keys": (SIGNLESS_KEYS, {
         "sigma_injective": 1, "exact": 1}, "3 3\n"),
+    "halved_class_order": (HALVED_CLASS_ORDER, None,
+        "k0: k0_group: D = 505: the class (2, 19, -18) to the power 2 is "
+        "(4, 19, -9), not the identity class\n"),
+    **{f"split_prime_cap{suffix}": (SPLIT_PRIME_CAP_ZERO.format(
+        lo=lo, jobs=jobs), None,
+        f"scan: inconclusive: genus character space of Discriminant({d}): "
+        f"span 1 after 0 split primes, below the bound 2\n" * len(jobs))
+       for suffix, lo, jobs, d in (("", -60, ("1",), -56),
+                                   ("_blocks", -1200, ("1", "2"), -1195))},
+    "dying_worker": (DYING_WORKER, None,
+        "scan: stripe worker 1 ended with exit code 3 before sending the "
+        "rows of -900..-601\n"),
 }
 
 
