@@ -433,7 +433,12 @@ def sampled_exactness(disc: Discriminant, samples: int,
                       seed: int) -> SampledExactness:
     """The five verdicts of ``qknorm verify``: four composites on seeded
     samples, then a checked boundary preimage for every K0 class that i
-    kills, the identity among them, or the first ``KernelPreimageError``."""
+    kills, the identity among them, or the first ``KernelPreimageError``.
+
+    ``i_after_boundary_trivial`` holds by construction: ``boundary``
+    returns [1, I] with N(I) = 1, and I's lattice coefficient a is
+    prod p^(2r), a square, so ``map_i`` of every boundary is (1, {}).  That
+    verdict can fail only through ``boundary``'s own raises."""
     from .knorm import k0_context
 
     if samples < 1:

@@ -107,31 +107,19 @@ class _Workspace:
 _WS = _Workspace()
 
 
-def _expand(lens, starts_slot: str, grp_slot: str):
+def _expand(lens, starts_slot: str):
     """Lay the ranges 0..lens[i]-1 end to end: (grp, starts), grp[t] the
-    range i of element t (intp) and starts[i] where range i begins, for the
-    nonempty ranges (so element t is number t - starts[grp[t]] of its
-    range).  Every entry of grp is the index of a nonempty range, so a
-    gather by grp is in range by construction.  Both are views of the named
-    workspace slots; ``lens`` holds non-negative ints, and starts has their
-    dtype."""
+    range i of element t (intp) and starts[i] where range i begins (so
+    element t is number t - starts[grp[t]] of its range).  Every entry of
+    grp is the index of a nonempty range, so a gather by grp is in range by
+    construction.  grp is a new array; starts is a view of the named
+    workspace slot, with the dtype of ``lens``, which holds non-negative
+    ints."""
     m = len(lens)
     ends = _WS.get(starts_slot, m + 1, lens.dtype.type)
     ends[0] = 0
     lens.cumsum(out=ends[1:])
-    starts, total = ends[:m], int(ends[m])
-    grp = _WS.get(grp_slot, total + 1, np.intp)
-    grp[:] = 0
-    # each range writes its index where it begins, and max-accumulate fills
-    # the rest; an empty range begins where the next one does, so its write
-    # goes to the spare last slot instead (and its start, which no element
-    # reads, is lost)
-    np.copyto(starts, total,
-              where=np.equal(lens, 0, out=_WS.get("m0", m, np.bool_)))
-    grp[starts] = _WS.iota(m, np.intp)
-    grp = grp[:total]
-    np.maximum.accumulate(grp, out=grp)
-    return grp, starts
+    return np.repeat(_WS.iota(m, np.intp), lens), ends[:m]
 
 
 def _isqrt_array(x, out=None):
@@ -165,7 +153,7 @@ def _counts_imag(ns) -> dict[int, tuple[int, int, int]]:
     fundamental domain (b = 0, b = a or a = c) is one ambiguous class; any
     other stands for the two classes (a, +-b, c).  h is one bincount on n
     and the ambiguous classes a second.  The columns are int64 (intp)
-    workspace slots written in place, i0..i7, shared with ``_counts_real``.
+    workspace slots written in place, i1..i7, shared with ``_counts_real``.
     """
     ws, ip = _WS, np.intp
     lo, hi = int(ns[0]), int(ns[-1])
@@ -173,7 +161,7 @@ def _counts_imag(ns) -> dict[int, tuple[int, int, int]]:
     c_lo = np.maximum(a_vals, -(-lo // (4 * a_vals)))
     grp, starts = _expand(
         np.maximum((hi + a_vals * a_vals) // (4 * a_vals) - c_lo + 1, 0),
-        "si", "i0")
+        "si")
     m = len(grp)
     # grp holds indices of a_vals (``_expand``): no index is clipped
     a = a_vals.take(grp, out=ws.get("i1", m, ip), mode="clip")
@@ -194,7 +182,7 @@ def _counts_imag(ns) -> dict[int, tuple[int, int, int]]:
     lens = np.subtract(b_hi, b_lo, out=b_hi)
     lens += 1
     np.maximum(lens, 0, out=lens)
-    grp, starts = _expand(lens, "i4", "i0")
+    grp, starts = _expand(lens, "i4")
     f = len(grp)
     b_lo -= starts
     # grp holds indices of the pairs: no index is clipped
@@ -224,22 +212,23 @@ def _stable_argsort(keys, out):
     """``np.argsort(keys, kind="stable")`` for non-negative integer keys,
     written into ``out``.
 
-    Below 2^32 it is two stable passes on 16-bit digits, low digit first,
-    which numpy sorts by radix; from 2^32 on (past |D| ~ 1.4*10^7 for a
-    block of 300 in ``_counts_real``) it is the int64 argsort itself.
+    With bits = (n - 1).bit_length() for n keys, it is one sort of the int64
+    values key << bits | index, whose low bits are the order: stable, since
+    equal keys are ordered by their index.  Keys from 2^(62 - bits) on take
+    the int64 argsort itself; in ``_counts_real`` the keys of a block of
+    300 stay below 2^32 up to |D| ~ 1.4*10^7.
     """
     n = len(keys)
-    if not n or int(keys.max()) >> 32:
+    bits = max(n - 1, 0).bit_length()
+    if not n or int(keys.max()) >> (62 - bits):
         np.copyto(out, np.argsort(keys, kind="stable"))
         return out
-    digit = _WS.get("digit", n, np.uint16)
-    np.copyto(digit, keys, casting="unsafe")  # the low 16 bits
-    low = np.argsort(digit, kind="stable")
-    np.right_shift(keys, 16, out=digit, casting="unsafe")
-    # low and the argsort of high are permutations of 0..n-1: no index is
-    # clipped
-    high = digit.take(low, out=_WS.get("digit2", n, np.uint16), mode="clip")
-    return low.take(np.argsort(high, kind="stable"), out=out, mode="clip")
+    packed = _WS.get("packed", n, np.int64)
+    np.copyto(packed, keys)
+    packed <<= bits
+    packed |= _WS.iota(n, np.int64)
+    packed.sort()
+    return np.bitwise_and(packed, (1 << bits) - 1, out=out)
 
 
 def _real_dtype(width: int, s_hi: int):
@@ -272,8 +261,9 @@ def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
     The columns are workspace slots (``_WS``) written in place: values in
     ``_real_dtype`` (int32 below |D| ~ 7*10^6 for a block of 300) in
     v0..v9, indices in intp (which numpy gathers without a converted copy)
-    in i0..i5, masks in m0..m3.  A slot is reused once the stage that filled
-    it is done:
+    in i0..i5, masks in m0..m3; the index arrays of the expansions and of
+    the compactions (``_expand``, ``np.flatnonzero``) are new arrays.  A
+    slot is reused once the stage that filled it is done:
 
     ====  ======  ==========  =======  =====  =======  ========
     slot  pairs   triples     forms    tau    sorts    labels
@@ -288,11 +278,11 @@ def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
     v7            b                    image
     v8            D - lo                      sorted
     v9            s                           sorted
-    i0    grp                 partner
-    i1            grp         triple          order    powers
+    i0                        partner
+    i1                        triple          order    powers
     i2            D - lo                      order    powers
     i3            form at                     P
-    i4            partner at                           L
+    i4                                                 L
     i5                                                 gathered
     ====  ======  ==========  =======  =====  =======  ========
 
@@ -311,7 +301,7 @@ def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
     b_vals = np.arange(1, s_hi + 1, dtype=dt)
     a_lo = np.maximum((s_lo + 2 - b_vals) // 2, 1)
     a_hi = _isqrt_array((hi - b_vals.astype(np.int64) ** 2) // 4).astype(dt)
-    grp, starts = _expand(np.maximum(a_hi - a_lo + 1, 0), "sv", "i0")
+    grp, starts = _expand(np.maximum(a_hi - a_lo + 1, 0), "sv")
     m = len(grp)
     # grp holds indices of b_vals (``_expand``): no index is clipped
     b = b_vals.take(grp, out=ws.get("v0", m, dt), mode="clip")
@@ -331,7 +321,7 @@ def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
     lens -= k_lo
     lens += 1
     np.maximum(lens, 0, out=lens)
-    grp, starts = _expand(lens, "v4", "i1")
+    grp, starts = _expand(lens, "v4")
     n3 = len(grp)
     k_lo -= starts
     # grp holds indices of the pairs: no index is clipped
@@ -359,37 +349,26 @@ def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
     keep &= np.greater_equal(a, a_min, out=test)
     pair = np.not_equal(a, k, out=ws.get("m3", n3, np.bool_))
     pair &= keep
-    # the kept triples, then the partners of those with a != k: at1 is
-    # where the form of each triple goes, at2 where its partner goes (its
-    # own form when it has none), and a dropped triple goes to the spare
-    # last slot; src[p] is the triple of form p
-    n1 = int(np.count_nonzero(keep))
-    n = n1 + int(np.count_nonzero(pair))
-    at1 = ws.get("i3", n3, ip)
-    np.copyto(at1, keep)
-    at1.cumsum(out=at1)
-    at1 -= 1
-    np.copyto(at1, n, where=np.logical_not(keep, out=test))
-    at2 = ws.get("i4", n3, ip)
-    np.copyto(at2, pair)
-    at2.cumsum(out=at2)
-    at2 += n1 - 1
-    np.copyto(at2, at1, where=np.logical_not(pair, out=test))
-    src = ws.get("i1", n + 1, ip)
-    src[at2] = ws.iota(n3, ip)
-    src[at1] = ws.iota(n3, ip)
+    # the kept triples, then the partners of those with a != k: src[p] is
+    # the triple of form p, and at[t] where the form of a kept triple t goes
+    firsts, partners = np.flatnonzero(keep), np.flatnonzero(pair)
+    n1 = len(firsts)
+    n = n1 + len(partners)
+    src = np.concatenate((firsts, partners), out=ws.get("i1", n, ip))
+    at = ws.get("i3", n3, ip)
+    at[firsts] = ws.iota(n1, ip)
     # src holds triple indices: no index is clipped
     A, B, C, J, s_form = (ws.get(f"v{i}", n, dt) for i in range(5))
-    firsts, partners = src[:n1], src[n1:n]
     for col, first, second in ((A, a, k), (C, k, a)):
         first.take(firsts, out=col[:n1], mode="clip")
         second.take(partners, out=col[n1:], mode="clip")
     for col, value in ((B, b), (J, Jd), (s_form, s)):
-        value.take(src[:n], out=col, mode="clip")
-    # the partner of each form: the other one of its pair, or itself
+        value.take(src, out=col, mode="clip")
+    # the partner of each form: the other one of its pair, or itself; the
+    # partners are kept triples, so at holds their first forms
     inv = ws.get("i0", n, ip)
-    at2.take(firsts, out=inv[:n1], mode="clip")
-    at1.take(partners, out=inv[n1:], mode="clip")
+    np.copyto(inv[:n1], ws.iota(n1, ip))
+    inv[at.take(partners, out=inv[n1:], mode="clip")] = ws.iota(n, ip)[n1:]
     s = s_form
     # tau(a, b, -|c|) = (|c|, b', .), b' = 2|c| * ((s + b) // 2|c|) - b,
     # with (s + b) // 2|c| = ((s + b) // 2) // |c|
@@ -444,23 +423,21 @@ def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
         raise ScanCountError(f"D = {lo + j}: the labels "
                              "of the tau-cycles did not settle")
     own = np.equal(L, ws.iota(n, ip), out=ws.get("m1", n, np.bool_))
-    # number the cycles 0, 1, ... by their least index; L holds form
-    # indices, so no index is clipped
+    roots = np.flatnonzero(own)
+    # number the cycles 0, 1, ... by their least index; L holds the roots,
+    # so no index is clipped and no entry of rank outside them is read
     rank = order
-    np.copyto(rank, own)
-    rank.cumsum(out=rank)
-    rank -= 1
+    rank[roots] = ws.iota(len(roots), ip)
     cycle = rank.take(L, out=gathered, mode="clip")
-    J_own = J[own]
-    even = np.bincount(cycle, minlength=len(J_own)) % 2 == 0
+    J_own = J.take(roots)
+    even = np.bincount(cycle, minlength=len(roots)) % 2 == 0
     h = np.bincount(J_own, minlength=width)
     h_narrow = (h + np.bincount(J_own[even], minlength=width)).tolist()
     h = h.tolist()
-    # inv holds form indices: no index is clipped
-    self_inverse = np.equal(L.take(inv, out=gathered, mode="clip"), L,
-                            out=ws.get("m2", n, np.bool_))
-    self_inverse &= own
-    torsion = np.bincount(J[self_inverse], minlength=width).tolist()
+    # a wide class is self-inverse iff the partner of its least form, which
+    # lies in the inverse class, lies in it; inv holds form indices
+    self_inverse = L.take(inv.take(roots)) == roots
+    torsion = np.bincount(J_own[self_inverse], minlength=width).tolist()
     out = {}
     for D in Ds.tolist():
         j = D - lo

@@ -298,14 +298,35 @@ def test_stable_argsort_matches_numpy(monkeypatch):
         seen.clear()
         got = scancounts._stable_argsort(keys, np.empty(len(keys), np.intp))
         assert (got == argsort(keys, kind="stable")).all(), top
-        assert seen == [np.uint16] * 2, top
-    # a key past 2^32: one int64 argsort
-    keys = np.array([1 << 40, 5, 1 << 32, 5, 0, (1 << 32) - 1],
-                    dtype=np.int64)
-    seen.clear()
-    got = scancounts._stable_argsort(keys, np.empty(len(keys), np.intp))
-    assert got.tolist() == [4, 1, 3, 5, 2, 0]
-    assert seen == [np.int64]
+        assert seen == [], top  # one sort of the packed keys, no argsort
+    # six keys pack into key << 3 | index below 2^62: keys up to 2^59 - 1
+    # are packed, and a key of 2^59 takes one int64 argsort
+    for top, calls in (((1 << 59) - 1, []), (1 << 59, [np.int64])):
+        keys = np.array([top, 5, 1 << 32, 5, 0, (1 << 32) - 1],
+                        dtype=np.int64)
+        seen.clear()
+        got = scancounts._stable_argsort(keys,
+                                         np.empty(len(keys), np.intp))
+        assert got.tolist() == [4, 1, 3, 5, 2, 0], top
+        assert seen == calls, top
+
+
+@pytest.mark.parametrize("lens", [
+    [0, 0, 3, 1, 2], [2, 1, 0, 0, 3, 1], [1, 3, 2, 0, 0], [0], [0, 0, 0],
+    [], [4], [1, 0, 1, 0, 1]])
+@pytest.mark.parametrize("dtype", ["int32", "int64"])
+def test_expand_matches_a_python_reference(lens, dtype, monkeypatch):
+    import numpy as np
+
+    monkeypatch.setattr(scancounts, "_WS", scancounts._Workspace())
+    grp, starts = scancounts._expand(np.array(lens, dtype=dtype), "test")
+    want_grp = [i for i, n in enumerate(lens) for _ in range(n)]
+    assert grp.dtype == np.intp and grp.tolist() == want_grp
+    assert starts.dtype == dtype
+    assert starts.tolist() == [sum(lens[:i]) for i in range(len(lens))]
+    # element t is number t - starts[grp[t]] of its range
+    assert [t - starts[i] for t, i in enumerate(grp.tolist())] == \
+        [j for n in lens for j in range(n)]
 
 
 def test_scan_count_checks_raise_under_optimize(src_env):
