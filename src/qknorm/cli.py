@@ -25,8 +25,8 @@ from .classgroup import BLOCK_WIDTH, ClassGroupCheckError, \
 from .ideals import LatticeCheckError
 from .knorm import bass_sequence_report
 from .local import SplitPrimeCapExceeded
-from .mv import IdeleCheckError, NormKernelViolation, NotInNormKernel, \
-    genus_engine, sampled_exactness
+from .mv import _BOOL, SCAN_COLUMNS, IdeleCheckError, \
+    NormKernelViolation, NotInNormKernel, genus_engine, sampled_exactness
 from .quadfield import NotFundamental, fundamental_discriminants, \
     make_discriminant
 from .units import fundamental_unit
@@ -34,9 +34,6 @@ from .units import fundamental_unit
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
-
-
-_BOOL = {True: "true", False: "false"}
 
 
 class OutputPathError(ValueError):
@@ -152,49 +149,11 @@ def fundamental_range(lo: int, hi: int) -> list[int]:
     return [d.delta for d in fundamental_discriminants(lo, hi)]
 
 
-# the columns of a scan row, in the order ``_row`` builds them: the CSV
-# header, written also for a scan without rows
-SCAN_COLUMNS = ("delta", "t_fin", "t_all", "h", "rank2", "eps_norm",
-                "exceptional", "dim_v", "dim_h", "verdict_69", "verdict_67",
-                "verdict_68")
-
-
-# the decimal strings of the small counts of a row: t_fin, t_all, rank2,
-# dim_v and dim_h are counts of primes or dimensions over them, from 0 to at
-# most 16 for any 64-bit discriminant (at most 15 primes divide one)
-_SMALL = tuple(map(str, range(64)))
-
-
-def _row(rep) -> dict:
-    # every column has a fixed type, so each is formatted without ``_s``
-    (delta, t_fin, t_all, h, h_narrow, rank2, dim_v, dim_h, exceptional,
-     verdict_69, verdict_67, verdict_68) = rep
-    eps_norm = ""
-    if delta > 0:
-        # N(eps) = -1 exactly when the class of (sqrt(delta)) is trivial,
-        # that is when the narrow and wide class numbers agree
-        eps_norm = "-1" if h_narrow == h else "1"
-    return {
-        "delta": str(delta),
-        "t_fin": _SMALL[t_fin],
-        "t_all": _SMALL[t_all],
-        "h": str(h),
-        "rank2": _SMALL[rank2],
-        "eps_norm": eps_norm,
-        "exceptional": _BOOL[exceptional],
-        "dim_v": _SMALL[dim_v],
-        "dim_h": _SMALL[dim_h],
-        "verdict_69": _BOOL[verdict_69],
-        "verdict_67": _BOOL[verdict_67],
-        "verdict_68": _BOOL[verdict_68],
-    }
-
-
 def scan_block(bounds: tuple[int, int]) -> list[dict]:
     """The scan rows of the fundamental discriminants in lo..hi, in order."""
     discs = fundamental_discriminants(*bounds)
     counts = block_counts([d.delta for d in discs])
-    return [_row(rep) for rep in genus_engine(discs, counts)]
+    return genus_engine(discs, counts)
 
 
 class ScanWorkerDied(RuntimeError):

@@ -10,10 +10,12 @@ unit classes at the ramified places.  Those classes, and mu's values at the
 nonsplit places, are F2 vectors over places: frozensets of the primes whose
 coordinate is 1, added by ``^``.
 
-The genus engine at the end assembles the 2-rank comparisons that the scan
-over fundamental discriminants certifies, for a whole block of fields: their
-genus dims come from the block kernel (``local.block_genus_dims``), and a
-field it cannot certify from ``genus_char_space`` and ``is_global_norm``.
+The genus engine at the end builds the rows of the scan over fundamental
+discriminants, for a whole block of fields at once: each row holds the
+2-rank comparisons the scan certifies, as the strings the CSV and JSON
+write.  Their genus dims come from the block kernel
+(``local.block_genus_dims``), and a field it cannot certify from
+``genus_char_space`` and ``is_global_norm``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .arith import PRIMES
 from .classgroup import ScanCountError
@@ -486,29 +487,20 @@ def sampled_exactness(disc: Discriminant, samples: int,
 # ---------------------------------------------------------------------------
 # the genus engine
 
-class GenusReport(NamedTuple):
-    delta: int
-    t_fin: int
-    t_all: int
-    h: int
-    h_narrow: int
-    rank2: int
-    dim_v: int
-    dim_h: int
-    exceptional: bool
-    verdict_69: bool
-    verdict_67: bool
-    verdict_68: bool
+# the columns of a scan row, in the order ``genus_engine`` builds them: the
+# CSV header, written also for a scan without rows
+SCAN_COLUMNS = ("delta", "t_fin", "t_all", "h", "rank2", "eps_norm",
+                "exceptional", "dim_v", "dim_h", "verdict_69", "verdict_67",
+                "verdict_68")
 
-    @property
-    def all_pass(self) -> bool:
-        return self.verdict_69 and self.verdict_67 and self.verdict_68
+_BOOL = {True: "true", False: "false"}
 
 
 def genus_engine(discs: list[Discriminant],
-                 counts: list[tuple[int, int, int]]) -> list[GenusReport]:
-    """2-rank of the class group against the ramification count, three
-    ways, for each field of a block, in order.
+                 counts: list[tuple[int, int, int]]) -> list[dict[str, str]]:
+    """The scan rows of a block of fields, in order: 2-rank of the class
+    group against the ramification count, three ways, each row a dict of
+    decimal strings and "true"/"false" keyed by ``SCAN_COLUMNS`` in order.
 
     ``counts`` holds (h, h_narrow, rank2) per field, which the scan counts
     for a whole block at once (``block_counts``).  The counts must first
@@ -524,15 +516,16 @@ def genus_engine(discs: list[Discriminant],
     given symbols (Serre, A Course in Arithmetic, III.2.2, Theorem 4) meets
     the bound.  The fields are taken in order, each check before the next
     field, so the first failing field names the error, whichever check
-    fails.
+    fails.  N(eps) of a real field is -1 exactly when the class of
+    (sqrt(D)) is trivial, that is when h_narrow = h; it is empty for D < 0.
     """
     dims_v, dims_h = block_genus_dims(discs)
-    reports = []
+    rows = []
     for disc, (h, h_narrow, rank2), dim_v, dim_h in zip(discs, counts,
                                                          dims_v, dims_h):
         D = disc.delta
-        exceptional = disc.is_real and any(p % 4 == 3
-                                           for p in disc.ramified_primes)
+        real = disc.is_real
+        exceptional = real and any(p % 4 == 3 for p in disc.ramified_primes)
         if h % (1 << rank2):
             raise ScanCountError(f"D = {D}: h = {h} is not divisible by "
                                  f"2^rank2 = {1 << rank2}")
@@ -549,18 +542,23 @@ def genus_engine(discs: list[Discriminant],
         if dim_v < 0:  # a field the kernel cannot certify
             dim_v = genus_char_space(disc).dim
             dim_h = 0 if is_global_norm(-1, disc) else 1
-        if dim_v != disc.t_all - 1:
+        t_fin, t_all = disc.t_fin, disc.t_all
+        if dim_v != t_all - 1:
             raise ScanCountError(f"D = {D}: dim V = {dim_v} is not "
-                                 f"t_all - 1 = {disc.t_all - 1}")
-        expected = disc.t_fin - 1 - (1 if exceptional else 0)
-        verdict_69 = rank2 == expected
-        verdict_67 = dim_v == dim_h + rank2
-        if disc.is_real:
-            verdict_68 = rank2 <= disc.t_fin - 1
-        else:
-            verdict_68 = rank2 == disc.t_fin - 1
-        # positional: the keyword call is a measurable share of a scan row
-        reports.append(GenusReport(D, disc.t_fin, disc.t_all, h, h_narrow,
-                                   rank2, dim_v, dim_h, exceptional,
-                                   verdict_69, verdict_67, verdict_68))
-    return reports
+                                 f"t_all - 1 = {t_all - 1}")
+        rows.append({
+            "delta": str(D),
+            "t_fin": str(t_fin),
+            "t_all": str(t_all),
+            "h": str(h),
+            "rank2": str(rank2),
+            "eps_norm": ("-1" if h_narrow == h else "1") if real else "",
+            "exceptional": _BOOL[exceptional],
+            "dim_v": str(dim_v),
+            "dim_h": str(dim_h),
+            "verdict_69": _BOOL[rank2 == t_fin - 1 - exceptional],
+            "verdict_67": _BOOL[dim_v == dim_h + rank2],
+            "verdict_68": _BOOL[rank2 <= t_fin - 1 if real
+                                else rank2 == t_fin - 1],
+        })
+    return rows

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from qknorm.classgroup import scan_counts
 from qknorm.ideals import lattice_product, rational_prime_of
-from qknorm.quadfield import DiscMismatch, QuadNum
+from qknorm.mv import genus_engine
+from qknorm.quadfield import DiscMismatch, QuadNum, make_discriminant
 
 
 class NotIntegral(ValueError):
@@ -66,3 +68,16 @@ def compose_forms(f1, f2, D: int):
     assert f1[0] > 0 and f2[0] > 0
     _, a, b = lattice_product(f1[0], f1[1], f2[0], f2[1], D)
     return (a, b, (b * b - D) // (4 * a))
+
+
+def scan_row(delta: int) -> dict[str, str]:
+    """The scan row of one fundamental discriminant: the genus engine on
+    its counts, as a block of one."""
+    disc = make_discriminant(delta)
+    return genus_engine([disc], [scan_counts(disc)])[0]
+
+
+def verdicts_pass(row: dict[str, str]) -> bool:
+    """Whether the three verdict columns of a scan row read "true"."""
+    return (row["verdict_69"] == row["verdict_67"] == row["verdict_68"]
+            == "true")

@@ -1,8 +1,9 @@
 """Acceptance gate: the eight headline verdicts, one test each.
 
 The full-range scan is computed once per session, in the scan's blocks, and
-shared by the four criteria that consume it and by the check of its CSV
-against the pinned sha256.
+its rows are shared by the four criteria that consume them and by the check
+of their CSV against the pinned sha256.  Two narrow windows near 10^7 pin
+the scan past the int32 bound of the real counts' columns.
 """
 
 import hashlib
@@ -12,7 +13,7 @@ from math import prod
 
 import pytest
 
-from qknorm.cli import SCAN_COLUMNS, _emit, _row
+from qknorm.cli import EXIT_OK, SCAN_COLUMNS, _emit, main
 from qknorm.classgroup import BLOCK_WIDTH, block_counts, class_group, \
     scan_counts
 from qknorm.knorm import bass_sequence_report
@@ -29,32 +30,40 @@ SCAN_BOUND = 100_000
 # sha256 of the CSV of `qknorm scan --min -100000 --max 100000`
 SCAN_CSV_SHA256 = \
     "1664ed2ce9a3c091fee30fc245657f1424dc9f54de7c77e37cb3ccdcd80e36ed"
+# sha256 of the CSV of `qknorm scan` over each window, whose real fields the
+# counts take on their int64 path (``scancounts._real_dtype``)
+INT64_WINDOW_SHA256 = {
+    (9976001, 9987999):
+        "b302d4b8ca8195a32dfac4582cdb52abad7e8d1302eef8f306f0cbd1fd750bb2",
+    (-9987999, -9976001):
+        "8bbee0838ee822ee8d90f4c1bcedf779b5185b55e62c54441eec2953b7cd1179",
+}
 
 VERIFICATION_DISCS = [-15, 12, 60, -23, 8, 40, -56, 105, -120, 136,
                       229, 316, -231, -84, -47, 904, 469, -95, 140, -39]
 
 
 @pytest.fixture(scope="session")
-def full_scan_reports():
+def full_scan_rows():
     # the scan's own route: each block of BLOCK_WIDTH integers sieved and
-    # counted in one pass, and its genus layer run by the block engine
-    discs, reports, fallbacks = [], [], 0
+    # counted in one pass, and its rows built by the block engine
+    discs, rows, fallbacks = [], [], 0
     for lo in range(-SCAN_BOUND, SCAN_BOUND + 1, BLOCK_WIDTH):
         block = fundamental_discriminants(lo, min(lo + BLOCK_WIDTH - 1,
                                                   SCAN_BOUND))
         got = genus_engine(block, block_counts([d.delta for d in block]))
         # the engine's dims, and the block kernel's where it certifies
         # them, against the per-field path on every field
-        for d, rep, dim_v, dim_h in zip(block, got,
+        for d, row, dim_v, dim_h in zip(block, got,
                                         *block_genus_dims(block)):
             want = (genus_char_space(d).dim,
                     0 if is_global_norm(-1, d) else 1)
-            assert (rep.dim_v, rep.dim_h) == want, d
+            assert (int(row["dim_v"]), int(row["dim_h"])) == want, d
             if dim_v < 0:
                 fallbacks += 1
             else:
                 assert (dim_v, dim_h) == want, d
-        reports += got
+        rows += got
         discs += block
     # the fields whose span needs a split prime past the kernel's list
     assert fallbacks == 23
@@ -62,42 +71,56 @@ def full_scan_reports():
     assert discs == [make_discriminant(d)
                      for d in range(-SCAN_BOUND, SCAN_BOUND + 1)
                      if is_fundamental(d)]
-    return reports
+    return rows
 
 
-def test_criterion_1_two_rank_vs_ramification(full_scan_reports):
+def test_criterion_1_two_rank_vs_ramification(full_scan_rows):
     """rank2 = t - 1, or t - 2 exactly in the exceptional real case."""
-    bad = [r.delta for r in full_scan_reports if not r.verdict_69]
+    bad = [r["delta"] for r in full_scan_rows if r["verdict_69"] != "true"]
     assert bad == [], f"two-rank violations at {bad[:10]}"
 
 
-def test_criterion_2_genus_space_dimension(full_scan_reports):
+def test_criterion_2_genus_space_dimension(full_scan_rows):
     """dim of the genus character space is t_fin - 1 (real) / t_fin (imag)."""
-    for r in full_scan_reports:
-        expect = r.t_fin - 1 if r.delta > 0 else r.t_fin
-        assert r.dim_v == expect == r.t_all - 1, r.delta
+    for r in full_scan_rows:
+        t_fin = int(r["t_fin"])
+        expect = t_fin - 1 if int(r["delta"]) > 0 else t_fin
+        assert int(r["dim_v"]) == expect == int(r["t_all"]) - 1, r["delta"]
 
 
-def test_criterion_3_dimension_identity(full_scan_reports):
+def test_criterion_3_dimension_identity(full_scan_rows):
     """dim V = dim H + rank2 across the entire scanned range."""
-    bad = [r.delta for r in full_scan_reports if not r.verdict_67]
+    bad = [r["delta"] for r in full_scan_rows if r["verdict_67"] != "true"]
     assert bad == [], f"dimension-identity violations at {bad[:10]}"
 
 
-def test_criterion_8_hasse_for_minus_one(full_scan_reports):
+def test_criterion_8_hasse_for_minus_one(full_scan_rows):
     """real fields: -1 fails to be a norm iff some p = 3 mod 4 ramifies."""
-    for r in full_scan_reports:
-        if r.delta > 0:
-            assert (r.dim_h == 1) == r.exceptional, r.delta
+    for r in full_scan_rows:
+        if int(r["delta"]) > 0:
+            assert (int(r["dim_h"]) == 1) == (r["exceptional"] == "true"), \
+                r["delta"]
 
 
-def test_scan_csv_is_pinned(full_scan_reports, tmp_path):
+def test_scan_csv_is_pinned(full_scan_rows, tmp_path):
     """The CSV of the scan over |Delta| <= 100000 is byte for byte the pinned
-    one, written from the fixture's reports as ``qknorm scan`` writes it."""
+    one, written from the fixture's rows as ``qknorm scan`` writes it."""
     path = tmp_path / "scan.csv"
-    _emit({"rows": [_row(r) for r in full_scan_reports]}, "csv", str(path),
-          columns=SCAN_COLUMNS)
+    _emit({"rows": full_scan_rows}, "csv", str(path), columns=SCAN_COLUMNS)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SCAN_CSV_SHA256
+
+
+@pytest.mark.parametrize("lo,hi,jobs", [(9976001, 9987999, 1),
+                                        (-9987999, -9976001, 1),
+                                        (-9987999, -9976001, 2)])
+def test_int64_window_csv_is_pinned(lo, hi, jobs, tmp_path):
+    """The CSV of `qknorm scan` over a 12000-wide window near +-10^7 is byte
+    for byte the pinned one."""
+    path = tmp_path / "scan.csv"
+    assert main(["scan", "--min", str(lo), "--max", str(hi), "--jobs",
+                 str(jobs), "--out", str(path)]) == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        INT64_WINDOW_SHA256[lo, hi]
 
 
 def _verification_set_200():

@@ -9,16 +9,11 @@ import pytest
 
 from qknorm import classgroup, cli, ideals, knorm, mv
 from qknorm.cli import (EXIT_OK, EXIT_USAGE, ScanConfig, ScanConfigError,
-                        _row, fundamental_range, main, run_scan)
-from qknorm.mv import genus_engine
+                        fundamental_range, main, run_scan)
 from qknorm.quadfield import make_discriminant
 from qknorm.units import fundamental_unit
 
-
-def scan_row(delta: int) -> dict:
-    """The scan row of one fundamental discriminant."""
-    disc = make_discriminant(delta)
-    return _row(genus_engine([disc], [classgroup.scan_counts(disc)])[0])
+from helpers import scan_row
 
 
 def _run(capsys, argv):

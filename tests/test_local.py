@@ -15,6 +15,7 @@ from qknorm.mv import genus_engine
 from qknorm.quadfield import fundamental_discriminants, is_fundamental, \
     kronecker, make_discriminant
 
+from helpers import scan_row, verdicts_pass
 from oracle import (hilbert2_oracle, hilbert_odd_oracle, kronecker_symbol,
                     relevant_places)
 
@@ -415,12 +416,15 @@ def test_block_kernel_falls_back_to_the_per_field_path(delta):
     else:
         assert min(disc.ramified_primes) >= TABLE_BOUND
     assert block_genus_dims([disc]) == ([-1], [1])
-    # the engine takes the per-field path for it, in a block of others
-    block = [make_discriminant(-15), disc, make_discriminant(-23)]
-    reports = genus_engine(block, [scan_counts(d) for d in block])
-    assert [(r.dim_v, r.dim_h) for r in reports] == \
+    # the engine takes the per-field path for it, in a block of others, and
+    # gives every field of the block the row it gives that field alone
+    deltas = (-15, delta, -23)
+    block = [make_discriminant(d) for d in deltas]
+    rows = genus_engine(block, [scan_counts(d) for d in block])
+    assert rows == [scan_row(d) for d in deltas]
+    assert [(int(r["dim_v"]), int(r["dim_h"])) for r in rows] == \
         [_per_field_dims(d) for d in block]
-    assert reports[1].all_pass
+    assert verdicts_pass(rows[1]), rows[1]
 
 
 def test_block_kernel_reads_the_cap_at_call_time(monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qknorm import mv
-from qknorm.classgroup import ScanCountError, scan_counts
+from qknorm.classgroup import ScanCountError
 from qknorm.ideals import FracIdeal, ideal_valuation, primes_above, \
     principal_ideal
 from qknorm.knorm import K0Elt, k0_context, k0_eq, k0_group, k0_identity, \
@@ -19,17 +19,12 @@ from qknorm.mv import (FieldPrimes, IdeleFS, NormKernelViolation,
                        sampled_exactness, split_pair_idele)
 from qknorm.quadfield import QuadNum, make_discriminant
 
-from helpers import is_unit_ideal, support_primes
+from helpers import is_unit_ideal, scan_row, support_primes, \
+    verdicts_pass
 from oracle import _prime_factors, hilbert2_oracle, hilbert_odd_oracle
 
 D15 = make_discriminant(-15)
 PRIMES15 = FieldPrimes(D15)
-
-
-def _genus_engine(delta):
-    """The genus report of one field, on its counts as a block of one."""
-    disc = make_discriminant(delta)
-    return genus_engine([disc], [scan_counts(disc)])[0]
 
 
 def test_idele_norm_trivial_cases():
@@ -333,10 +328,11 @@ def test_constructive_kernel_preimages():
                                              (-120, 2, False),
                                              (105, 1, True)])
 def test_genus_engine_spot_values(delta, rank2, exc):
-    rep = _genus_engine(delta)
-    assert rep.rank2 == rank2
-    assert rep.exceptional == exc
-    assert rep.all_pass
+    row = scan_row(delta)
+    assert tuple(row) == mv.SCAN_COLUMNS
+    assert row["rank2"] == str(rank2)
+    assert row["exceptional"] == ("true" if exc else "false")
+    assert verdicts_pass(row), row
 
 
 @pytest.mark.parametrize("delta,counts,reason", [
@@ -355,4 +351,4 @@ def test_genus_engine_small_range():
 
     for delta in range(-150, 150):
         if is_fundamental(delta):
-            assert _genus_engine(delta).all_pass, delta
+            assert verdicts_pass(scan_row(delta)), delta
