@@ -280,35 +280,52 @@ def test_isqrt_array_matches_isqrt():
         [isqrt(v) for v in x.tolist()]
 
 
-def test_stable_argsort_matches_numpy(monkeypatch):
+def _cycle_minima(P):
+    """The least index of the cycle of each i under the permutation P, by
+    walking every cycle once."""
+    label = [None] * len(P)
+    for i in range(len(P)):
+        if label[i] is None:
+            cycle, j = [], i
+            while label[j] is None:
+                label[j] = -1
+                cycle.append(j)
+                j = P[j]
+            for j in cycle:
+                label[j] = i  # cycles are entered at their least index
+    return label
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_label_cycles_match_a_cycle_walk(seed, monkeypatch):
+    # a random permutation of fixed points, 2-cycles and longer cycles,
+    # with one cycle exactly ``most`` long, shuffled over the indices
     import numpy as np
 
-    rng = np.random.default_rng(8)
-    seen = []
-    argsort = np.argsort
-
-    def record(keys, **kwargs):
-        seen.append(keys.dtype)
-        return argsort(keys, **kwargs)
-
-    monkeypatch.setattr(np, "argsort", record)
-    for top in (2, 300, 1 << 16, 1 << 20, 1 << 32):
-        keys = rng.integers(0, top, size=5000, dtype=np.int64)
-        keys[::7] = keys[3]  # ties
-        seen.clear()
-        got = scancounts._stable_argsort(keys, np.empty(len(keys), np.intp))
-        assert (got == argsort(keys, kind="stable")).all(), top
-        assert seen == [], top  # one sort of the packed keys, no argsort
-    # six keys pack into key << 3 | index below 2^62: keys up to 2^59 - 1
-    # are packed, and a key of 2^59 takes one int64 argsort
-    for top, calls in (((1 << 59) - 1, []), (1 << 59, [np.int64])):
-        keys = np.array([top, 5, 1 << 32, 5, 0, (1 << 32) - 1],
-                        dtype=np.int64)
-        seen.clear()
-        got = scancounts._stable_argsort(keys,
-                                         np.empty(len(keys), np.intp))
-        assert got.tolist() == [4, 1, 3, 5, 2, 0], top
-        assert seen == calls, top
+    rng = random.Random(seed)
+    most = rng.choice([2, 5, 64, 65, 97, 128, 300])
+    lengths = [1] * rng.randint(0, 40) + [2] * rng.randint(0, 40) + \
+        [rng.randint(1, most) for _ in range(rng.randint(0, 30))] + [most]
+    rng.shuffle(lengths)
+    n = sum(lengths)
+    order = list(range(n))
+    rng.shuffle(order)
+    P = [0] * n
+    at = 0
+    for length in lengths:
+        cycle = order[at:at + length]
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            P[x] = y
+        at += length
+    assert max(lengths) == most
+    monkeypatch.setattr(scancounts, "_WS", scancounts._Workspace())
+    got = scancounts._label_cycles(np.array(P, dtype=np.intp), most)
+    assert got.tolist() == _cycle_minima(P)
+    # fewer rounds than the longest cycle needs leave a label unsettled
+    if most > 2:
+        short = scancounts._label_cycles(np.array(P, dtype=np.intp),
+                                         (most + 1) // 2)
+        assert short.tolist() != _cycle_minima(P)
 
 
 @pytest.mark.parametrize("lens", [
@@ -367,7 +384,7 @@ UNREACHED_SCAN_MESSAGES = (
     "except ScanCountError as exc:\n"
     "    print(exc)\n"
     "label = scancounts._label_cycles\n"
-    "scancounts._label_cycles = lambda P, most, *spare: label(P, 1, *spare)\n"
+    "scancounts._label_cycles = lambda P, most: label(P, 1)\n"
     "try:\n"
     "    block_counts([229])\n"
     "except ScanCountError as exc:\n"

@@ -460,7 +460,7 @@ def test_sieve_does_not_import_numpy(src_env):
 
 
 def test_reports_do_not_import_multiprocessing(src_env):
-    # only run_scan at more than one job starts a Pool
+    # only run_scan at more than one job forks stripe workers
     calls = [["k0", "--disc", "-23"],
              ["verify", "--disc", "-23", "--samples", "2"]]
     assert _loaded_after(src_env, calls, "multiprocessing") == "False"
