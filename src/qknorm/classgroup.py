@@ -98,10 +98,6 @@ def reduce_definite_t(f: Form) -> tuple[Form, Mat]:
             c = c + t * ((r + b) // 2)
             b = r
             continue
-        if b == -a:
-            m = _mat_mul(m, (1, 1, 0, 1))
-            b = a
-            continue
         if a == c and b < 0:
             m = _mat_mul(m, (0, -1, 1, 0))
             b = -b
@@ -333,6 +329,8 @@ class ClassGroupData:
     _reps: dict = field(repr=False, compare=False, default_factory=dict)
     # {(c1, c2): (key, z)}, filled by product as class pairs are asked for
     _products: dict = field(repr=False, compare=False, default_factory=dict)
+    # the key of the principal class, reduced by the first identity_key
+    _identity: Form | None = field(repr=False, compare=False, default=None)
 
     @property
     def generators(self) -> list[FracIdeal]:
@@ -360,7 +358,9 @@ class ClassGroupData:
         return self.product(k1, k2)[0]
 
     def identity_key(self) -> Form:
-        return self.key_of_form(principal_form(self.disc.delta))
+        if self._identity is None:
+            self._identity = self.key_of_form(principal_form(self.disc.delta))
+        return self._identity
 
     def elements(self):
         return list(self._elements)

@@ -215,7 +215,7 @@ def bass_sequence_report(disc: Discriminant) -> BassReport:
     ctx = k0_context(disc)
     grp = k0_group(ctx)
     im_sigma = grp.im_sigma
-    unit_key = ctx.cg.key_of_ideal(FracIdeal.unit(disc))
+    unit_key = ctx.cg.identity_key()
     ker_rho = {k for k in grp.keys if k[1] == unit_key}
     classes_hit = {k[1] for k in grp.keys}
     expected = ctx.units.h0_units_order * ctx.cg.h

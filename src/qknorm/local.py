@@ -10,10 +10,11 @@ III.1.2), on arguments already split as p^alpha u with u prime to p, and
 every Legendre symbol in it is ``arith.legendre``.  ``_hilbert_core``
 evaluates it; ``hilbert_symbol`` is the checked entry for ints and
 Fractions, and every place that is a prime by construction goes straight to
-the core: the finite places of ``is_global_norm`` and
-``h0_class_of_rational``, the ramified primes of ``mv.map_i``, and the
-ramified primes of ``genus_char_space``, which strips Delta once per
-ramified prime and keeps its F2 span as int bitmasks over them.
+the core: the finite places of ``h0_class_of_rational``, whose nonsplit
+classes are the finite half of ``is_global_norm``, the ramified primes of
+``mv.map_i``, and the ramified primes of ``genus_char_space``, which strips
+Delta once per ramified prime and keeps its F2 span as int bitmasks over
+them.
 
 The scan takes its genus dims a block at a time from ``block_genus_dims``,
 whose kernel (in ``scancounts``, imported on the first call) writes the
@@ -92,36 +93,27 @@ def _primes_of(q) -> set[int]:
             for p in factorint(n)}
 
 
-def _norm_test_primes(q, disc: Discriminant) -> set[int]:
-    """The primes where (q, Delta)_p can differ from +1: 2, the ramified
-    primes (those of Delta) and the primes of q."""
-    return {2, *disc.ramified_primes} | _primes_of(q)
-
-
 def is_global_norm(q, disc: Discriminant) -> bool:
-    """Hasse test: q is a norm from F iff it is a local norm everywhere.
-
-    The entry point checks q at the infinite place; the finite places are
-    primes by construction, so their symbols go to the core.
-    """
-    if hilbert_symbol(q, disc.delta, INFINITY) == -1:
-        return False
-    n = q.numerator * q.denominator
-    return all(_hilbert_core(*_strip(n, p), *_strip(disc.delta, p), p) == 1
-               for p in _norm_test_primes(q, disc))
+    """Hasse test: q is a norm from F iff it is a local norm everywhere:
+    at the infinite place, and at every finite nonsplit place
+    (``h0_class_of_rational`` is empty).  At a split p Delta is a square
+    in Q_p, so (q, Delta)_p = 1 there."""
+    return (hilbert_symbol(q, disc.delta, INFINITY) == 1
+            and not h0_class_of_rational(q, disc))
 
 
 def h0_class_of_rational(q, disc: Discriminant) -> frozenset[int]:
     """Image of a rational in the sum of local norm-residue groups at
     nonsplit finite places: the primes where q fails to be a local norm.
-    They are primes by construction, so their symbols go to the core."""
+    (q, Delta)_p can differ from +1 only at 2, the ramified primes (those of
+    Delta) and the primes of q, and not where p splits.  They are primes by
+    construction, so their symbols go to the core."""
     n = q.numerator * q.denominator
     if not n:
         raise ValueError("the Hilbert symbol needs nonzero arguments")
-    return frozenset(p for p in _norm_test_primes(q, disc)
-                     if kronecker(disc, p) != 1
-                     and _hilbert_core(*_strip(n, p), *_strip(disc.delta, p),
-                                       p) == -1)
+    return frozenset(p for p in {2, *disc.ramified_primes} | _primes_of(q)
+                     if _hilbert_core(*_strip(n, p), *_strip(disc.delta, p),
+                                      p) == -1)
 
 
 class GenusCharSpace(NamedTuple):

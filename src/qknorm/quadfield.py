@@ -149,11 +149,6 @@ class QuadNum:
         self.d = d
         self.disc = disc
 
-    @classmethod
-    def from_rational(cls, q, disc: Discriminant) -> "QuadNum":
-        q = Fraction(q)
-        return cls(2 * q.numerator, 0, q.denominator, disc)
-
     def _key(self):
         return (self.x, self.y, self.d, self.disc.delta)
 
@@ -184,27 +179,14 @@ class QuadNum:
         return Fraction(self.x * self.x - D * self.y * self.y,
                         4 * self.d * self.d)
 
-    def __neg__(self):
-        return QuadNum(-self.x, -self.y, self.d, self.disc)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return QuadNum(self.x * other.d + other.x * self.d,
-                       self.y * other.d + other.y * self.d,
-                       self.d * other.d, self.disc)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
     def __mul__(self, other):
-        other = self._coerce(other)
         D = self.disc.delta
+        if other.disc.delta != D:
+            raise DiscMismatch(f"discriminants {D} and "
+                               f"{other.disc.delta} differ")
         x = self.x * other.x + D * self.y * other.y
         y = self.x * other.y + self.y * other.x
         return QuadNum(x, y, 2 * self.d * other.d, self.disc)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
 
     def inverse(self) -> "QuadNum":
         n = self.norm()
@@ -215,21 +197,10 @@ class QuadNum:
         return QuadNum(c.x * n.denominator, c.y * n.denominator,
                        c.d * n.numerator, self.disc)
 
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
     def scale(self, q) -> "QuadNum":
         q = Fraction(q)
         return QuadNum(self.x * q.numerator, self.y * q.numerator,
                        self.d * q.denominator, self.disc)
-
-    def _coerce(self, other):
-        if isinstance(other, QuadNum):
-            if other.disc.delta != self.disc.delta:
-                raise DiscMismatch(f"discriminants {self.disc.delta} and "
-                                   f"{other.disc.delta} differ")
-            return other
-        return QuadNum.from_rational(other, self.disc)
 
 
 def kronecker(disc: Discriminant, p: int) -> int:

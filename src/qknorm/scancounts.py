@@ -42,12 +42,6 @@ from .arith import PRIMES, TABLE_BOUND
 from .classgroup import BLOCK_WIDTH, ScanCountError
 
 
-def _exact_log2(count: int, D: int, what: str) -> int:
-    if count < 1 or count & (count - 1):
-        raise ScanCountError(f"D = {D}: {count} {what}, not a power of 2")
-    return count.bit_length() - 1
-
-
 def block_counts(deltas) -> list[tuple[int, int, int]]:
     """(h, h_narrow, rank2 of the wide group) for each D in ``deltas``,
     counted without building any group: an independent second path beside
@@ -125,24 +119,16 @@ def _expand(lens, starts_slot: str):
     return np.repeat(_WS.iota(m, np.intp), lens), ends[:m]
 
 
-def _isqrt_array(x, out=None):
-    """``math.isqrt`` of each entry of a non-negative int64 array: the float
-    square root, corrected by one either way.  The float root is within one
-    of the true root for every int64, and the largest root, 3037000499,
-    squares without overflow.  The roots are written into ``out`` (an int64
-    array of x's length, a new one when None), through workspace buffers."""
-    n = len(x)
-    if out is None:
-        out = np.empty(n, dtype=np.int64)
-    root = np.sqrt(x, out=_WS.get("isqrt_float", n, np.float64))
-    np.copyto(out, root, casting="unsafe")  # truncates, as astype does
-    square = np.multiply(out, out, out=_WS.get("isqrt_square", n, np.int64))
-    over = np.greater(square, x, out=_WS.get("isqrt_test", n, np.bool_))
-    out -= over
-    np.multiply(out, out, out=square)
-    np.subtract(x, square, out=square)
-    twice = np.add(out, out, out=_WS.get("isqrt_twice", n, np.int64))
-    out += np.greater(square, twice, out=over)
+def _isqrt(x, out):
+    """``math.isqrt`` of each entry of a non-negative integer array below
+    2^52, written into the integer array ``out``: the float square root,
+    truncated.  x converts to float exactly, and its root r = isqrt(x) is
+    below 2^26.  As x <= (r + 1)^2 - 1, sqrt(x) is more than
+    1/(2(r + 1)) >= 2^-27 below r + 1, while rounding a root below 2^26 to
+    float moves it by at most half an ulp, 2^-28; so the rounded root lies
+    in [r, r + 1) and truncates to r."""
+    root = np.sqrt(x, out=_WS.get("isqrt", len(x), np.float64))
+    np.copyto(out, root, casting="unsafe")
     return out
 
 
@@ -176,11 +162,11 @@ def _counts_imag(ns) -> dict[int, tuple[int, int, int]]:
     # b from the ceiling of sqrt(4ac - hi) up to min(a, isqrt(4ac - lo))
     low = np.subtract(four_ac, hi, out=ws.get("i4", m, ip))
     np.maximum(low, 0, out=low)
-    b_lo = _isqrt_array(low, out=ws.get("i5", m, ip))
+    b_lo = _isqrt(low, ws.get("i5", m, ip))
     top = np.multiply(b_lo, b_lo, out=ws.get("i6", m, ip))
     b_lo += np.less(top, low, out=ws.get("m2", m, np.bool_))
     np.subtract(four_ac, lo, out=top)
-    b_hi = _isqrt_array(top, out=ws.get("i7", m, ip))
+    b_hi = _isqrt(top, ws.get("i7", m, ip))
     np.minimum(b_hi, a, out=b_hi)
     lens = np.subtract(b_hi, b_lo, out=b_hi)
     lens += 1
@@ -303,10 +289,8 @@ def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
     wanted[Ds - lo] = True
     s_lo, s_hi = isqrt(lo), isqrt(hi)
     dt = _real_dtype(width, s_hi)
-    # S[D - lo] = isqrt(D): s_lo, plus one from each square above lo
-    S = np.full(width, s_lo, dtype=dt)
-    for r in range(s_lo + 1, s_hi + 1):
-        S[r * r - lo:] += 1
+    # S[D - lo] = isqrt(D)
+    S = _isqrt(np.arange(lo, hi + 1), np.empty(width, dtype=dt))
     # (b, a) with b <= s_hi and (s_lo + 2 - b)//2 <= a, 4a^2 <= hi - b^2:
     # first those with a <= w4, then those with 4a > hi - lo, whose D step
     # by 4a past the block, so that they have at most one k.  The pair
@@ -314,8 +298,8 @@ def _counts_real(Ds) -> dict[int, tuple[int, int, int]]:
     w4 = (width - 1) // 4
     b_vals = np.arange(1, s_hi + 1, dtype=dt)
     a_lo = np.maximum((s_lo + 2 - b_vals) // 2, 1)
-    # the float root of an integer below 2^52 truncates to its isqrt
-    a_hi = np.sqrt((hi - b_vals.astype(np.int64) ** 2) // 4).astype(dt)
+    a_hi = _isqrt((hi - b_vals.astype(np.int64) ** 2) // 4,
+                  np.empty(s_hi, dtype=dt))
     a_from = np.concatenate((a_lo, np.maximum(a_lo, w4 + 1)))
     a_to = np.concatenate((np.minimum(a_hi, w4), a_hi))
     grp, starts = _expand(np.maximum(a_to - a_from + 1, 0), "sv")
@@ -490,7 +474,8 @@ def _checked_counts(Ds, h, h_narrow, classes, what: str):
     bad = (classes < 1) | (classes & (classes - 1) != 0)
     if bad.any():
         i = int(np.argmax(bad))
-        _exact_log2(int(classes[i]), int(Ds[i]), what)
+        raise ScanCountError(f"D = {Ds[i]}: {classes[i]} {what}, "
+                             "not a power of 2")
     rank2 = np.frexp(classes)[1] - 1  # classes = 2^rank2
     return dict(zip(Ds.tolist(), zip(h.tolist(), h_narrow.tolist(),
                                      rank2.tolist())))

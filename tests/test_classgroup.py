@@ -122,7 +122,7 @@ def test_principal_generator_roundtrip():
             assert g is not None
             assert principal_ideal(g) == i
             # generators agree up to a unit
-            u = z / g
+            u = z * g.inverse()
             assert abs(u.norm()) == 1 and is_unit_ideal(principal_ideal(u))
 
 
@@ -265,19 +265,25 @@ def test_imaginary_scan_block_near_a_million():
         assert per_field[i] == (cg.h, cg.h_narrow, cg.rank2), deltas[i]
 
 
-def test_isqrt_array_matches_isqrt():
+def test_isqrt_is_the_truncated_float_root_below_2_52():
+    # k^2 - 1, k^2, k^2 + 1 and (k + 1)^2 - 1 for every k below 5000 and
+    # random k below 2^26 (so every value is below 2^52): the truncated
+    # float root is isqrt.  Past 2^53, where int64 to float rounds, it is
+    # not: k^2 - 1 for k just past 2^27 rounds up to k^2
     import numpy as np
 
     rng = np.random.default_rng(12)
-    roots = np.concatenate((np.arange(0, 5000), rng.integers(
-        0, 1 << 31, size=20000), [(1 << 31) - 1, 1 << 31]))
-    squares = roots * roots
-    top = np.iinfo(np.int64).max
-    x = np.concatenate((squares, squares + 1, squares[squares > 0] - 1,
-                        rng.integers(0, top, size=50000, endpoint=True),
-                        [0, top, top - 1, 1 << 62])).astype(np.int64)
-    assert scancounts._isqrt_array(x).tolist() == \
-        [isqrt(v) for v in x.tolist()]
+    ks = np.concatenate((np.arange(0, 5000),
+                         rng.integers(0, 1 << 26, size=200000)))
+    x = np.concatenate((ks * ks, ks * ks + 1, (ks + 1) ** 2 - 1,
+                        ks[ks > 0] ** 2 - 1))
+    assert int(x.max()) < 1 << 52
+    got = scancounts._isqrt(x, np.empty(len(x), dtype=np.int64))
+    assert got.tolist() == [isqrt(v) for v in x.tolist()]
+    ks = np.arange((1 << 27) + 1, (1 << 27) + 2001, dtype=np.int64)
+    x = ks * ks - 1
+    got = scancounts._isqrt(x, np.empty(len(x), dtype=np.int64))
+    assert (got != ks - 1).all()
 
 
 def _cycle_minima(P):

@@ -169,7 +169,7 @@ BROKEN_GENERATORS = (
     "import qknorm.classgroup as cg\n"
     "from qknorm.cli import main\n"
     "read_off = cg._generator_from_transform\n"
-    "cg._generator_from_transform = lambda *a: 2 * read_off(*a)\n"
+    "cg._generator_from_transform = lambda *a: read_off(*a).scale(2)\n"
     "codes = [main(['k0', '--disc', '-23']),\n"
     "         main(['verify', '--disc', '-23', '--samples', '5'])]\n"
     "print(*codes, file=sys.stderr)\n"
@@ -205,7 +205,7 @@ SKEWED_UNIT = (
     "    if (i.n, i.d, i.a) != (1, 1, 1):\n"
     "        return z\n"
     "    x = QuadNum(3, 1, 1, i.disc)\n"
-    "    return z * x / x.conj()\n"
+    "    return z * x * x.conj().inverse()\n"
     "cg._generator_from_transform = skewed\n"
     "sys.exit(main(['classgroup', '--disc', '229']))\n")
 

@@ -302,10 +302,11 @@ def test_contains_matches_the_product_test(delta):
         for _ in range(rng.randint(1, 3)):
             dec = primes_above(disc, rng.choice(primes))
             i = i * rng.choice(dec.primes) ** rng.randint(-2, 2)
-        e1 = QuadNum(2 * i.n * i.a, 0, i.d, disc)
-        e2 = QuadNum(i.n * i.b, i.n, i.d, disc)
         for _ in range(6):
-            member = e1 * rng.randint(-5, 5) + e2 * rng.randint(-5, 5)
+            # u * n*a/d + v * n*(b + sqrt(D))/(2d), from its coordinates
+            u, v = rng.randint(-5, 5), rng.randint(-5, 5)
+            member = QuadNum(i.n * (2 * i.a * u + i.b * v), i.n * v, i.d,
+                             disc)
             x, y = rng.randint(-60, 60), rng.randint(-60, 60)
             for z in (member, member.scale(Fraction(1, rng.randint(2, 9))),
                       QuadNum(x, y, rng.randint(1, 30), disc)):

@@ -256,11 +256,14 @@ def test_reciprocity_stop_loses_nothing():
 
 
 def test_norm_test_places_match_factored_delta():
-    # the Hasse test reads Delta's primes off the ramified primes
+    # the Hasse test reads Delta's primes off the ramified primes: 40 q on
+    # each of ten chosen fields, then 5 on every fundamental |Delta| <= 3000
     rng = random.Random(25)
-    for delta in (-15, 12, 60, -23, 40, 136, -420, 5, -4, 8):
+    chosen = [(d, 40) for d in (-15, 12, 60, -23, 40, 136, -420, 5, -4, 8)]
+    every = [(d, 5) for d in range(-3000, 3001) if is_fundamental(d)]
+    for delta, draws in chosen + every:
         disc = make_discriminant(delta)
-        for _ in range(40):
+        for _ in range(draws):
             q = _random_nonzero(rng, 90)
             places = relevant_places(q, delta)
             assert is_global_norm(q, disc) == all(
@@ -268,6 +271,9 @@ def test_norm_test_places_match_factored_delta():
             assert h0_class_of_rational(q, disc) == frozenset(
                 v for v in places[:-1] if kronecker(disc, v) != 1
                 and hilbert_symbol(q, delta, v) == -1)
+            # Delta is a square at a split p, so q is a local norm there
+            assert all(hilbert_symbol(q, delta, v) == 1 for v in places[:-1]
+                       if kronecker(disc, v) == 1)
 
 
 def _genus_reference(delta, ram):
